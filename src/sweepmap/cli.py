@@ -19,38 +19,25 @@ from .oracle import (
     enumerate_family,
 )
 from .paths import (
+    KIND_K,
     KIND_RATIONAL,
     FamilySpec,
     PathError,
     StepSequence,
     SWWord,
     emit_steps,
-    from_minus,
-    from_plus,
     infer_family,
     parse_steps,
     path_from_json,
     path_to_json,
+    skeleton,
     validate,
 )
 from .ranking import rank_tableau
 from .render import path_ascii, path_svg, rank_ascii, tableau_ascii, tableau_svg
 from .sweep import sweep
-from .tableau import (
-    Tableau,
-    TableauError,
-    extend_plus,
-    fill,
-)
-from .walking import (
-    WalkError,
-    build_rank_digraph,
-    invert,
-    walk,
-    walk_graph,
-    walk_minus,
-    walk_plus,
-)
+from .tableau import Tableau, TableauError, fill
+from .walking import VARIANTS, WalkError, invert, run_walk, variant_for
 
 _ERRORS = (PathError, TableauError, WalkError, OracleError)
 
@@ -118,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walk", help="walk the ranked tableau of a path")
     _add_input_flags(p)
     _add_family_flags(p)
-    p.add_argument("--variant", choices=["plain", "plus", "minus", "graph"])
+    p.add_argument("--variant", choices=VARIANTS)
     _add_output_flags(p, ["text", "json"], "text")
 
     p = sub.add_parser("enumerate", help="list every path of a family")
@@ -208,17 +195,6 @@ def _resolve(args) -> tuple[StepSequence, FamilySpec | None]:
     return steps, family
 
 
-def _skeleton(steps: StepSequence, family: FamilySpec | None) -> StepSequence:
-    """The plain path whose word gets filled, for any family kind."""
-    if family is None or family.kind == "k":
-        return steps
-    if family.kind == "kplus":
-        return from_plus(steps)
-    if family.kind == "kminus":
-        return from_minus(steps)
-    raise PathError("rational paths have no fill tableau")
-
-
 def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -259,27 +235,9 @@ def _batch(args, line_fn) -> int:
     return 1 if failed else 0
 
 
-def _walk_variant(args, family: FamilySpec | None) -> str:
-    kind = family.kind if family is not None else "k"
-    default = {"k": "plain", "kplus": "plus", "kminus": "minus"}.get(kind)
-    if default is None:
-        raise PathError("rational paths have no walk")
-    variant = args.variant or default
-    allowed = {"k": ("plain", "graph"), "kplus": ("plus",), "kminus": ("minus",)}
-    if variant not in allowed[kind]:
-        raise PathError(f"variant {variant!r} does not fit family kind {kind!r}")
-    return variant
-
-
-def _run_walk(steps: StepSequence, family: FamilySpec | None, variant: str):
-    t = fill(SWWord.from_steps(_skeleton(steps, family)))
-    if variant == "plain":
-        return walk(t, rank_tableau(t))
-    if variant == "graph":
-        return walk_graph(build_rank_digraph(t, rank_tableau(t)))
-    if variant == "plus":
-        return walk_plus(extend_plus(t))
-    return walk_minus(t)
+def _walk(args, steps: StepSequence, family: FamilySpec | None):
+    variant = variant_for(family.kind if family else KIND_K, args.variant)
+    return run_walk(fill(SWWord.from_steps(skeleton(steps, family))), variant)
 
 
 def _cmd_sweep(args) -> int:
@@ -320,7 +278,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_fill(args) -> int:
     def one(steps, family) -> Tableau:
-        return fill(SWWord.from_steps(_skeleton(steps, family)))
+        return fill(SWWord.from_steps(skeleton(steps, family)))
 
     def line(steps, family):
         t = one(steps, family)
@@ -345,7 +303,7 @@ def _cmd_fill(args) -> int:
 
 def _cmd_rank(args) -> int:
     def one(steps, family):
-        t = fill(SWWord.from_steps(_skeleton(steps, family)))
+        t = fill(SWWord.from_steps(skeleton(steps, family)))
         return t, rank_tableau(t)
 
     def line(steps, family):
@@ -371,7 +329,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_walk(args) -> int:
     def line(steps, family):
-        sigma = _run_walk(steps, family, _walk_variant(args, family))
+        sigma = _walk(args, steps, family)
         if args.format == "json":
             return json.dumps(sigma.to_json())
         return ",".join(str(v) for v in sigma)
@@ -379,7 +337,7 @@ def _cmd_walk(args) -> int:
     if not (args.steps or args.sw or args.file):
         return _batch(args, line)
     steps, family = _resolve(args)
-    sigma = _run_walk(steps, family, _walk_variant(args, family))
+    sigma = _walk(args, steps, family)
     if args.format == "json":
         _write(_dumps(sigma.to_json()), args)
     else:

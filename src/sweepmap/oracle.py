@@ -107,11 +107,11 @@ def enumerate_family(
     return FamilyEnumeration(family, permute_k, tuple(all_paths), counts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _sweep_index(
     family: FamilySpec, max_n: int, max_k: int
 ) -> dict[StepSequence, tuple[StepSequence, ...]]:
-    """Image -> preimages over the permutation closure, computed once."""
+    """Image -> preimages over the permutation closure, kept for 8 families."""
     enum = enumerate_family(family, permute_k=True, max_n=max_n, max_k=max_k)
     index: dict[StepSequence, list[StepSequence]] = {}
     for p in enum.paths:

@@ -11,7 +11,7 @@ up steps, so all arithmetic stays integral.  Indices in public data are
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 KIND_K = "k"
@@ -21,6 +21,8 @@ KIND_RATIONAL = "rational"
 
 _K_KINDS = (KIND_K, KIND_KPLUS, KIND_KMINUS)
 _ALL_KINDS = _K_KINDS + (KIND_RATIONAL,)
+# the plus/minus kinds are the k kind with every up step tilted by +/-1/n
+_TILT = {KIND_KPLUS: 1, KIND_KMINUS: -1}
 
 _STEP_TOKEN = re.compile(r"[+-]?\d+")
 _S_TOKEN = re.compile(r"S(\d+)")
@@ -172,6 +174,24 @@ class SWWord:
         return cls(tuple(letters))
 
 
+def _tilt(steps, n: int, t: int) -> list[int]:
+    """Scale a plain path by n and tilt its rises by t: a -> n*a + t, -1 -> -n."""
+    return [n * a + t if a > 0 else -n for a in steps]
+
+
+def _untilt(steps, n: int, t: int) -> list[int]:
+    """Inverse of _tilt: a -> (a - t) / n for rises, every drop -> -1."""
+    return [(a - t) // n if a > 0 else -1 for a in steps]
+
+
+def _json_ints(obj: dict, key: str) -> tuple[int, ...]:
+    """A JSON list of integers; bools, floats and the like are refused."""
+    value = obj.get(key, [])
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise PathError(f"{key!r} must be a list of integers")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Which family a path belongs to.
@@ -186,10 +206,13 @@ class FamilySpec:
     k: tuple[int, ...] = ()
     m: int = 0
     n: int = 0
+    # derived from kind: the up-step tilt in units of 1/n, +1 kplus, -1 kminus, else 0
+    tilt: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _ALL_KINDS:
             raise PathError(f"unknown family kind {self.kind!r}")
+        object.__setattr__(self, "tilt", _TILT.get(self.kind, 0))
         if self.kind in _K_KINDS:
             k = tuple(int(v) for v in self.k)
             if not k:
@@ -232,12 +255,7 @@ class FamilySpec:
     def n_down(self) -> int:
         if self.kind == KIND_RATIONAL:
             return self.m
-        total = sum(self.k)
-        if self.kind == KIND_KPLUS:
-            return total + 1
-        if self.kind == KIND_KMINUS:
-            return total - 1
-        return total
+        return sum(self.k) + self.tilt
 
     @property
     def size(self) -> int:
@@ -246,26 +264,17 @@ class FamilySpec:
     @property
     def scale(self) -> int:
         """Denominator the fractional rises were multiplied by (1 if none)."""
-        return len(self.k) if self.kind in (KIND_KPLUS, KIND_KMINUS) else 1
+        return len(self.k) if self.tilt else 1
 
     @property
     def up_rises(self) -> tuple[int, ...]:
-        n = len(self.k)
-        if self.kind == KIND_K:
-            return self.k
-        if self.kind == KIND_KPLUS:
-            return tuple(n * v + 1 for v in self.k)
-        if self.kind == KIND_KMINUS:
-            return tuple(n * v - 1 for v in self.k)
-        return (self.m,) * self.n
+        if self.kind == KIND_RATIONAL:
+            return (self.m,) * self.n
+        return tuple(_tilt(self.k, self.scale, self.tilt)) if self.tilt else self.k
 
     @property
     def down_drop(self) -> int:
-        if self.kind == KIND_K:
-            return 1
-        if self.kind == KIND_RATIONAL:
-            return self.n
-        return len(self.k)
+        return self.n if self.kind == KIND_RATIONAL else self.scale
 
     def reordered(self, k) -> "FamilySpec":
         """The same family with its rise vector in a different order."""
@@ -293,9 +302,12 @@ class FamilySpec:
             raise PathError("family object needs a 'kind' key")
         kind = obj["kind"]
         if kind == KIND_RATIONAL:
-            fam = cls.rational(obj.get("m", 0), obj.get("n", 0))
+            m, n = obj.get("m", 0), obj.get("n", 0)
+            if type(m) is not int or type(n) is not int:
+                raise PathError("'m' and 'n' must be integers")
+            fam = cls.rational(m, n)
         elif kind in _K_KINDS:
-            fam = cls(kind, k=tuple(obj.get("k", ())))
+            fam = cls(kind, k=_json_ints(obj, "k"))
         else:
             raise PathError(f"unknown family kind {kind!r}")
         if "scale" in obj and obj["scale"] != fam.scale:
@@ -364,44 +376,61 @@ def ranks(steps: StepSequence) -> RankSequence:
     return RankSequence(tuple(out))
 
 
+def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
+    """Tilt a plain path with the family's rises into the plus or minus family.
+
+    Tilting n rises by t/n moves the end of the path by t, so the plus kind
+    appends one drop and the minus kind removes the final one.
+    """
+    k, n, t = family.k, family.scale, family.tilt
+    d = validate(steps, FamilySpec.vector(k))
+    if not d:
+        raise PathError(f"not a valid path for rises {k}: {d}")
+    if t < 0:
+        _require_single_zero(steps)
+    out = _tilt(steps, n, t)
+    result = StepSequence(tuple(out + [-n] if t > 0 else out[:-1]))
+    d = validate(result, family)
+    if not d:  # pragma: no cover - guarded by the checks above
+        raise PathError(f"tilting produced an invalid path: {d}")
+    return result
+
+
+def _unlift(steps: StepSequence, kind: str) -> StepSequence:
+    """Inverse of _lift: the plain path under a plus or minus path."""
+    family = infer_family(steps, kind)
+    d = validate(steps, family)
+    if not d:
+        raise PathError(f"not a valid {kind}-family path: {d}")
+    t = family.tilt
+    out = _untilt(steps, family.scale, t)
+    plain = StepSequence(tuple(out[:-1] if t > 0 else out + [-1]))
+    d = validate(plain, FamilySpec.vector(family.k))
+    if not d:
+        raise PathError(f"underlying plain path is invalid: {d}")
+    if t < 0:
+        _require_single_zero(plain)
+    return plain
+
+
+def _require_single_zero(plain: StepSequence) -> None:
+    zeros = [j for j, r in enumerate(ranks(plain), start=1) if r == 0]
+    if len(zeros) > 1:
+        raise PathError(f"rank 0 reappears at index {zeros[1]}; need a single zero rank")
+
+
 def to_plus(steps: StepSequence, k) -> StepSequence:
     """Lift a path of the plain family into the plus family.
 
     Every rise a becomes n*a + 1 and every drop becomes n (the scaled form
     of adding 1/n to each up step), and one extra down step is appended.
     """
-    k = tuple(k)
-    n = len(k)
-    d = validate(steps, FamilySpec.vector(k))
-    if not d:
-        raise PathError(f"not a valid path for rises {k}: {d}")
-    out = [n * a + 1 if a > 0 else -n for a in steps]
-    out.append(-n)
-    return StepSequence(tuple(out))
+    return _lift(steps, FamilySpec.plus(k))
 
 
 def from_plus(steps: StepSequence) -> StepSequence:
     """Inverse of to_plus: unscale the rises and drop the final down step."""
-    rises = steps.rises
-    n = len(rises)
-    if n == 0:
-        raise PathError("path has no up steps")
-    k = []
-    for a in rises:
-        if (a - 1) % n != 0 or a - 1 < n:
-            raise PathError(f"rise {a} is not n*k+1 for n={n} up steps")
-        k.append((a - 1) // n)
-    d = validate(steps, FamilySpec.plus(k))
-    if not d:
-        raise PathError(f"not a valid plus-family path: {d}")
-    if steps[-1] > 0:
-        raise PathError("path must end with a down step")
-    out = [(a - 1) // n if a > 0 else -1 for a in steps[:-1]]
-    skeleton = StepSequence(tuple(out))
-    d = validate(skeleton, FamilySpec.vector(k))
-    if not d:
-        raise PathError(f"underlying plain path is invalid: {d}")
-    return skeleton
+    return _unlift(steps, KIND_KPLUS)
 
 
 def to_minus(steps: StepSequence, k) -> StepSequence:
@@ -411,53 +440,22 @@ def to_minus(steps: StepSequence, k) -> StepSequence:
     the start): every rise a becomes n*a - 1, drops become n, and the final
     down step is removed.
     """
-    k = tuple(k)
-    n = len(k)
-    fam = FamilySpec.minus(k)  # raises if some n*k_i < 2
-    d = validate(steps, FamilySpec.vector(k))
-    if not d:
-        raise PathError(f"not a valid path for rises {k}: {d}")
-    zeros = [j for j, r in enumerate(ranks(steps), start=1) if r == 0]
-    if len(zeros) > 1:
-        raise PathError(
-            f"rank 0 reappears at index {zeros[1]}; need a single zero rank"
-        )
-    out = [n * a - 1 if a > 0 else -n for a in steps[:-1]]
-    result = StepSequence(tuple(out))
-    d = validate(result, fam)
-    if not d:  # pragma: no cover - guarded by the checks above
-        raise PathError(f"lowering produced an invalid path: {d}")
-    return result
+    return _lift(steps, FamilySpec.minus(k))  # raises if some n*k_i < 2
 
 
 def from_minus(steps: StepSequence) -> StepSequence:
     """Inverse of to_minus: unscale the rises and restore the final down step."""
-    rises = steps.rises
-    n = len(rises)
-    if n == 0:
-        raise PathError("path has no up steps")
-    k = []
-    for a in rises:
-        if (a + 1) % n != 0:
-            raise PathError(f"rise {a} is not n*k-1 for n={n} up steps")
-        k.append((a + 1) // n)
-    if any(v < 1 for v in k):
-        raise PathError("unscaled rises must be positive")
-    d = validate(steps, FamilySpec.minus(k))
-    if not d:
-        raise PathError(f"not a valid minus-family path: {d}")
-    out = [(a + 1) // n if a > 0 else -1 for a in steps]
-    out.append(-1)
-    skeleton = StepSequence(tuple(out))
-    d = validate(skeleton, FamilySpec.vector(k))
-    if not d:
-        raise PathError(f"underlying plain path is invalid: {d}")
-    zeros = [j for j, r in enumerate(ranks(skeleton), start=1) if r == 0]
-    if len(zeros) > 1:
-        raise PathError(
-            f"rank 0 reappears at index {zeros[1]} in the underlying path"
-        )
-    return skeleton
+    return _unlift(steps, KIND_KMINUS)
+
+
+def skeleton(steps: StepSequence, family: FamilySpec | None) -> StepSequence:
+    """The plain path whose word gets filled: the path itself for the k kind
+    or no family, the unlifted path for the plus and minus kinds."""
+    if family is None or family.kind == KIND_K:
+        return steps
+    if family.kind == KIND_RATIONAL:
+        raise PathError("rational paths have no fill tableau")
+    return from_plus(steps) if family.tilt > 0 else from_minus(steps)
 
 
 def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
@@ -466,16 +464,13 @@ def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
     n = len(rises)
     if n == 0:
         raise PathError("path has no up steps")
-    if kind == KIND_K:
-        return FamilySpec.vector(rises)
-    if kind == KIND_KPLUS:
-        if any((a - 1) % n != 0 or a - 1 < n for a in rises):
-            raise PathError(f"rises are not of the form n*k+1 for n={n}")
-        return FamilySpec.plus(tuple((a - 1) // n for a in rises))
-    if kind == KIND_KMINUS:
-        if any((a + 1) % n != 0 for a in rises):
-            raise PathError(f"rises are not of the form n*k-1 for n={n}")
-        return FamilySpec.minus(tuple((a + 1) // n for a in rises))
+    if kind in _K_KINDS:
+        t = _TILT.get(kind, 0)
+        scale = n if t else 1
+        k = _untilt(rises, scale, t)
+        if min(k) < 1 or _tilt(k, scale, t) != list(rises):
+            raise PathError(f"rises are not of the form n*k{t:+d} for n={n}")
+        return FamilySpec(kind, k=tuple(k))
     if kind == KIND_RATIONAL:
         m = rises[0]
         drops = {-a for a in steps if a < 0}
@@ -513,7 +508,7 @@ def path_to_json(steps: StepSequence, family: FamilySpec | None = None) -> dict:
 def path_from_json(obj: dict) -> tuple[StepSequence, FamilySpec | None]:
     if not isinstance(obj, dict) or "steps" not in obj:
         raise PathError("path object needs a 'steps' key")
-    steps = StepSequence(tuple(obj["steps"]))
+    steps = StepSequence(_json_ints(obj, "steps"))
     fam = obj.get("family")
     family = FamilySpec.from_json(fam) if fam is not None else None
     return steps, family

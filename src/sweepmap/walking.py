@@ -20,8 +20,8 @@ from .paths import (
     PathError,
     StepSequence,
     SWWord,
-    from_minus,
-    from_plus,
+    _tilt,
+    skeleton,
     validate,
 )
 from .ranking import RankTableau, rank_tableau
@@ -130,37 +130,7 @@ def walk_plus(tp: TableauPlus) -> SweepPermutation:
     appears, and that one is written.  The walk stops when its next write
     would repeat an index, having written every entry exactly once.
     """
-    cols = tp.columns
-    size = tp.size
-    pos = _positions(cols)
-    if pos.get(1) != (0, 0):
-        raise WalkError("entry 1 must top the first column")
-    bottoms = tp.bottom_row
-    flagged = frozenset(b + 1 for b in bottoms if (b + 1) in pos)
-    written = [False] * (size + 1)
-    out = [1]
-    written[1] = True
-    cur = 1
-    for _ in range(size + 1):
-        c, row = pos[cur]
-        if row == 0:
-            target = bottoms[c] + 1
-        else:
-            target = cols[c][row - 1]
-            while target in flagged:
-                target -= 1
-        if target < 1 or target > size:
-            raise WalkError(f"walk left the tableau at entry {target}")
-        if written[target]:
-            break
-        written[target] = True
-        out.append(target)
-        cur = target
-    else:  # pragma: no cover - the repeat check always fires first
-        raise WalkError("walk failed to terminate")
-    if len(out) != size:
-        raise WalkError(f"walk wrote {len(out)} of {size} entries")
-    return SweepPermutation(tuple(out), "plus")
+    return _walk_tilted(tp.columns, tp.bottom_row, tp.size, 1)
 
 
 def walk_minus(t: Tableau) -> SweepPermutation:
@@ -173,13 +143,15 @@ def walk_minus(t: Tableau) -> SweepPermutation:
     """
     if not is_minus_admissible(t):
         raise WalkError("tableau violates the strict top-row bounds")
-    cols = t.columns
-    size = t.size
+    return _walk_tilted(t.columns, t.bottom_row, t.size, -1)
+
+
+def _walk_tilted(cols, bottoms, size: int, sign: int) -> SweepPermutation:
+    """The plus (sign +1) or minus (sign -1) walk; see walk_plus."""
     pos = _positions(cols)
     if pos.get(1) != (0, 0):
         raise WalkError("entry 1 must top the first column")
-    bottoms = t.bottom_row
-    flagged = frozenset(b - 1 for b in bottoms if (b - 1) in pos)
+    flagged = frozenset(b + sign for b in bottoms if (b + sign) in pos)
     written = [False] * (size + 1)
     out = [1]
     written[1] = True
@@ -187,11 +159,11 @@ def walk_minus(t: Tableau) -> SweepPermutation:
     for _ in range(size + 1):
         c, row = pos[cur]
         if row == 0:
-            target = bottoms[c] - 1
+            target = bottoms[c] + sign
         else:
             target = cols[c][row - 1]
             while target in flagged:
-                target += 1
+                target -= sign
         if target < 1 or target > size:
             raise WalkError(f"walk left the tableau at entry {target}")
         if written[target]:
@@ -201,9 +173,10 @@ def walk_minus(t: Tableau) -> SweepPermutation:
         cur = target
     else:  # pragma: no cover - the repeat check always fires first
         raise WalkError("walk failed to terminate")
-    if len(out) != size - 1:
-        raise WalkError(f"walk wrote {len(out)} of the expected {size - 1} entries")
-    return SweepPermutation(tuple(out), "minus")
+    expected = size if sign > 0 else size - 1  # the minus walk skips one entry
+    if len(out) != expected:
+        raise WalkError(f"walk wrote {len(out)} of the expected {expected} entries")
+    return SweepPermutation(tuple(out), "plus" if sign > 0 else "minus")
 
 
 @dataclass(frozen=True)
@@ -293,11 +266,33 @@ def walk_graph(g: RankDigraph) -> SweepPermutation:
     return SweepPermutation(tuple(out), "graph")
 
 
-_VARIANTS_FOR_KIND = {
+# walk variants per k-vector kind; the first is the one invert runs
+_KIND_VARIANTS = {
     KIND_K: ("plain", "graph"),
     KIND_KPLUS: ("plus",),
     KIND_KMINUS: ("minus",),
 }
+
+
+def variant_for(kind: str, variant: str | None = None) -> str:
+    """The walk variant to run for a kind: the given one, checked, or the default."""
+    variants = _KIND_VARIANTS.get(kind)
+    if variants is None:
+        raise PathError("rational paths have no walk")
+    if variant is not None and variant not in variants:
+        raise WalkError(f"variant {variant!r} does not fit family kind {kind!r}")
+    return variant or variants[0]
+
+
+def run_walk(t: Tableau, variant: str) -> SweepPermutation:
+    """Run a walk, as picked by variant_for, on the tableau of a path's skeleton."""
+    if variant == "plain":
+        return walk(t, rank_tableau(t))
+    if variant == "graph":
+        return walk_graph(build_rank_digraph(t, rank_tableau(t)))
+    if variant == "plus":
+        return walk_plus(extend_plus(t))
+    return walk_minus(t)
 
 
 def sigma_to_preimage(
@@ -309,32 +304,15 @@ def sigma_to_preimage(
     when sigma[j] is the top index t_i, and a W letter otherwise.  The
     result is validated against the permutation-closed family.
     """
-    if family.kind == KIND_RATIONAL:
-        raise PathError("rational paths have no walk-based preimage")
-    allowed = _VARIANTS_FOR_KIND[family.kind]
-    if sigma.variant not in allowed:
-        raise WalkError(
-            f"variant {sigma.variant!r} does not fit family kind {family.kind!r}"
-        )
-    k = t.k
-    n = len(k)
+    variant_for(family.kind, sigma.variant)
+    k, tilt = t.k, family.tilt
     if sorted(k) != sorted(family.k):
         raise WalkError("tableau heights do not permute the family's rise vector")
-    if family.kind == KIND_K:
-        rises = k
-        drop = 1
-        expected_len = t.size
-    elif family.kind == KIND_KPLUS:
-        rises = tuple(n * v + 1 for v in k)
-        drop = n
-        expected_len = t.size + 1
-    else:
-        rises = tuple(n * v - 1 for v in k)
-        drop = n
-        expected_len = t.size - 1
+    expected_len = t.size + tilt
     if len(sigma) != expected_len:
         raise WalkError(f"expected {expected_len} writes, got {len(sigma)}")
-    rise_at = dict(zip(t.top_row, rises))
+    rise_at = dict(zip(t.top_row, _tilt(k, family.scale, tilt)))
+    drop = family.down_drop
     letters = []
     for v in sigma:
         rise = rise_at.get(v)
@@ -360,17 +338,6 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     d = validate(steps, family, permute_k=True)
     if not d:
         raise PathError(f"not a member of the family: {d}")
-    if family.kind == KIND_K:
-        skeleton = steps
-    elif family.kind == KIND_KPLUS:
-        skeleton = from_plus(steps)
-    else:
-        skeleton = from_minus(steps)
-    t = fill(SWWord.from_steps(skeleton))
-    if family.kind == KIND_K:
-        sigma = walk(t, rank_tableau(t))
-    elif family.kind == KIND_KPLUS:
-        sigma = walk_plus(extend_plus(t))
-    else:
-        sigma = walk_minus(t)
+    t = fill(SWWord.from_steps(skeleton(steps, family)))
+    sigma = run_walk(t, variant_for(family.kind))
     return sigma_to_preimage(sigma, t, family)

@@ -2,14 +2,28 @@
 
 import io
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from sweepmap import RankTableau, Tableau
 from sweepmap.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
+# JSON path lines with a non-list or a non-integer where integers belong
+BAD_JSON_LINES = [
+    '{"steps": [null]}',
+    '{"steps": 5}',
+    '{"steps": [1.7, -1.2]}',
+    '{"steps": [true, -1]}',
+    '{"steps": [2, -1, -1], "family": {"kind": "k", "k": 2}}',
+    '{"steps": [2, -1, -1], "family": {"kind": "k", "k": [2.9]}}',
+    '{"steps": [2, -1, -1], "family": {"kind": "rational", "m": null, "n": 1}}',
+]
 PREIMAGE = "2,-1,-1,4,-1,5,-1,-1,-1,-1,3,-1,-1,-1,-1,-1,-1,-1"
 IMAGE = "4,2,-1,-1,-1,-1,-1,5,-1,3,-1,-1,-1,-1,-1,-1,-1,-1"
 
@@ -243,6 +257,16 @@ class TestBatch:
         assert lines[1].startswith("error:")
         assert lines[2] == "2,-1,-1"
 
+    @pytest.mark.parametrize("bad", BAD_JSON_LINES)
+    def test_bad_json_line_is_an_error_line(self, capsys, monkeypatch, bad):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"1,-1\n{bad}\n2,-1,-1\n"))
+        code, out, _ = run(capsys, "sweep")
+        lines = out.strip("\n").split("\n")
+        assert code == 1
+        assert lines[0] == "1,-1"
+        assert lines[1].startswith("error:")
+        assert lines[2] == "2,-1,-1"
+
     def test_all_good_batch_exits_zero(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("1,-1\n2,-1,-1\n"))
         code, out, _ = run(capsys, "sweep")
@@ -311,6 +335,13 @@ class TestFilesAndUsage:
         code, _, err = run(capsys, "sweep", "--file", "/nonexistent/path.json")
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("bad", BAD_JSON_LINES)
+    def test_bad_json_file(self, capsys, tmp_path, bad):
+        f = tmp_path / "p.json"
+        f.write_text(bad)
+        code, _, err = run(capsys, "sweep", "--file", str(f))
+        assert code == 1 and err.startswith("error:")
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "sweep", "--bogus")
         assert code == 1 and "error" in err
@@ -327,10 +358,23 @@ class TestFilesAndUsage:
 
 
 def test_console_script_round_trip(tmp_path):
+    # the installed script if there is one; otherwise the same entry point
+    # through `python -m sweepmap`, with the script declared in pyproject.toml
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert 'sweepmap = "sweepmap.cli:main"' in scripts.splitlines()
+    script = shutil.which("sweepmap")
+    if script is not None:
+        command, env = [script], None
+    else:
+        command = [sys.executable, "-m", "sweepmap"]
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run(
-        ["sweepmap", "sweep", "--steps", "2,-1,-1"],
+        [*command, "sweep", "--steps", "2,-1,-1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "2,-1,-1"

@@ -1,5 +1,8 @@
 """The three inversion walks, the digraph restatement, and invert itself."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from sweepmap import (
@@ -19,13 +22,14 @@ from sweepmap import (
     ranks,
     sigma_to_preimage,
     sweep,
+    to_minus,
     to_plus,
     walk,
     walk_graph,
     walk_minus,
     walk_plus,
 )
-from conftest import family_grid, skeleton_of
+from conftest import family_grid, skeleton_of, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -231,6 +235,44 @@ class TestInvert:
             t = fill(SWWord.from_steps(path))
             zeros = sum(1 for r in ranks(path) if r == 0)
             assert is_minus_admissible(t) == (zeros == 1)
+
+
+class TestLargeRoundTrips:
+    """Both round trips at N up to about 10^4, where the plus and minus
+    walks take slides far longer than any the small grids reach."""
+
+    @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+    def test_uniform_members(self, kind):
+        rng = random.Random(f"large:{kind}")
+        for n in (30, 300, 1500):
+            family = FamilySpec(kind, tuple(rng.randint(1, 10) for _ in range(n)))
+            p = uniform_member(family, rng)
+            assert invert(sweep(p), family) == p
+            q = uniform_member(family, rng)
+            assert sweep(invert(q, family)) == q
+
+    @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+    def test_ups_first(self, kind):
+        # every up step before every down step: the longest slides
+        k = tuple(random.Random(kind).randint(1, 10) for _ in range(1000))
+        plain = StepSequence(k + (-1,) * sum(k))
+        p = {"k": plain, "kplus": to_plus(plain, k), "kminus": to_minus(plain, k)}[kind]
+        family = FamilySpec(kind, k)
+        assert invert(sweep(p), family) == p
+        assert sweep(invert(p, family)) == p
+
+    @pytest.mark.parametrize(
+        "family",
+        [FamilySpec.vector((2, 1, 1)), FamilySpec.plus((3, 1, 1)), FamilySpec.minus((1, 2, 2))],
+        ids=str,
+    )
+    def test_sampler_is_uniform_on_the_closure(self, family):
+        closure = enumerate_family(family, permute_k=True).paths
+        rng = random.Random(3)
+        draws = 100 * len(closure)
+        counts = Counter(uniform_member(family, rng) for _ in range(draws))
+        assert set(counts) == set(closure)
+        assert all(60 < c < 140 for c in counts.values())
 
 
 class TestWrittenOrderLaw:
