@@ -240,40 +240,26 @@ def _walk(args, steps: StepSequence, family: FamilySpec | None):
     return run_walk(fill(SWWord.from_steps(skeleton(steps, family))), variant)
 
 
-def _cmd_sweep(args) -> int:
-    def line(steps, family):
-        image = sweep(steps)
+def _each_path(args, fn, to_json, to_text) -> int:
+    """Apply fn(steps, family) to the input path, or to every stdin line."""
+    def line(steps, family, indent=None):
+        result = fn(steps, family)
         if args.format == "json":
-            return json.dumps(path_to_json(image, family))
-        return emit_steps(image)
+            return json.dumps(to_json(result, family), indent=indent)
+        return to_text(result)
 
     if not (args.steps or args.sw or args.file):
         return _batch(args, line)
-    steps, family = _resolve(args)
-    image = sweep(steps)
-    if args.format == "json":
-        _write(_dumps(path_to_json(image, family)), args)
-    else:
-        _write(emit_steps(image), args)
+    _write(line(*_resolve(args), indent=2), args)
     return 0
+
+
+def _cmd_sweep(args) -> int:
+    return _each_path(args, lambda steps, _: sweep(steps), path_to_json, emit_steps)
 
 
 def _cmd_invert(args) -> int:
-    def line(steps, family):
-        preimage = invert(steps, family)
-        if args.format == "json":
-            return json.dumps(path_to_json(preimage, family))
-        return emit_steps(preimage)
-
-    if not (args.steps or args.sw or args.file):
-        return _batch(args, line)
-    steps, family = _resolve(args)
-    preimage = invert(steps, family)
-    if args.format == "json":
-        _write(_dumps(path_to_json(preimage, family)), args)
-    else:
-        _write(emit_steps(preimage), args)
-    return 0
+    return _each_path(args, invert, path_to_json, emit_steps)
 
 
 def _cmd_fill(args) -> int:
@@ -328,21 +314,12 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_walk(args) -> int:
-    def line(steps, family):
-        sigma = _walk(args, steps, family)
-        if args.format == "json":
-            return json.dumps(sigma.to_json())
-        return ",".join(str(v) for v in sigma)
-
-    if not (args.steps or args.sw or args.file):
-        return _batch(args, line)
-    steps, family = _resolve(args)
-    sigma = _walk(args, steps, family)
-    if args.format == "json":
-        _write(_dumps(sigma.to_json()), args)
-    else:
-        _write(",".join(str(v) for v in sigma), args)
-    return 0
+    return _each_path(
+        args,
+        lambda steps, family: _walk(args, steps, family),
+        lambda sigma, _: sigma.to_json(),
+        lambda sigma: ",".join(map(str, sigma)),
+    )
 
 
 def _cmd_enumerate(args) -> int:

@@ -61,12 +61,11 @@ class StepSequence:
     steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        steps = tuple(int(a) for a in self.steps)
+        steps = tuple(map(int, self.steps))
         if not steps:
             raise PathError("empty path")
-        for j, a in enumerate(steps, start=1):
-            if a == 0:
-                raise PathError(f"zero rise at index {j}")
+        if 0 in steps:
+            raise PathError(f"zero rise at index {steps.index(0) + 1}")
         object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
@@ -135,7 +134,14 @@ class SWWord:
 
     @classmethod
     def from_steps(cls, steps: StepSequence) -> "SWWord":
-        return cls(tuple(("S", a) if a > 0 else ("W", -a) for a in steps))
+        # a StepSequence holds only nonzero ints, so no letter needs a re-check
+        if not isinstance(steps, StepSequence):
+            steps = StepSequence(steps)
+        # and equal steps share one letter tuple
+        letter = {a: ("S", a) if a > 0 else ("W", -a) for a in set(steps.steps)}
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", tuple(map(letter.__getitem__, steps.steps)))
+        return word
 
     def steps(self) -> StepSequence:
         return StepSequence(
@@ -184,11 +190,16 @@ def _untilt(steps, n: int, t: int) -> list[int]:
     return [(a - t) // n if a > 0 else -1 for a in steps]
 
 
-def _json_ints(obj: dict, key: str) -> tuple[int, ...]:
-    """A JSON list of integers; bools, floats and the like are refused."""
+def _is_ints(value) -> bool:
+    """Whether a JSON value is a list of integers; bools, floats and the like are not."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _json_ints(obj: dict, key: str, error: type = PathError) -> tuple[int, ...]:
+    """A JSON list of integers, or the given error."""
     value = obj.get(key, [])
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
-        raise PathError(f"{key!r} must be a list of integers")
+    if not _is_ints(value):
+        raise error(f"{key!r} must be a list of integers")
     return tuple(value)
 
 

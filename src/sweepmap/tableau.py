@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .paths import VALID, Diagnostic, PathError, SWWord
+from .paths import VALID, Diagnostic, PathError, SWWord, _is_ints, _json_ints
 
 
 class TableauError(ValueError):
@@ -27,7 +27,7 @@ class Tableau:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        cols = tuple(tuple(int(v) for v in col) for col in self.columns)
+        cols = tuple(tuple(map(int, col)) for col in self.columns)
         if not cols:
             raise TableauError("tableau needs at least one column")
         for i, col in enumerate(cols, start=1):
@@ -58,8 +58,11 @@ class Tableau:
     def from_json(cls, obj: dict) -> "Tableau":
         if not isinstance(obj, dict) or "columns" not in obj:
             raise TableauError("tableau object needs a 'columns' key")
-        t = cls(tuple(tuple(c) for c in obj["columns"]))
-        if "k" in obj and tuple(obj["k"]) != t.k:
+        cols = obj["columns"]
+        if not isinstance(cols, list) or not all(map(_is_ints, cols)):
+            raise TableauError("'columns' must be a list of lists of integers")
+        t = cls(tuple(map(tuple, cols)))
+        if "k" in obj and _json_ints(obj, "k", TableauError) != t.k:
             raise TableauError(
                 f"k {tuple(obj['k'])} does not match column heights (expected {t.k})"
             )
@@ -91,10 +94,12 @@ class TableauPlus:
     k: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cols = tuple(tuple(int(v) for v in col) for col in self.columns)
-        k = tuple(int(v) for v in self.k)
+        cols = tuple(tuple(map(int, col)) for col in self.columns)
+        k = tuple(map(int, self.k))
         if len(cols) != len(k):
             raise TableauError("one k entry per column required")
+        if min(k, default=1) < 1:
+            raise TableauError("k entries must be positive")
         extended = [i for i, (col, ki) in enumerate(zip(cols, k)) if len(col) == ki + 2]
         plain = [i for i, (col, ki) in enumerate(zip(cols, k)) if len(col) == ki + 1]
         if len(extended) != 1 or len(plain) != len(cols) - 1:
@@ -138,14 +143,14 @@ def fill(word: SWWord) -> Tableau:
     sorted by construction and the smallest active entry is always the one
     waiting longest; a deque gives the whole fill a single linear pass.
     """
-    heights: list[int] = []  # wanted height per opened column
     columns: list[list[int]] = []
+    need: list[int] = []  # entries each opened column still wants
     active: deque[int] = deque()  # column numbers, fronted by smallest bottom
     for j, (kind, size) in enumerate(word.letters, start=1):
         if kind == "S":
+            active.append(len(columns))
             columns.append([j])
-            heights.append(size + 1)
-            active.append(len(columns) - 1)
+            need.append(size)
         else:
             if not active:
                 raise TableauError(
@@ -153,7 +158,8 @@ def fill(word: SWWord) -> Tableau:
                 )
             c = active.popleft()
             columns[c].append(j)
-            if len(columns[c]) < heights[c]:
+            need[c] -= 1
+            if need[c]:
                 active.append(c)
     if active:
         unfilled = active.popleft() + 1
@@ -231,24 +237,22 @@ def from_top_row(top, k) -> Tableau:
                 f"top entry {ti} at position {i} exceeds its bound {prefix + i}"
             )
         prefix += ki
-    size = len(k) + sum(k)
+    return fill(_top_word(top, k))
+
+
+def _top_word(top, k) -> SWWord:
+    """The word of length n+|k| with S^{k_i} at position top_i and W elsewhere."""
     tops = dict(zip(top, k))
-    letters = tuple(
-        ("S", tops[j]) if j in tops else ("W", 1) for j in range(1, size + 1)
+    return SWWord(
+        tuple(("S", tops[j]) if j in tops else ("W", 1) for j in range(1, len(k) + sum(k) + 1))
     )
-    return fill(SWWord(letters))
 
 
 def tableau_to_word(t: Tableau) -> SWWord:
     """The word with S^{k_i} at the top-row positions and W elsewhere."""
-    tops = dict(zip(t.top_row, t.k))
-    size = t.size
-    if any(j < 1 or j > size for j in tops):
+    if min(t.top_row) < 1 or max(t.top_row) > t.size:
         raise TableauError("top-row entries out of range")
-    letters = tuple(
-        ("S", tops[j]) if j in tops else ("W", 1) for j in range(1, size + 1)
-    )
-    return SWWord(letters)
+    return _top_word(t.top_row, t.k)
 
 
 def extend_plus(t: Tableau) -> TableauPlus:

@@ -9,7 +9,9 @@ restatement of the plain one, run in time linear in the number of entries.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .paths import (
     KIND_K,
@@ -44,7 +46,7 @@ class SweepPermutation:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise WalkError(f"unknown walk variant {self.variant!r}")
-        object.__setattr__(self, "sigma", tuple(int(v) for v in self.sigma))
+        object.__setattr__(self, "sigma", tuple(map(int, self.sigma)))
 
     def __len__(self) -> int:
         return len(self.sigma)
@@ -59,24 +61,27 @@ class SweepPermutation:
         return {"variant": self.variant, "sigma": list(self.sigma)}
 
 
-def _positions(columns) -> dict[int, tuple[int, int]]:
-    """Map each entry to its (column, row) box, both 0-based."""
-    pos: dict[int, tuple[int, int]] = {}
-    for c, col in enumerate(columns):
-        for row, v in enumerate(col):
-            if v in pos:
-                raise WalkError(f"entry {v} appears twice")
-            pos[v] = (c, row)
-    return pos
-
-
-def _rank_stacks(by_index) -> dict[int, list[int]]:
-    # ascending index lists per rank; popping the back yields the largest
-    # unwritten index of that rank in O(1)
-    stacks: dict[int, list[int]] = {}
-    for v, r in enumerate(by_index, start=1):
-        stacks.setdefault(r, []).append(v)
-    return stacks
+def _above(columns, size: int) -> list[int]:
+    """above[v]: the entry directly above v, or its column's bottom when v
+    tops the column; above[0] is unused.  Checks that the entries are
+    exactly 1..size, with entry 1 on top of the first column."""
+    above = [0] * (size + 1)
+    try:
+        for col in columns:
+            prev = col[-1]
+            for v in col:
+                above[v] = prev
+                prev = v
+    except IndexError:  # an entry above size, or an empty column
+        raise WalkError(f"tableau entries must lie in 1..{size}") from None
+    if min(chain.from_iterable(columns), default=0) < 1:  # would index from the end
+        raise WalkError(f"tableau entries must lie in 1..{size}")
+    if columns[0][0] != 1:
+        raise WalkError("entry 1 must top the first column")
+    if above.count(0) > 1:  # size entries in 1..size leave a gap only by repeating one
+        twice = Counter(chain.from_iterable(columns)).most_common(1)[0][0]
+        raise WalkError(f"entry {twice} appears twice")
+    return above
 
 
 def walk(t: Tableau, r: RankTableau) -> SweepPermutation:
@@ -90,26 +95,25 @@ def walk(t: Tableau, r: RankTableau) -> SweepPermutation:
     """
     cols = t.columns
     size = t.size
-    if len(r.by_index) != size or tuple(len(c) for c in r.columns) != tuple(
-        len(c) for c in cols
-    ):
+    if len(r.by_index) != size or list(map(len, r.columns)) != list(map(len, cols)):
         raise WalkError("rank tableau does not match the tableau's shape")
-    by_index = r.by_index
-    pos = _positions(cols)
-    stacks = _rank_stacks(by_index)
-    bucket = stacks.get(0)
+    if min(r.by_index) < 0:
+        raise WalkError("ranks must be nonnegative")
+    rank = (0,) + r.by_index  # rank[v] of entry v
+    # ascending entries per rank; popping the back yields the largest
+    # unwritten entry of that rank
+    stacks: list[list[int]] = [[] for _ in range(max(r.by_index) + 1)]
+    for v in range(1, size + 1):
+        stacks[rank[v]].append(v)
+    # after writing v, the walk pops the stack of the rank read above v
+    after = [stacks[rank[a]] for a in _above(cols, size)]
+    bucket = stacks[0]
     if not bucket:
         raise WalkError("no rank-0 entry to start from")
-    out = []
     cur = bucket.pop()
-    out.append(cur)
+    out = [cur]
     while True:
-        c, row = pos[cur]
-        if row == 0:
-            probe = cols[c][-1]  # bottom box of the column
-        else:
-            probe = cols[c][row - 1]  # box directly above
-        bucket = stacks.get(by_index[probe - 1])
+        bucket = after[cur]
         if not bucket:
             break
         cur = bucket.pop()
@@ -148,21 +152,22 @@ def walk_minus(t: Tableau) -> SweepPermutation:
 
 def _walk_tilted(cols, bottoms, size: int, sign: int) -> SweepPermutation:
     """The plus (sign +1) or minus (sign -1) walk; see walk_plus."""
-    pos = _positions(cols)
-    if pos.get(1) != (0, 0):
-        raise WalkError("entry 1 must top the first column")
-    flagged = frozenset(b + sign for b in bottoms if (b + sign) in pos)
+    step = _above(cols, size)  # a top entry's step becomes its bottom + sign
+    is_top = [False] * (size + 1)
+    flagged = [False] * (size + 2)  # indexed 0..size+1, set only inside 1..size
+    for col, b in zip(cols, bottoms):
+        is_top[col[0]] = True
+        step[col[0]] = b + sign
+        flagged[b + sign] = True
+    flagged[0] = flagged[size + 1] = False
     written = [False] * (size + 1)
     out = [1]
     written[1] = True
     cur = 1
     for _ in range(size + 1):
-        c, row = pos[cur]
-        if row == 0:
-            target = bottoms[c] + sign
-        else:
-            target = cols[c][row - 1]
-            while target in flagged:
+        target = step[cur]
+        if not is_top[cur]:
+            while flagged[target]:
                 target -= sign
         if target < 1 or target > size:
             raise WalkError(f"walk left the tableau at entry {target}")
@@ -311,13 +316,14 @@ def sigma_to_preimage(
     expected_len = t.size + tilt
     if len(sigma) != expected_len:
         raise WalkError(f"expected {expected_len} writes, got {len(sigma)}")
-    rise_at = dict(zip(t.top_row, _tilt(k, family.scale, tilt)))
-    drop = family.down_drop
-    letters = []
-    for v in sigma:
-        rise = rise_at.get(v)
-        letters.append(("S", rise) if rise is not None else ("W", drop))
-    out = SWWord(tuple(letters)).steps()
+    if min(sigma.sigma) < 1 or max(sigma.sigma) > expected_len:
+        raise WalkError(f"written entries must lie in 1..{expected_len}")
+    # the signed step spelled at each entry: its column's rise on a top, else the drop
+    step_at = [-family.down_drop] * (expected_len + 1)
+    for v, rise in zip(t.top_row, _tilt(k, family.scale, tilt)):
+        if 0 < v <= expected_len:
+            step_at[v] = rise
+    out = StepSequence(tuple(map(step_at.__getitem__, sigma.sigma)))
     d = validate(out, family, permute_k=True)
     if not d:
         raise WalkError(f"reconstruction is not a valid family member: {d}")

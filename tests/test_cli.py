@@ -304,6 +304,16 @@ class TestRender:
         code, out, _ = run(capsys, "render", "--file", str(f), "--ranks")
         assert code == 0 and out.splitlines()[0].split() == ["1:0", "2:0"]
 
+    @pytest.mark.parametrize(
+        "bad",
+        ['{"columns": 5}', '{"columns": [[1, 2], "ab"]}', '{"columns": [[1, 2]], "k": 3}'],
+    )
+    def test_bad_tableau_file(self, capsys, tmp_path, bad):
+        f = tmp_path / "t.json"
+        f.write_text(bad)
+        code, _, err = run(capsys, "render", "--file", str(f))
+        assert code == 1 and err.startswith("error:")
+
     def test_ranks_need_a_tableau(self, capsys):
         code, _, err = run(capsys, "render", "--steps", "1,-1", "--ranks")
         assert code == 1 and "tableaux" in err

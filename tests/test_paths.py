@@ -42,6 +42,15 @@ class TestStepSequence:
     def test_rises(self):
         assert StepSequence((2, -1, 1, -1, -1)).rises == (2, 1)
 
+    def test_entries_become_ints(self):
+        s = StepSequence((2.0, -1, -1))
+        assert s.steps == (2, -1, -1)
+        assert all(type(a) is int for a in s.steps)
+
+    def test_zero_rise_text(self):
+        with pytest.raises(PathError, match=r"^zero rise at index 3$"):
+            StepSequence((1, -1, 0, 1))
+
 
 class TestValidate:
     def test_running_preimage_is_valid(self):
@@ -187,6 +196,12 @@ class TestWords:
 
     def test_exponents(self):
         assert SWWord.from_text("S4 S2 W W S3 W").exponents() == (4, 2, 3)
+
+    def test_from_steps_equals_the_letter_word(self):
+        letters = (("S", 3), ("W", 2), ("S", 1), ("W", 2))
+        w = SWWord.from_steps(StepSequence((3, -2, 1, -2)))
+        assert w == SWWord(letters) and w.letters == letters
+        assert hash(w) == hash(SWWord(letters))
 
 
 class TestTextForms:

@@ -27,6 +27,18 @@ def run_tableau():
     return Tableau(RUN_COLUMNS)
 
 
+def test_tableau_plus_needs_positive_k():
+    # a k entry of -1 would let an empty column through to the walks
+    with pytest.raises(TableauError, match="positive"):
+        TableauPlus(((1, 2, 3), ()), (1, -1))
+
+
+def test_columns_become_int_tuples():
+    t = Tableau([[1, 2]])
+    assert t.columns == ((1, 2),)
+    assert type(t.columns[0]) is tuple
+
+
 class TestFill:
     def test_running_example(self):
         assert fill(SWWord.from_text(RUN_WORD)).columns == RUN_COLUMNS

@@ -4,13 +4,17 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepmap import (
     FamilySpec,
     PathError,
+    RankTableau,
     StepSequence,
     SWWord,
     Tableau,
+    TableauPlus,
     WalkError,
     build_rank_digraph,
     enumerate_family,
@@ -29,6 +33,7 @@ from sweepmap import (
     walk_minus,
     walk_plus,
 )
+from sweepmap.walking import run_walk
 from conftest import family_grid, skeleton_of, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
@@ -132,6 +137,31 @@ class TestWalkMinus:
                     continue
                 sigma = walk_minus(t).sigma
                 assert len(set(sigma)) == len(sigma) == t.size - 1
+
+
+# malformed tableaux for each walk: an entry out of range, a repeated
+# entry, entry 1 off the first column's top, and a zero entry
+_UNIT_RANKS = RankTableau(((0, 1), (0, 1)), (0, 0, 1, 1))
+BAD_WALKS = {
+    "plain-range": lambda: walk(Tableau(((1, 5), (2, 3))), RankTableau(((0, 1), (1, 2)), (0, 1, 2, 3))),
+    "plain-repeat": lambda: walk(Tableau(((1, 3), (3, 4))), _UNIT_RANKS),
+    "plain-off-top": lambda: walk(Tableau(((2, 3), (1, 4))), _UNIT_RANKS),
+    "plain-zero": lambda: walk(Tableau(((0, 2), (1, 3))), _UNIT_RANKS),
+    "plus-range": lambda: walk_plus(TableauPlus(((1, 3), (2, 9, 5)), (1, 1))),
+    "plus-repeat": lambda: walk_plus(TableauPlus(((1, 3, 4), (2, 3)), (1, 1))),
+    "plus-off-top": lambda: walk_plus(TableauPlus(((2, 3, 5), (1, 4)), (1, 1))),
+    "plus-zero": lambda: walk_plus(TableauPlus(((1, 3, 4), (0, 2)), (1, 1))),
+    "minus-range": lambda: walk_minus(Tableau(((1, 3, 9), (2, 4)))),
+    "minus-repeat": lambda: walk_minus(Tableau(((1, 3, 5), (2, 3)))),
+    "minus-off-top": lambda: walk_minus(Tableau(((2, 3, 5), (1, 4)))),
+    "minus-zero": lambda: walk_minus(Tableau(((1, 3, 5), (0, 4)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WALKS))
+def test_bad_tableau_raises_walk_error(case):
+    with pytest.raises(WalkError):
+        BAD_WALKS[case]()
 
 
 class TestWalkGraph:
@@ -273,6 +303,30 @@ class TestLargeRoundTrips:
         counts = Counter(uniform_member(family, rng) for _ in range(draws))
         assert set(counts) == set(closure)
         assert all(60 < c < 140 for c in counts.values())
+
+
+@pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+def test_uniform_members_differential(kind, n, seed):
+    """On uniform members of up to about 2*10^3 steps: both round trips, the
+    plain walk against the digraph walk on the skeleton's tableau, and the
+    rank-interval fact (the tableau's ranks, by index, are the sorted ranks
+    of the plain preimage)."""
+    rng = random.Random(seed)
+    family = FamilySpec(kind, tuple(rng.randint(1, 10) for _ in range(n)))
+    p = uniform_member(family, rng)
+    image = sweep(p)
+    assert invert(image, family) == p
+    q = uniform_member(family, rng)
+    assert sweep(invert(q, family)) == q
+    t = fill(SWWord.from_steps(skeleton_of(image, family)))
+    sigma = run_walk(t, "plain")
+    assert sigma.sigma == run_walk(t, "graph").sigma
+    plain = sigma_to_preimage(sigma, t, FamilySpec.vector(t.k))
+    assert rank_tableau(t).by_index == tuple(sorted(ranks(plain)))
+    if kind == "k":
+        assert plain == p
 
 
 class TestWrittenOrderLaw:
