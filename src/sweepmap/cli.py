@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .oracle import (
     DEFAULT_MAX_K,
@@ -40,6 +41,8 @@ from .tableau import Tableau, TableauError, fill
 from .walking import VARIANTS, WalkError, invert, run_walk, variant_for
 
 _ERRORS = (PathError, TableauError, WalkError, OracleError)
+# unreadable input: no such file, bytes not UTF-8, bad JSON, JSON nested too deep
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,84 +53,107 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--steps", help='path as comma-separated rises, e.g. "2,-1,-1"')
-    p.add_argument("--sw", help='path as an SW word, e.g. "S2 W W"')
-    p.add_argument("--file", help="read the path (JSON or step text) from a file")
+def _sweep(args, steps, family):
+    return sweep(steps)
 
 
-def _add_family_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
-    p.add_argument(
-        "--family",
-        choices=["k", "kplus", "kminus", "rational"],
-        required=required,
-        help="family the path belongs to",
-    )
-    p.add_argument("--k", help='rise vector, e.g. "2,1,3"', dest="kvec")
-    p.add_argument("--m", type=int, help="rational families: rise of every up step")
-    p.add_argument("--n", type=int, help="rational families: drop of every down step")
-    p.add_argument(
-        "--permute",
-        action="store_true",
-        help="accept/emit every ordering of the rise vector",
-    )
+def _invert(args, steps, family):
+    return invert(steps, family)
 
 
-def _add_output_flags(p: argparse.ArgumentParser, formats, default) -> None:
-    p.add_argument("--format", choices=formats, default=default)
-    p.add_argument("--out", help="write output to this file instead of stdout")
+def _fill(args, steps, family):
+    return fill(SWWord.from_steps(skeleton(steps, family)))
+
+
+def _rank(args, steps, family):
+    t = _fill(args, steps, family)
+    return t, rank_tableau(t)
+
+
+def _walk(args, steps, family):
+    variant = variant_for(family.kind if family else KIND_K, args.variant)
+    return run_walk(_fill(args, steps, family), variant)
+
+
+def _view_path(steps, family, fmt: str):
+    return path_to_json(steps, family) if fmt == "json" else emit_steps(steps)
+
+
+def _view_fill(t, _family, fmt: str):
+    if fmt in ("ascii", "svg"):
+        return tableau_ascii(t) if fmt == "ascii" else tableau_svg(t)
+    return t.to_json() if fmt == "json" else t.to_text()
+
+
+def _view_rank(t_and_r, _family, fmt: str):
+    t, r = t_and_r
+    if fmt in ("ascii", "svg"):
+        return rank_ascii(r) if fmt == "ascii" else tableau_svg(t, r)
+    return r.to_json() if fmt == "json" else r.to_text()
+
+
+def _view_walk(sigma, _family, fmt: str):
+    return sigma.to_json() if fmt == "json" else ",".join(map(str, sigma))
+
+
+class _Command(NamedTuple):
+    """One subcommand: its parser and, for a path subcommand, its run and view."""
+
+    help: str
+    family_required: bool
+    formats: tuple[str, ...]  # --format choices; the first is the default
+    run: Callable | None = None  # run(args, steps, family) -> result
+    view: Callable | None = None  # view(result, family, format) -> text, or a JSON object
+    reads_path: bool = True  # takes --steps, --sw and --file
+    options: tuple = ()  # (flag, argparse keywords) pairs placed after the family flags
+    default_format: str | None = None  # when it is not the first choice
+
+
+_TEXT = ("text", "json")
+_PICTURES = ("text", "json", "ascii", "svg")
+_BOUNDS = (
+    ("--max-n", {"type": int, "default": DEFAULT_MAX_N}),
+    ("--max-k", {"type": int, "default": DEFAULT_MAX_K}),
+)
+_RANKS = (("--ranks", {"action": "store_true", "help": "overlay ranks on a tableau"}),)
+_TABLE = {
+    "sweep": _Command("apply the sweep map to a path", False, _TEXT, _sweep, _view_path),
+    "invert": _Command("recover the unique sweep preimage", True, _TEXT, _invert, _view_path),
+    "fill": _Command("fill a path's word into its tableau", False, _PICTURES, _fill,
+                     _view_fill),
+    "rank": _Command("rank the tableau of a path", False, _PICTURES, _rank, _view_rank),
+    "walk": _Command("walk the ranked tableau of a path", False, _TEXT, _walk, _view_walk,
+                     options=(("--variant", {"choices": VARIANTS}),)),
+    "enumerate": _Command("list every path of a family", True, _TEXT, reads_path=False,
+                          options=_BOUNDS),
+    "verify": _Command("certify the sweep bijection on a family", True, _TEXT,
+                       reads_path=False, options=_BOUNDS, default_format="json"),
+    "render": _Command("draw a path or a tableau", False, ("ascii", "svg"), options=_RANKS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sweepmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="apply the sweep map to a path")
-    _add_input_flags(p)
-    _add_family_flags(p)
-    _add_output_flags(p, ["text", "json"], "text")
-
-    p = sub.add_parser("invert", help="recover the unique sweep preimage")
-    _add_input_flags(p)
-    _add_family_flags(p, required=True)
-    _add_output_flags(p, ["text", "json"], "text")
-
-    p = sub.add_parser("fill", help="fill a path's word into its tableau")
-    _add_input_flags(p)
-    _add_family_flags(p)
-    _add_output_flags(p, ["text", "json", "ascii", "svg"], "text")
-
-    p = sub.add_parser("rank", help="rank the tableau of a path")
-    _add_input_flags(p)
-    _add_family_flags(p)
-    _add_output_flags(p, ["text", "json", "ascii", "svg"], "text")
-
-    p = sub.add_parser("walk", help="walk the ranked tableau of a path")
-    _add_input_flags(p)
-    _add_family_flags(p)
-    p.add_argument("--variant", choices=VARIANTS)
-    _add_output_flags(p, ["text", "json"], "text")
-
-    p = sub.add_parser("enumerate", help="list every path of a family")
-    _add_family_flags(p, required=True)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K)
-    _add_output_flags(p, ["text", "json"], "text")
-
-    p = sub.add_parser("verify", help="certify the sweep bijection on a family")
-    _add_family_flags(p, required=True)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K)
-    _add_output_flags(p, ["text", "json"], "json")
-
-    p = sub.add_parser("render", help="draw a path or a tableau")
-    _add_input_flags(p)
-    _add_family_flags(p)
-    p.add_argument(
-        "--ranks", action="store_true", help="overlay ranks on a tableau"
-    )
-    _add_output_flags(p, ["ascii", "svg"], "ascii")
-
+    for name, c in _TABLE.items():
+        p = sub.add_parser(name, help=c.help)
+        if c.reads_path:
+            p.add_argument("--steps", help='path as comma-separated rises, e.g. "2,-1,-1"')
+            p.add_argument("--sw", help='path as an SW word, e.g. "S2 W W"')
+            p.add_argument("--file", help="read the path (JSON or step text) from a file")
+        p.add_argument("--family", choices=["k", "kplus", "kminus", "rational"],
+                       required=c.family_required, help="family the path belongs to")
+        p.add_argument("--k", help='rise vector, e.g. "2,1,3"', dest="kvec")
+        p.add_argument("--m", type=int, help="rational families: rise of every up step")
+        p.add_argument("--n", type=int, help="rational families: drop of every down step")
+        p.add_argument("--permute", action="store_true",
+                       help="accept/emit every ordering of the rise vector")
+        for flag, keywords in c.options:
+            p.add_argument(flag, **keywords)
+        p.add_argument(
+            "--format", choices=c.formats, default=c.default_format or c.formats[0]
+        )
+        p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
 
@@ -168,26 +194,32 @@ def _sw_down(args, text: str) -> int:
     return 1
 
 
-def _read_path(args) -> tuple[StepSequence, FamilySpec | None]:
-    """Read the single-path input; the family comes along if the file has one."""
+def _load(text: str):
+    """Step text as a path; JSON text (it starts with "{") as its object."""
+    return json.loads(text) if text.startswith("{") else parse_steps(text)
+
+
+def _read(args):
+    """The single input: a path from --steps or --sw, or what --file holds."""
     if args.steps:
-        return parse_steps(args.steps), None
+        return parse_steps(args.steps)
     if args.sw:
-        return SWWord.from_text(args.sw, down=_sw_down(args, args.sw)).steps(), None
+        return SWWord.from_text(args.sw, down=_sw_down(args, args.sw)).steps()
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
-            content = fh.read().strip()
-        if content.startswith("{"):
-            return path_from_json(json.loads(content))
-        return parse_steps(content), None
+            return _load(fh.read().strip())
     raise PathError("no input: pass --steps, --sw, or --file")
 
 
-def _resolve(args) -> tuple[StepSequence, FamilySpec | None]:
-    steps, file_family = _read_path(args)
-    family = _family_from_args(args, steps)
-    if family is None:
-        family = file_family
+def _path(source) -> tuple[StepSequence, FamilySpec | None]:
+    """The path in a loaded input, with the family its JSON object names."""
+    return (source, None) if isinstance(source, StepSequence) else path_from_json(source)
+
+
+def _member(args, steps: StepSequence, family: FamilySpec | None):
+    """The path's family, --family winning over the input's; the path must belong."""
+    if args.family is not None:
+        family = _family_from_args(args, steps)
     if family is not None:
         d = validate(steps, family, permute_k=True)
         if not d:
@@ -203,134 +235,43 @@ def _write(text: str, args) -> None:
         print(text)
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2)
+def _cmd_path(args) -> int:
+    """Run a path subcommand on the input path, or on every stdin line."""
+    c = _TABLE[args.command]
 
+    def show(steps, family, indent=None) -> str:
+        out = c.view(c.run(args, steps, family), family, args.format)
+        return json.dumps(out, indent=indent) if args.format == "json" else out
 
-def _batch(args, line_fn) -> int:
-    """Apply line_fn to every stdin line; line counts always match."""
-    out_lines = []
+    if args.steps or args.sw or args.file:
+        _write(show(*_member(args, *_path(_read(args))), indent=2), args)
+        return 0
+    if args.format in ("ascii", "svg"):
+        raise PathError(f"batch mode does not support --format {args.format}")
+    out_lines = []  # one per stdin line, so line counts always match
     failed = False
     for line in sys.stdin.read().splitlines():
         try:
             text = line.strip()
             if not text:
                 raise PathError("empty line")
-            if text.startswith("{"):
-                steps, family = path_from_json(json.loads(text))
-                if args.family is not None:
-                    family = _family_from_args(args, steps)
-            else:
-                steps = parse_steps(text)
-                family = _family_from_args(args, steps)
-            if family is not None:
-                d = validate(steps, family, permute_k=True)
-                if not d:
-                    raise PathError(f"not a member of the family: {d}")
-            out_lines.append(line_fn(steps, family))
-        except (*_ERRORS, json.JSONDecodeError, ValueError) as exc:
+            out_lines.append(show(*_member(args, *_path(_load(text)))))
+        except (ValueError, RecursionError) as exc:  # each error above is a ValueError
             out_lines.append(f"error: {exc}")
             failed = True
     _write("\n".join(out_lines), args)
     return 1 if failed else 0
 
 
-def _walk(args, steps: StepSequence, family: FamilySpec | None):
-    variant = variant_for(family.kind if family else KIND_K, args.variant)
-    return run_walk(fill(SWWord.from_steps(skeleton(steps, family))), variant)
-
-
-def _each_path(args, fn, to_json, to_text) -> int:
-    """Apply fn(steps, family) to the input path, or to every stdin line."""
-    def line(steps, family, indent=None):
-        result = fn(steps, family)
-        if args.format == "json":
-            return json.dumps(to_json(result, family), indent=indent)
-        return to_text(result)
-
-    if not (args.steps or args.sw or args.file):
-        return _batch(args, line)
-    _write(line(*_resolve(args), indent=2), args)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    return _each_path(args, lambda steps, _: sweep(steps), path_to_json, emit_steps)
-
-
-def _cmd_invert(args) -> int:
-    return _each_path(args, invert, path_to_json, emit_steps)
-
-
-def _cmd_fill(args) -> int:
-    def one(steps, family) -> Tableau:
-        return fill(SWWord.from_steps(skeleton(steps, family)))
-
-    def line(steps, family):
-        t = one(steps, family)
-        return json.dumps(t.to_json()) if args.format == "json" else t.to_text()
-
-    if not (args.steps or args.sw or args.file):
-        if args.format in ("ascii", "svg"):
-            raise PathError(f"batch mode does not support --format {args.format}")
-        return _batch(args, line)
-    steps, family = _resolve(args)
-    t = one(steps, family)
-    if args.format == "json":
-        _write(_dumps(t.to_json()), args)
-    elif args.format == "ascii":
-        _write(tableau_ascii(t), args)
-    elif args.format == "svg":
-        _write(tableau_svg(t), args)
-    else:
-        _write(t.to_text(), args)
-    return 0
-
-
-def _cmd_rank(args) -> int:
-    def one(steps, family):
-        t = fill(SWWord.from_steps(skeleton(steps, family)))
-        return t, rank_tableau(t)
-
-    def line(steps, family):
-        _, r = one(steps, family)
-        return json.dumps(r.to_json()) if args.format == "json" else r.to_text()
-
-    if not (args.steps or args.sw or args.file):
-        if args.format in ("ascii", "svg"):
-            raise PathError(f"batch mode does not support --format {args.format}")
-        return _batch(args, line)
-    steps, family = _resolve(args)
-    t, r = one(steps, family)
-    if args.format == "json":
-        _write(_dumps(r.to_json()), args)
-    elif args.format == "ascii":
-        _write(rank_ascii(r), args)
-    elif args.format == "svg":
-        _write(tableau_svg(t, r), args)
-    else:
-        _write(r.to_text(), args)
-    return 0
-
-
-def _cmd_walk(args) -> int:
-    return _each_path(
-        args,
-        lambda steps, family: _walk(args, steps, family),
-        lambda sigma, _: sigma.to_json(),
-        lambda sigma: ",".join(map(str, sigma)),
-    )
+def _bounds(args) -> dict:
+    """The enumeration keywords of the oracle, from --permute, --max-n and --max-k."""
+    return {"permute_k": args.permute, "max_n": args.max_n, "max_k": args.max_k}
 
 
 def _cmd_enumerate(args) -> int:
-    family = _family_from_args(args)
-    if family is None:
-        raise PathError("enumerate needs --family")
-    enum = enumerate_family(
-        family, permute_k=args.permute, max_n=args.max_n, max_k=args.max_k
-    )
+    enum = enumerate_family(_family_from_args(args), **_bounds(args))
     if args.format == "json":
-        _write(_dumps(enum.to_json()), args)
+        _write(json.dumps(enum.to_json(), indent=2), args)
     else:
         _write("\n".join(emit_steps(p) for p in enum.paths), args)
     return 0
@@ -338,88 +279,48 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     family = _family_from_args(args)
-    if family is None:
-        raise PathError("verify needs --family")
-    report = certify_bijection(
-        family, permute_k=args.permute, max_n=args.max_n, max_k=args.max_k
-    )
-    ok = report.bijection
-    counterexample = report.counterexample
-    if ok:
-        enum = enumerate_family(
-            family, permute_k=args.permute, max_n=args.max_n, max_k=args.max_k
-        )
-        for p in enum.paths:
-            image = sweep(p)
-            try:
-                back = invert(image, family)
-            except _ERRORS as exc:
-                ok = False
-                counterexample = {
-                    "kind": "round-trip-error",
-                    "path": emit_steps(p),
-                    "image": emit_steps(image),
-                    "error": str(exc),
-                }
-                break
-            if back != p:
-                ok = False
-                counterexample = {
-                    "kind": "round-trip-mismatch",
-                    "path": emit_steps(p),
-                    "image": emit_steps(image),
-                    "preimage": emit_steps(back),
-                }
-                break
+    report = certify_bijection(family, **_bounds(args))
+    ok, counterexample = report.bijection, report.counterexample
+    for p in enumerate_family(family, **_bounds(args)).paths if ok else ():
+        image = sweep(p)
+        try:
+            back = invert(image, family)
+        except _ERRORS as exc:
+            kind, found = "round-trip-error", {"error": str(exc)}
+        else:
+            if back == p:
+                continue
+            kind, found = "round-trip-mismatch", {"preimage": emit_steps(back)}
+        ok = False
+        counterexample = {"kind": kind, "path": emit_steps(p), "image": emit_steps(image)}
+        counterexample.update(found)
+        break
     out = {
         "family": family.to_json(),
         "count": report.count,
         "bijection": ok,
         "counterexample": counterexample,
     }
-    _write(_dumps(out), args)
+    _write(json.dumps(out, indent=2), args)
     return 0 if ok else 2
 
 
 def _cmd_render(args) -> int:
-    if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            content = fh.read().strip()
-        if content.startswith("{"):
-            obj = json.loads(content)
-            if "columns" in obj:
-                t = Tableau.from_json(obj)
-                r = rank_tableau(t) if args.ranks else None
-                out = tableau_ascii(t, r) if args.format == "ascii" else tableau_svg(t, r)
-                _write(out, args)
-                return 0
-            steps, family = path_from_json(obj)
-        else:
-            steps, family = parse_steps(content), None
-    else:
-        steps, family = _read_path(args)
+    source = _read(args)
+    if isinstance(source, dict) and "columns" in source:
+        t = Tableau.from_json(source)
+        r = rank_tableau(t) if args.ranks else None
+        _write(tableau_ascii(t, r) if args.format == "ascii" else tableau_svg(t, r), args)
+        return 0
+    steps, family = _path(source)
     if args.ranks:
         raise PathError("--ranks overlays apply to tableaux, not paths")
-    fam = _family_from_args(args, steps)
-    if fam is not None:
-        d = validate(steps, fam, permute_k=True)
-        if not d:
-            raise PathError(f"not a member of the family: {d}")
-    out = path_ascii(steps) if args.format == "ascii" else path_svg(steps)
-    _write(out, args)
+    _member(args, steps, family)
+    _write(path_ascii(steps) if args.format == "ascii" else path_svg(steps), args)
     return 0
 
 
-_COMMANDS = {
-    "sweep": _cmd_sweep,
-    "invert": _cmd_invert,
-    "fill": _cmd_fill,
-    "rank": _cmd_rank,
-    "walk": _cmd_walk,
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
-    "render": _cmd_render,
-}
+_COMMANDS = {"enumerate": _cmd_enumerate, "verify": _cmd_verify, "render": _cmd_render}
 
 
 def main(argv=None) -> int:
@@ -429,11 +330,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _COMMANDS[args.command](args)
-    except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+        return _COMMANDS.get(args.command, _cmd_path)(args)
+    except (*_ERRORS, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .paths import VALID, Diagnostic, PathError, SWWord, _is_ints, _json_ints
 
@@ -186,13 +187,9 @@ def validate_tableau(t: Tableau) -> Diagnostic:
     for i in range(1, n):
         if top[i - 1] >= top[i]:
             return Diagnostic(False, "top row is not strictly increasing", i + 1)
-    prefix = 0
-    for i, (ti, ki) in enumerate(zip(top, t.k), start=1):
-        if ti > prefix + i:
-            return Diagnostic(
-                False, f"top entry {ti} exceeds its bound {prefix + i}", i
-            )
-        prefix += ki
+    for i, (ti, bound) in enumerate(zip(top, _top_bounds(t.k)), start=1):
+        if ti > bound:
+            return Diagnostic(False, f"top entry {ti} exceeds its bound {bound}", i)
     col_of = {}
     for c, col in enumerate(t.columns, start=1):
         for v in col:
@@ -230,13 +227,9 @@ def from_top_row(top, k) -> Tableau:
     for a, b in zip(top, top[1:]):
         if a >= b:
             raise TableauError("top row must be strictly increasing")
-    prefix = 0
-    for i, (ti, ki) in enumerate(zip(top, k), start=1):
-        if ti > prefix + i:
-            raise TableauError(
-                f"top entry {ti} at position {i} exceeds its bound {prefix + i}"
-            )
-        prefix += ki
+    for i, (ti, bound) in enumerate(zip(top, _top_bounds(k)), start=1):
+        if ti > bound:
+            raise TableauError(f"top entry {ti} at position {i} exceeds its bound {bound}")
     return fill(_top_word(top, k))
 
 
@@ -274,9 +267,9 @@ def is_minus_admissible(t: Tableau) -> bool:
     Column 1 is unconstrained; for i >= 2 the top entry must satisfy
     t_i < k_1+...+k_{i-1}+i.
     """
-    prefix = 0
-    for i, (ti, ki) in enumerate(zip(t.top_row, t.k), start=1):
-        if i >= 2 and ti >= prefix + i:
-            return False
-        prefix += ki
-    return True
+    return all(ti < bound for ti, bound in zip(t.top_row[1:], _top_bounds(t.k)[1:]))
+
+
+def _top_bounds(k) -> list[int]:
+    """The bound k_1+...+k_{i-1}+i on the top entry of column i, for every column."""
+    return [prefix + i for i, prefix in enumerate(accumulate(k[:-1], initial=0), start=1)]

@@ -388,3 +388,119 @@ def test_console_script_round_trip(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "2,-1,-1"
+
+
+# every option of every subcommand, in parser order: (flags, dest, choices, default, required)
+INPUT_OPTIONS = [
+    (("--steps",), "steps", None, None, False),
+    (("--sw",), "sw", None, None, False),
+    (("--file",), "file", None, None, False),
+]
+
+
+def family_options(required):
+    return [
+        (("--family",), "family", ("k", "kplus", "kminus", "rational"), None, required),
+        (("--k",), "kvec", None, None, False),
+        (("--m",), "m", None, None, False),
+        (("--n",), "n", None, None, False),
+        (("--permute",), "permute", None, False, False),
+    ]
+
+
+def output_options(formats, default):
+    return [
+        (("--format",), "format", formats, default, False),
+        (("--out",), "out", None, None, False),
+    ]
+
+
+BOUND_OPTIONS = [
+    (("--max-n",), "max_n", None, 5, False),
+    (("--max-k",), "max_k", None, 4, False),
+]
+TEXT, PICTURES = ("text", "json"), ("text", "json", "ascii", "svg")
+CLI_SURFACE = [
+    ("sweep", INPUT_OPTIONS + family_options(False) + output_options(TEXT, "text")),
+    ("invert", INPUT_OPTIONS + family_options(True) + output_options(TEXT, "text")),
+    ("fill", INPUT_OPTIONS + family_options(False) + output_options(PICTURES, "text")),
+    ("rank", INPUT_OPTIONS + family_options(False) + output_options(PICTURES, "text")),
+    (
+        "walk",
+        INPUT_OPTIONS
+        + family_options(False)
+        + [(("--variant",), "variant", ("plain", "plus", "minus", "graph"), None, False)]
+        + output_options(TEXT, "text"),
+    ),
+    ("enumerate", family_options(True) + BOUND_OPTIONS + output_options(TEXT, "text")),
+    ("verify", family_options(True) + BOUND_OPTIONS + output_options(TEXT, "json")),
+    (
+        "render",
+        INPUT_OPTIONS
+        + family_options(False)
+        + [(("--ranks",), "ranks", None, False, False)]
+        + output_options(("ascii", "svg"), "ascii"),
+    ),
+]
+
+
+def test_cli_surface_is_pinned():
+    import argparse
+
+    from sweepmap.cli import build_parser
+
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    surface = [
+        (
+            name,
+            [
+                (
+                    tuple(a.option_strings),
+                    a.dest,
+                    tuple(a.choices) if a.choices else None,
+                    a.default,
+                    a.required,
+                )
+                for a in parser._actions
+                if a.dest != "help"
+            ],
+        )
+        for name, parser in sub.choices.items()
+    ]
+    assert surface == CLI_SURFACE
+
+
+DEEP_JSON = '{"steps": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
+@pytest.mark.parametrize("command", ["sweep", "render"])
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe1,-1\n", DEEP_JSON.encode()], ids=["not-utf8", "deep-json"]
+)
+def test_unreadable_file_is_an_error(capsys, tmp_path, command, content):
+    f = tmp_path / "p"
+    f.write_bytes(content)
+    code, out, err = run(capsys, command, "--file", str(f))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["sweep", "invert", "fill", "rank", "walk"])
+def test_deep_json_line_is_an_error_line(capsys, monkeypatch, command):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"1,-1\n{DEEP_JSON}\n1,1,-1,-1\n"))
+    code, out, _ = run(capsys, command, "--family", "k")
+    lines = out.strip("\n").split("\n")
+    assert code == 1 and len(lines) == 3
+    assert lines[1].startswith("error:")
+    assert not lines[0].startswith("error:") and not lines[2].startswith("error:")
+
+
+def test_render_checks_the_file_family(capsys, tmp_path):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"family": {"kind": "k", "k": [2]}, "steps": [1, -1]}))
+    code, out, err = run(capsys, "render", "--file", str(f))
+    assert code == 1 and out == "" and "not a member of the family" in err
+    f.write_text(json.dumps({"family": {"kind": "k", "k": [1]}, "steps": [1, -1]}))
+    code, out, _ = run(capsys, "render", "--file", str(f))
+    assert code == 0 and out.rstrip("\n") == "/\\"

@@ -1,6 +1,7 @@
 """Core data model: validation, ranks, family lifts, and text/JSON forms."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from sweepmap import (
     SWWord,
     dyck_diagnostic,
     emit_steps,
+    enumerate_family,
     from_minus,
     from_plus,
     infer_family,
@@ -139,6 +141,26 @@ class TestLifts:
             zeros = sum(1 for r in ranks(d) if r == 0)
             if zeros == 1 and all(len(k) * v >= 2 for v in k):
                 assert from_minus(to_minus(d, k)) == d
+
+    @pytest.mark.parametrize("kind", ["kplus", "kminus"])
+    def test_unlift_of_a_member_needs_no_second_check(self, kind):
+        # from_plus/from_minus validate only the tilted path: every member of a
+        # closure with n <= 3, k_i <= 3 unlifts to a valid plain path, with a
+        # single zero rank for the minus kind
+        unlift, lift = (from_plus, to_plus) if kind == "kplus" else (from_minus, to_minus)
+        members = 0
+        for n in (1, 2, 3):
+            for k in combinations_with_replacement((1, 2, 3), n):
+                if kind == "kminus" and n * k[0] < 2:
+                    continue
+                for p in enumerate_family(FamilySpec(kind, k), permute_k=True).paths:
+                    plain = unlift(p)
+                    k_p = infer_family(p, kind).k
+                    assert validate(plain, FamilySpec.vector(k_p))
+                    assert kind == "kplus" or ranks(plain).ranks.count(0) == 1
+                    assert lift(plain, k_p) == p
+                    members += 1
+        assert members > 100
 
     def test_from_plus_rejects_plain_paths(self):
         with pytest.raises(PathError):
