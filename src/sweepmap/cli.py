@@ -279,6 +279,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     family = _family_from_args(args)
+    if not args.permute and len(set(family.k)) > 1:
+        raise PathError(
+            f"the sweep map reorders rises, so the family with rises "
+            f"{emit_steps(family.k)} in this fixed order is not closed under it; "
+            "pass --permute to verify every ordering"
+        )
     report = certify_bijection(family, **_bounds(args))
     ok, counterexample = report.bijection, report.counterexample
     for p in enumerate_family(family, **_bounds(args)).paths if ok else ():
@@ -301,8 +307,20 @@ def _cmd_verify(args) -> int:
         "bijection": ok,
         "counterexample": counterexample,
     }
-    _write(json.dumps(out, indent=2), args)
+    text = json.dumps(out, indent=2) if args.format == "json" else _verify_text(family, out)
+    _write(text, args)
     return 0 if ok else 2
+
+
+def _verify_text(family: FamilySpec, report: dict) -> str:
+    """verify's report as lines: family, count, bijection, then each counterexample field."""
+    lines = [  # the oracle enumerates the k-vector kinds only
+        f"family: {family.kind} k={emit_steps(family.k)}",
+        f"count: {report['count']}",
+        f"bijection: {'yes' if report['bijection'] else 'no'}",
+    ]
+    lines += [f"{key}: {value}" for key, value in (report["counterexample"] or {}).items()]
+    return "\n".join(lines)
 
 
 def _cmd_render(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from itertools import permutations
+from itertools import accumulate, permutations
 
 KIND_K = "k"
 KIND_KPLUS = "kplus"
@@ -87,6 +87,14 @@ class StepSequence:
         return sum(1 for a in self.steps if a > 0)
 
 
+def _unchecked(cls, **fields):
+    """A frozen dataclass built from fields its checks would pass, skipping them."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class RankSequence:
     """The starting level of every step of a path."""
@@ -139,9 +147,7 @@ class SWWord:
             steps = StepSequence(steps)
         # and equal steps share one letter tuple
         letter = {a: ("S", a) if a > 0 else ("W", -a) for a in set(steps.steps)}
-        word = object.__new__(cls)
-        object.__setattr__(word, "letters", tuple(map(letter.__getitem__, steps.steps)))
-        return word
+        return _unchecked(cls, letters=tuple(map(letter.__getitem__, steps.steps)))
 
     def steps(self) -> StepSequence:
         return StepSequence(
@@ -328,16 +334,21 @@ class FamilySpec:
         return fam
 
 
+def _levels(steps) -> tuple[list[int], Diagnostic]:
+    """The levels 0, s_1, s_1+s_2, ... of a path, in one running sum, and the
+    Dyck condition read off them: nonnegative prefix sums, a zero total."""
+    levels = list(accumulate(steps, initial=0))
+    if min(levels) < 0:
+        j = next(j for j, h in enumerate(levels) if h < 0)
+        return levels, Diagnostic(False, f"prefix sum {levels[j]} is negative", j)
+    if levels[-1]:
+        return levels, Diagnostic(False, f"total rise is {levels[-1]}, not 0")
+    return levels, VALID
+
+
 def dyck_diagnostic(steps: StepSequence) -> Diagnostic:
     """Check the nonnegative-prefix and zero-total conditions."""
-    h = 0
-    for j, a in enumerate(steps, start=1):
-        h += a
-        if h < 0:
-            return Diagnostic(False, f"prefix sum {h} is negative", j)
-    if h != 0:
-        return Diagnostic(False, f"total rise is {h}, not 0")
-    return VALID
+    return _levels(steps)[1]
 
 
 def validate(steps: StepSequence, family: FamilySpec, permute_k: bool = False) -> Diagnostic:
@@ -345,46 +356,39 @@ def validate(steps: StepSequence, family: FamilySpec, permute_k: bool = False) -
 
     With ``permute_k`` the up rises may realize any permutation of the
     family's rise vector (the closure check); otherwise they must appear
-    exactly in family order.
+    exactly in family order.  Each check is a whole-sequence pass; a step
+    scan runs only to find the index of a failure.
     """
-    d = dyck_diagnostic(steps)
+    s = steps.steps if isinstance(steps, StepSequence) else tuple(steps)
+    d = _levels(s)[1]
     if not d:
         return d
-    if len(steps) != family.size:
-        return Diagnostic(
-            False, f"expected {family.size} steps, got {len(steps)}"
-        )
+    if len(s) != family.size:
+        return Diagnostic(False, f"expected {family.size} steps, got {len(s)}")
     drop = family.down_drop
-    ups: list[tuple[int, int]] = []
-    for j, a in enumerate(steps, start=1):
-        if a < 0:
-            if -a != drop:
-                return Diagnostic(False, f"down step drops {-a}, expected {drop}", j)
-        else:
-            ups.append((j, a))
+    ups = [a for a in s if a >= 0]
+    if len(ups) + s.count(-drop) != len(s):
+        j = next(j for j, a in enumerate(s, start=1) if a < 0 and a != -drop)
+        return Diagnostic(False, f"down step drops {-s[j - 1]}, expected {drop}", j)
     expected = family.up_rises
     if len(ups) != len(expected):
         return Diagnostic(False, f"expected {len(expected)} up steps, got {len(ups)}")
     if permute_k:
-        if sorted(a for _, a in ups) != sorted(expected):
+        if sorted(ups) != sorted(expected):
             return Diagnostic(False, "up rises do not permute the family's rises")
-    else:
-        for (j, a), want in zip(ups, expected):
-            if a != want:
-                return Diagnostic(False, f"up rise {a}, expected {want}", j)
+    elif ups != list(expected):
+        at = [j for j, a in enumerate(s, start=1) if a >= 0]
+        j, a, want = next(t for t in zip(at, ups, expected) if t[1] != t[2])
+        return Diagnostic(False, f"up rise {a}, expected {want}", j)
     return VALID
 
 
 def ranks(steps: StepSequence) -> RankSequence:
     """Starting level of each step (the partial sums of the rises)."""
-    out = []
-    h = 0
-    for j, a in enumerate(steps, start=1):
-        out.append(h)
-        h += a
-        if h < 0:
-            raise PathError(f"prefix sum {h} is negative (index {j})")
-    return RankSequence(tuple(out))
+    levels, d = _levels(steps)
+    if d.index is not None:  # a negative prefix sum; the total may be nonzero
+        raise PathError(str(d))
+    return RankSequence(tuple(levels[:-1]))
 
 
 def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:

@@ -85,8 +85,7 @@ def rank_tableau(t: Tableau) -> RankTableau:
                 raise TableauError(f"entry {v} appears twice")
             by_index[v - 1] = r
         cols.append(col_ranks)
-    if any(r is None for r in by_index):  # pragma: no cover - sizes match
-        raise TableauError("some indices were never ranked")
+    # size distinct entries in 1..size: every index is ranked
     return RankTableau(tuple(cols), tuple(by_index))  # type: ignore[arg-type]
 
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .paths import VALID, Diagnostic, PathError, SWWord, _is_ints, _json_ints
+from .paths import VALID, Diagnostic, PathError, SWWord, _is_ints, _json_ints, _unchecked
 
 
 class TableauError(ValueError):
@@ -144,28 +144,32 @@ def fill(word: SWWord) -> Tableau:
     sorted by construction and the smallest active entry is always the one
     waiting longest; a deque gives the whole fill a single linear pass.
     """
+    # each column is a list headed by the length it must reach, that head included
     columns: list[list[int]] = []
-    need: list[int] = []  # entries each opened column still wants
-    active: deque[int] = deque()  # column numbers, fronted by smallest bottom
-    for j, (kind, size) in enumerate(word.letters, start=1):
-        if kind == "S":
-            active.append(len(columns))
-            columns.append([j])
-            need.append(size)
-        else:
-            if not active:
-                raise TableauError(
-                    f"no active entry for the W letter at position {j}"
-                )
-            c = active.popleft()
-            columns[c].append(j)
-            need[c] -= 1
-            if need[c]:
-                active.append(c)
+    active: deque[list[int]] = deque()  # columns, fronted by the smallest bottom
+    push, pop = active.append, active.popleft
+    j = 0
+    try:
+        for kind, size in word.letters:
+            j += 1
+            if kind == "S":
+                col = [size + 2, j]
+                columns.append(col)
+                push(col)
+            else:
+                col = pop()
+                col.append(j)
+                if len(col) < col[0]:
+                    push(col)
+    except IndexError:  # the pop found no active column
+        raise TableauError(f"no active entry for the W letter at position {j}") from None
     if active:
-        unfilled = active.popleft() + 1
+        unfilled = next(i for i, col in enumerate(columns, start=1) if col is active[0])
         raise TableauError(f"word ended while column {unfilled} is unfilled")
-    return Tableau(tuple(tuple(col) for col in columns))
+    if not columns:
+        return Tableau(())  # raises: a tableau needs a column
+    # SWWord sizes are positive, so every column holds two or more ints
+    return _unchecked(Tableau, columns=tuple([tuple(col[1:]) for col in columns]))
 
 
 def validate_tableau(t: Tableau) -> Diagnostic:
@@ -190,24 +194,48 @@ def validate_tableau(t: Tableau) -> Diagnostic:
     for i, (ti, bound) in enumerate(zip(top, _top_bounds(t.k)), start=1):
         if ti > bound:
             return Diagnostic(False, f"top entry {ti} exceeds its bound {bound}", i)
-    col_of = {}
-    for c, col in enumerate(t.columns, start=1):
-        for v in col:
-            col_of[v] = c
-    # quadratic scan; tableaux are desk-sized wherever this runs
+    # two values strictly between a and d share a column exactly when one of
+    # them has the entry below it in there too: min(below[a+1..d-1]) < d
+    below = [size + 1] * (size + 1)  # below[u]: the entry under u, size+1 under a bottom
     for col in t.columns:
         for a, d in zip(col, col[1:]):
-            seen: dict[int, int] = {}
-            for v in range(a + 1, d):
-                c = col_of[v]
-                if c in seen:
-                    return Diagnostic(
-                        False,
-                        f"strip violation {a} < {seen[c]} < {v} < {d}: "
-                        f"{seen[c]} and {v} share column {c}",
-                    )
-                seen[c] = v
+            below[a] = d
+    least = _range_min(below)
+    for col in t.columns:
+        for a, d in zip(col, col[1:]):
+            if d - a > 1 and least(a + 1, d - 1) < d:
+                return _strip_violation(t, a, d)
     return VALID
+
+
+def _range_min(values: list[int]):
+    """A query for min(values[lo..hi]), O(1) each over a sparse table built in O(N log N)."""
+    table = [values]  # table[j][i] = min(values[i .. i + 2**j - 1])
+    while 1 << len(table) <= len(values):
+        prev, half = table[-1], 1 << (len(table) - 1)
+        table.append(list(map(min, prev, prev[half:])))
+
+    def query(lo: int, hi: int) -> int:
+        j = (hi - lo + 1).bit_length() - 1
+        return min(table[j][lo], table[j][hi - (1 << j) + 1])
+
+    return query
+
+
+def _strip_violation(t: Tableau, a: int, d: int) -> Diagnostic:
+    """The first two values strictly between a and d that share a column."""
+    col_of = {v: c for c, col in enumerate(t.columns, start=1) for v in col}
+    seen: dict[int, int] = {}
+    for v in range(a + 1, d):
+        c = col_of[v]
+        if c in seen:
+            return Diagnostic(
+                False,
+                f"strip violation {a} < {seen[c]} < {v} < {d}: "
+                f"{seen[c]} and {v} share column {c}",
+            )
+        seen[c] = v
+    raise TableauError("no two values share a column")  # pragma: no cover - least() found two
 
 
 def from_top_row(top, k) -> Tableau:

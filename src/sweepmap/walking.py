@@ -23,6 +23,7 @@ from .paths import (
     StepSequence,
     SWWord,
     _tilt,
+    _unchecked,
     skeleton,
     validate,
 )
@@ -120,7 +121,8 @@ def walk(t: Tableau, r: RankTableau) -> SweepPermutation:
         out.append(cur)
     if len(out) != size:
         raise WalkError(f"walk stopped after {len(out)} of {size} writes")
-    return SweepPermutation(tuple(out), "plain")
+    # every write is an int entry of the tableau, so sigma needs no re-check
+    return _unchecked(SweepPermutation, sigma=tuple(out), variant="plain")
 
 
 def walk_plus(tp: TableauPlus) -> SweepPermutation:
@@ -181,7 +183,8 @@ def _walk_tilted(cols, bottoms, size: int, sign: int) -> SweepPermutation:
     expected = size if sign > 0 else size - 1  # the minus walk skips one entry
     if len(out) != expected:
         raise WalkError(f"walk wrote {len(out)} of the expected {expected} entries")
-    return SweepPermutation(tuple(out), "plus" if sign > 0 else "minus")
+    variant = "plus" if sign > 0 else "minus"
+    return _unchecked(SweepPermutation, sigma=tuple(out), variant=variant)
 
 
 @dataclass(frozen=True)
@@ -323,7 +326,8 @@ def sigma_to_preimage(
     for v, rise in zip(t.top_row, _tilt(k, family.scale, tilt)):
         if 0 < v <= expected_len:
             step_at[v] = rise
-    out = StepSequence(tuple(map(step_at.__getitem__, sigma.sigma)))
+    # the drop and the tilted rises are nonzero ints, so no entry needs a re-check
+    out = _unchecked(StepSequence, steps=tuple(map(step_at.__getitem__, sigma.sigma)))
     d = validate(out, family, permute_k=True)
     if not d:
         raise WalkError(f"reconstruction is not a valid family member: {d}")

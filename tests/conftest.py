@@ -27,6 +27,21 @@ def family_grid(max_n, max_k):
     return fams
 
 
+def fillings(k, increasing=True):
+    """Every way to place 1..n+|k| into columns of heights k_i+1: increasing
+    down each column, or in any order."""
+    def place(rest, i):
+        if i == len(k):
+            yield ()
+            return
+        pick = itertools.combinations if increasing else itertools.permutations
+        for col in pick(rest, k[i] + 1):
+            left = [v for v in rest if v not in col]
+            for tail in place(left, i + 1):
+                yield (col,) + tail
+    yield from place(list(range(1, len(k) + sum(k) + 1)), 0)
+
+
 def skeleton_of(path, family):
     """The plain path a family member unscales to (identity for the k kind)."""
     if family.kind == "kplus":

@@ -226,9 +226,9 @@ class TestVerify:
             assert code == 0 and json.loads(out)["bijection"] is True
 
     def test_deterministic_output(self, capsys):
-        _, first, _ = run(capsys, "verify", "--family", "k", "--k", "2,1")
-        _, second, _ = run(capsys, "verify", "--family", "k", "--k", "2,1")
-        assert first == second
+        _, first, _ = run(capsys, "verify", "--family", "k", "--k", "2,1", "--permute")
+        _, second, _ = run(capsys, "verify", "--family", "k", "--k", "2,1", "--permute")
+        assert first == second and json.loads(first)["count"] == 5
 
     def test_failure_exits_two(self, capsys, monkeypatch):
         import sweepmap.cli as cli
@@ -243,6 +243,60 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1,1")
         assert code == 2
         assert json.loads(out)["bijection"] is False
+
+
+    @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+    @pytest.mark.parametrize("k", ["2,1", "1,2", "1,1,2"])
+    def test_ordered_distinct_rises_need_permute(self, capsys, kind, k):
+        # the sweep reorders rises, so a fixed order of distinct k_i is not closed
+        code, out, err = run(capsys, "verify", "--family", kind, "--k", k)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--permute" in err
+        code, out, _ = run(capsys, "verify", "--family", kind, "--k", k, "--permute")
+        assert code == 0 and json.loads(out)["bijection"] is True
+
+    @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+    def test_equal_rises_verify_without_permute(self, capsys, kind):
+        code, out, _ = run(capsys, "verify", "--family", kind, "--k", "2,2")
+        assert code == 0 and json.loads(out)["bijection"] is True
+
+    def test_text_report(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--family", "kplus", "--k", "2,1", "--permute",
+            "--format", "text",
+        )
+        assert code == 0
+        assert out == "family: kplus k=2,1\ncount: 5\nbijection: yes\n"
+
+    def test_text_report_lists_the_counterexample(self, capsys, monkeypatch):
+        import sweepmap.cli as cli
+        from sweepmap import BijectionReport
+
+        def fake_certify(family, permute_k=True, max_n=5, max_k=4):
+            found = {"kind": "collision", "first": "1,-1", "second": "1,-1", "image": "1,-1"}
+            return BijectionReport(family, permute_k, 7, False, found)
+
+        monkeypatch.setattr(cli, "certify_bijection", fake_certify)
+        code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1", "--format", "text")
+        assert code == 2
+        assert out.splitlines() == [
+            "family: k k=1",
+            "count: 7",
+            "bijection: no",
+            "kind: collision",
+            "first: 1,-1",
+            "second: 1,-1",
+            "image: 1,-1",
+        ]
+
+    def test_json_report_is_unchanged(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1,1", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{\n  "family": {\n    "kind": "k",\n    "k": [\n      1,\n      1\n    ],\n'
+            '    "scale": 1\n  },\n  "count": 2,\n  "bijection": true,\n'
+            '  "counterexample": null\n}\n'
+        )
 
 
 class TestBatch:

@@ -1,13 +1,15 @@
 """Core data model: validation, ranks, family lifts, and text/JSON forms."""
 
 import random
-from itertools import combinations_with_replacement
+import re
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sweepmap import (
+    Diagnostic,
     FamilySpec,
     PathError,
     StepSequence,
@@ -27,6 +29,8 @@ from sweepmap import (
     to_plus,
     validate,
 )
+
+from conftest import uniform_member
 
 RUNNING_PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 RUNNING_RANKS = (0, 2, 1, 0, 4, 3, 8, 7, 6, 5, 4, 7, 6, 5, 4, 3, 2, 1)
@@ -83,6 +87,115 @@ class TestValidate:
     def test_length_mismatch(self):
         d = validate(StepSequence((1, -1)), FamilySpec.vector((1, 1)))
         assert not d and "expected 4 steps" in d.reason
+
+
+def _loop_dyck(steps):
+    """dyck_diagnostic as one loop over the steps (the reference)."""
+    h = 0
+    for j, a in enumerate(steps, start=1):
+        h += a
+        if h < 0:
+            return Diagnostic(False, f"prefix sum {h} is negative", j)
+    if h != 0:
+        return Diagnostic(False, f"total rise is {h}, not 0")
+    return Diagnostic(True)
+
+
+def _loop_validate(steps, family, permute_k=False):
+    """validate as one loop over the steps (the reference)."""
+    d = _loop_dyck(steps)
+    if not d:
+        return d
+    if len(steps) != family.size:
+        return Diagnostic(False, f"expected {family.size} steps, got {len(steps)}")
+    drop = family.down_drop
+    ups = []
+    for j, a in enumerate(steps, start=1):
+        if a < 0:
+            if -a != drop:
+                return Diagnostic(False, f"down step drops {-a}, expected {drop}", j)
+        else:
+            ups.append((j, a))
+    expected = family.up_rises
+    if len(ups) != len(expected):
+        return Diagnostic(False, f"expected {len(expected)} up steps, got {len(ups)}")
+    if permute_k:
+        if sorted(a for _, a in ups) != sorted(expected):
+            return Diagnostic(False, "up rises do not permute the family's rises")
+    else:
+        for (j, a), want in zip(ups, expected):
+            if a != want:
+                return Diagnostic(False, f"up rise {a}, expected {want}", j)
+    return Diagnostic(True)
+
+
+def _mutants(steps, rng):
+    """A member and mutants of it, each breaking one condition validate checks."""
+    s = list(steps)
+    d = -s[-1]  # the drop
+    ups = [j for j, a in enumerate(s) if a > 0]
+    j, u = rng.choice([j for j, a in enumerate(s) if a < 0]), rng.choice(ups)
+
+    def changed(*edits):
+        t = s[:]
+        for i, a in edits:
+            t[i] += a
+        return t
+
+    return {
+        "member": s,
+        "negative prefix": [s[j]] + s[:j] + s[j + 1:],
+        "nonzero total": s[:-1],
+        "wrong length": s + s,
+        # same total, no lower prefix sums: the first up takes what the edit removes
+        "wrong drop": changed((0, 1), (j, -1)),
+        "wrong rise": changed((0, d), (u, -d)) if s[u] > d and u else s,
+        "missing up": changed((0, s[u] + d), (u, -s[u] - d)) if u else s,
+    }
+
+
+@pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+def test_checks_match_the_loops_on_mutants(kind):
+    """validate, dyck_diagnostic and ranks give the loops' Diagnostic and
+    text, index included, on members and on mutants, with and without
+    permute_k, against the family and against a reordering of it."""
+    rng = random.Random(len(kind))
+    seen = set()
+    for trial in range(120):
+        n = rng.randint(1, 5) if trial % 10 else rng.randint(20, 60)
+        family = FamilySpec(kind, k=tuple(rng.randint(2, 4) for _ in range(n)))
+        path = uniform_member(family, rng)
+        families = (family, family.reordered(family.k[::-1]), FamilySpec.vector(family.k))
+        for name, steps in _mutants(path.steps, rng).items():
+            steps = StepSequence(tuple(steps))
+            assert dyck_diagnostic(steps) == _loop_dyck(steps), name
+            # one pass over a plain iterator must be enough
+            assert dyck_diagnostic(iter(steps.steps)) == _loop_dyck(steps), name
+            assert validate(iter(steps.steps), family) == _loop_validate(steps, family), name
+            for fam in families:
+                for permute_k in (False, True):
+                    got = validate(steps, fam, permute_k=permute_k)
+                    assert got == _loop_validate(steps, fam, permute_k), (name, fam, permute_k)
+                    seen.add(re.sub(r"-?\d+", "#", got.reason))
+            d = _loop_dyck(steps)
+            if d.ok or "total" in d.reason:
+                assert ranks(steps).ranks == tuple(accumulate(steps.steps[:-1], initial=0))
+                assert ranks(iter(steps.steps)) == ranks(steps)
+            else:
+                with pytest.raises(PathError) as err:
+                    ranks(steps)
+                assert str(err.value) == f"{d.reason} (index {d.index})"
+    # every branch of validate was reached
+    assert seen == {
+        "",
+        "prefix sum # is negative",
+        "total rise is #, not #",
+        "expected # steps, got #",
+        "down step drops #, expected #",
+        "expected # up steps, got #",
+        "up rises do not permute the family's rises",
+        "up rise #, expected #",
+    }
 
 
 class TestRanks:

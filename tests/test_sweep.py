@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,7 @@ from sweepmap import (
     sweep_order,
     validate,
 )
-from conftest import family_grid
+from conftest import family_grid, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -56,6 +57,56 @@ class TestGoldens:
     def test_rejects_invalid_path(self):
         with pytest.raises(PathError):
             sweep(StepSequence((1, -1, -1)))
+
+    @pytest.mark.parametrize("fn", [sweep, sweep_order])
+    @pytest.mark.parametrize(
+        "steps, text",
+        [
+            ((1, -1, -1), "prefix sum -1 is negative (index 3)"),
+            ((-2, 1, 1), "prefix sum -2 is negative (index 1)"),
+            ((2, -1, -2, 1), "prefix sum -1 is negative (index 3)"),
+            ((2, -1), "total rise is 1, not 0"),
+            ((3, -1, 2, -1), "total rise is 3, not 0"),
+        ],
+    )
+    def test_non_dyck_error_text(self, fn, steps, text):
+        with pytest.raises(PathError) as err:
+            fn(StepSequence(steps))
+        assert str(err.value) == text
+
+    def test_plain_tuples_go_through_the_constructor(self):
+        assert sweep(PREIMAGE).steps == IMAGE
+        with pytest.raises(PathError, match="zero rise at index 2"):
+            sweep((1, 0, -1))
+
+
+def _reference_order(steps):
+    """The sweep order as the definition states it: sort by (level, -position)."""
+    r = tuple(accumulate(steps.steps[:-1], initial=0))
+    return tuple(i + 1 for i in sorted(range(len(r)), key=lambda i: (r[i], -i)))
+
+
+@pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+@pytest.mark.parametrize("n, max_k, count", [(1, 3, 20), (3, 4, 60), (5, 2, 60), (300, 5, 3)])
+def test_order_matches_the_definition(kind, n, max_k, count):
+    """The levels-and-keyed-sort pass against the (level, -index) sort, on
+    uniform members: N <= 21 for the small rows; in the last, N is about
+    1,200 and the tilted kinds, scaled by n = 300, reach levels near 2*10**4."""
+    rng = random.Random(n * 1000 + max_k)
+    for _ in range(count):
+        k = tuple(rng.randint(1, max_k) for _ in range(n))
+        if kind == "kminus" and n * min(k) < 2:
+            continue
+        path = uniform_member(FamilySpec(kind, k=k), rng)
+        order = _reference_order(path)
+        assert sweep_order(path).order == order
+        assert sweep(path).steps == tuple(path.steps[i - 1] for i in order)
+
+
+@pytest.mark.parametrize("family", family_grid(3, 2), ids=str)
+def test_order_matches_the_definition_on_whole_families(family):
+    for path in enumerate_family(family, permute_k=True).paths:
+        assert sweep_order(path).order == _reference_order(path)
 
 
 def _image_rank_law(steps):

@@ -1,8 +1,13 @@
 """Filling words into tableaux and the structural conditions on them."""
 
+import itertools
+import random
+import time
+
 import pytest
 
 from sweepmap import (
+    Diagnostic,
     SWWord,
     Tableau,
     TableauError,
@@ -11,12 +16,14 @@ from sweepmap import (
     extend_plus,
     fill,
     from_top_row,
+    random_path,
     is_minus_admissible,
     sweep,
     tableau_to_word,
     validate_tableau,
 )
-from conftest import family_grid, skeleton_of
+from conftest import family_grid, fillings, skeleton_of
+from sweepmap.tableau import _top_bounds
 
 # tableau of the running example's image, sweep of (2,-1,-1,4,-1,5,...,3,...)
 RUN_COLUMNS = ((1, 3, 5, 7, 9), (2, 4, 6), (8, 11, 13, 15, 17, 18), (10, 12, 14, 16))
@@ -100,6 +107,89 @@ class TestValidateTableau:
                 for i, (ti, ki) in enumerate(zip(t.top_row, t.k), start=1):
                     assert ti <= prefix + i
                     prefix += ki
+
+    @pytest.mark.parametrize(
+        "k", [k for n in (1, 2, 3) for k in itertools.product((1, 2), repeat=n)], ids=str
+    )
+    def test_matches_the_quadratic_scan_on_every_filling(self, k):
+        # increasing columns are the fillings that reach the strip check; for
+        # n <= 2 every order inside the columns is tried as well
+        cases = list(fillings(k))
+        if len(k) <= 2:
+            cases += list(fillings(k, increasing=False))
+        for cols in cases:
+            t = Tableau(cols)
+            assert validate_tableau(t) == _quadratic_validate(t), cols
+
+    def test_matches_the_quadratic_scan_on_random_fillings(self):
+        # longer intervals than the exhaustive grid: random fillings with the
+        # columns ordered by their tops, and valid fills with two entries swapped
+        rng = random.Random(9)
+        for trial in range(1200):
+            k = [rng.randint(1, 6) for _ in range(rng.randint(2, 15))]
+            if trial % 2:
+                t = fill(SWWord.from_steps(sweep(random_path(k, rng))))
+                flat = [v for col in t.columns for v in col]
+                i, j = rng.sample(range(len(flat)), 2)
+                flat[i], flat[j] = flat[j], flat[i]
+            else:
+                flat = rng.sample(range(1, len(k) + sum(k) + 1), len(k) + sum(k))
+            it = iter(flat)
+            cols = sorted(tuple(sorted(next(it) for _ in range(ki + 1))) for ki in k)
+            t = Tableau(tuple(cols))
+            assert validate_tableau(t) == _quadratic_validate(t), cols
+
+    def test_strip_violation_late_in_a_long_interval(self):
+        # in (1, 8) the shared column is 6 and 7, at the far end of the interval
+        cols = ((1, 8, 16, 21, 25, 47), (2, 32, 34, 41, 42, 50), (3, 33, 44),
+                (4, 10, 23, 26, 43, 46), (5, 17, 30, 35), (6, 7), (9, 15, 20, 22, 39),
+                (11, 19, 24, 27, 37, 49), (12, 31, 40, 48, 51), (13, 29, 36, 38),
+                (14, 18, 28, 45))
+        d = validate_tableau(Tableau(cols))
+        assert d.reason == "strip violation 1 < 6 < 7 < 8: 6 and 7 share column 6"
+
+    def test_large_tableau_in_under_a_second(self):
+        rng = random.Random(4)
+        k = tuple(rng.randint(1, 10) for _ in range(3600))
+        t = fill(SWWord.from_steps(sweep(random_path(k, rng))))
+        assert t.size > 20_000
+        start = time.perf_counter()
+        assert validate_tableau(t)
+        assert time.perf_counter() - start < 1.0
+
+
+def _quadratic_validate(t):
+    """validate_tableau with the strip condition checked pair by pair (the reference)."""
+    n = len(t.columns)
+    size = t.size
+    entries = [v for col in t.columns for v in col]
+    if sorted(entries) != list(range(1, size + 1)):
+        return Diagnostic(False, f"entries do not form 1..{size}")
+    for i, col in enumerate(t.columns, start=1):
+        for a, b in zip(col, col[1:]):
+            if a >= b:
+                return Diagnostic(False, f"column {i} is not strictly increasing", i)
+    top = t.top_row
+    for i in range(1, n):
+        if top[i - 1] >= top[i]:
+            return Diagnostic(False, "top row is not strictly increasing", i + 1)
+    for i, (ti, bound) in enumerate(zip(top, _top_bounds(t.k)), start=1):
+        if ti > bound:
+            return Diagnostic(False, f"top entry {ti} exceeds its bound {bound}", i)
+    col_of = {v: c for c, col in enumerate(t.columns, start=1) for v in col}
+    for col in t.columns:
+        for a, d in zip(col, col[1:]):
+            seen = {}
+            for v in range(a + 1, d):
+                c = col_of[v]
+                if c in seen:
+                    return Diagnostic(
+                        False,
+                        f"strip violation {a} < {seen[c]} < {v} < {d}: "
+                        f"{seen[c]} and {v} share column {c}",
+                    )
+                seen[c] = v
+    return Diagnostic(True)
 
 
 class TestFromTopRow:
