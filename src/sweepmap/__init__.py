@@ -20,7 +20,6 @@ from .paths import (
     Diagnostic,
     FamilySpec,
     PathError,
-    RankSequence,
     StepSequence,
     SWWord,
     dyck_diagnostic,
@@ -36,9 +35,9 @@ from .paths import (
     to_plus,
     validate,
 )
-from .ranking import RankCounts, RankTableau, rank_counts, rank_tableau
+from .ranking import RankTableau, rank_tableau
 from .render import path_ascii, path_svg, rank_ascii, tableau_ascii, tableau_svg
-from .sweep import SweepOrder, sweep, sweep_order
+from .sweep import sweep, sweep_order
 from .tableau import (
     Tableau,
     TableauError,
@@ -51,14 +50,11 @@ from .tableau import (
     validate_tableau,
 )
 from .walking import (
-    RankDigraph,
     SweepPermutation,
     WalkError,
-    build_rank_digraph,
     invert,
     sigma_to_preimage,
     walk,
-    walk_graph,
     walk_minus,
     walk_plus,
 )
@@ -72,20 +68,15 @@ __all__ = [
     "FamilySpec",
     "OracleError",
     "PathError",
-    "RankCounts",
-    "RankDigraph",
-    "RankSequence",
     "RankTableau",
     "StepSequence",
     "SWWord",
-    "SweepOrder",
     "SweepPermutation",
     "Tableau",
     "TableauError",
     "TableauPlus",
     "WalkError",
     "brute_invert",
-    "build_rank_digraph",
     "certify_bijection",
     "dyck_diagnostic",
     "emit_steps",
@@ -104,7 +95,6 @@ __all__ = [
     "path_svg",
     "path_to_json",
     "rank_ascii",
-    "rank_counts",
     "rank_tableau",
     "random_path",
     "ranks",
@@ -119,7 +109,6 @@ __all__ = [
     "validate",
     "validate_tableau",
     "walk",
-    "walk_graph",
     "walk_minus",
     "walk_plus",
 ]

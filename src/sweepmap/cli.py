@@ -38,7 +38,7 @@ from .ranking import rank_tableau
 from .render import path_ascii, path_svg, rank_ascii, tableau_ascii, tableau_svg
 from .sweep import sweep
 from .tableau import Tableau, TableauError, fill
-from .walking import VARIANTS, WalkError, invert, run_walk, variant_for
+from .walking import WalkError, invert, run_walk, variant_for
 
 _ERRORS = (PathError, TableauError, WalkError, OracleError)
 # unreadable input: no such file, bytes not UTF-8, bad JSON, JSON nested too deep
@@ -71,8 +71,9 @@ def _rank(args, steps, family):
 
 
 def _walk(args, steps, family):
-    variant = variant_for(family.kind if family else KIND_K, args.variant)
-    return run_walk(_fill(args, steps, family), variant)
+    kind = family.kind if family else KIND_K
+    variant_for(kind)  # a rational family has no walk: say so before its fill fails
+    return run_walk(_fill(args, steps, family), kind)
 
 
 def _view_path(steps, family, fmt: str):
@@ -122,8 +123,7 @@ _TABLE = {
     "fill": _Command("fill a path's word into its tableau", False, _PICTURES, _fill,
                      _view_fill),
     "rank": _Command("rank the tableau of a path", False, _PICTURES, _rank, _view_rank),
-    "walk": _Command("walk the ranked tableau of a path", False, _TEXT, _walk, _view_walk,
-                     options=(("--variant", {"choices": VARIANTS}),)),
+    "walk": _Command("walk the ranked tableau of a path", False, _TEXT, _walk, _view_walk),
     "enumerate": _Command("list every path of a family", True, _TEXT, reads_path=False,
                           options=_BOUNDS),
     "verify": _Command("certify the sweep bijection on a family", True, _TEXT,

@@ -1,4 +1,4 @@
-"""Path data model: step sequences, SW-words, rank sequences, and families.
+"""Path data model: step sequences, SW-words, and families.
 
 A generalized Dyck path is stored as the sequence of its signed rises:
 positive entries are up steps, negative entries are down steps, every prefix
@@ -93,22 +93,6 @@ def _unchecked(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
-
-
-@dataclass(frozen=True)
-class RankSequence:
-    """The starting level of every step of a path."""
-
-    ranks: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-    def __iter__(self):
-        return iter(self.ranks)
-
-    def __getitem__(self, i):
-        return self.ranks[i]
 
 
 @dataclass(frozen=True)
@@ -383,12 +367,12 @@ def validate(steps: StepSequence, family: FamilySpec, permute_k: bool = False) -
     return VALID
 
 
-def ranks(steps: StepSequence) -> RankSequence:
+def ranks(steps: StepSequence) -> tuple[int, ...]:
     """Starting level of each step (the partial sums of the rises)."""
     levels, d = _levels(steps)
     if d.index is not None:  # a negative prefix sum; the total may be nonzero
         raise PathError(str(d))
-    return RankSequence(tuple(levels[:-1]))
+    return tuple(levels[:-1])
 
 
 def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
@@ -427,9 +411,10 @@ def _unlift(steps: StepSequence, kind: str) -> StepSequence:
 
 
 def _require_single_zero(plain: StepSequence) -> None:
-    zeros = [j for j, r in enumerate(ranks(plain), start=1) if r == 0]
-    if len(zeros) > 1:
-        raise PathError(f"rank 0 reappears at index {zeros[1]}; need a single zero rank")
+    starts = _levels(plain)[0][:-1]  # the starting level of every step; the first is 0
+    if starts.count(0) > 1:
+        j = starts.index(0, 1) + 1
+        raise PathError(f"rank 0 reappears at index {j}; need a single zero rank")
 
 
 def to_plus(steps: StepSequence, k) -> StepSequence:

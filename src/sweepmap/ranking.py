@@ -87,37 +87,3 @@ def rank_tableau(t: Tableau) -> RankTableau:
         cols.append(col_ranks)
     # size distinct entries in 1..size: every index is ranked
     return RankTableau(tuple(cols), tuple(by_index))  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True)
-class RankCounts:
-    """How often a rank appears in a tableau, split by box position."""
-
-    total: int
-    top: int           # boxes in the first row
-    below_top: int     # boxes below the first row
-    bottom: int        # boxes in the last row of their column
-    above_bottom: int  # boxes above the last row
-
-    @classmethod
-    def zero(cls) -> "RankCounts":
-        return cls(0, 0, 0, 0, 0)
-
-
-def rank_counts(r: RankTableau) -> dict[int, RankCounts]:
-    """Per-rank occurrence counts, keyed by rank value."""
-    acc: dict[int, list[int]] = {}
-    for col in r.columns:
-        last = len(col) - 1
-        for row, rv in enumerate(col):
-            c = acc.setdefault(rv, [0, 0, 0, 0, 0])
-            c[0] += 1
-            if row == 0:
-                c[1] += 1
-            else:
-                c[2] += 1
-            if row == last:
-                c[3] += 1
-            else:
-                c[4] += 1
-    return {rv: RankCounts(*vals) for rv, vals in sorted(acc.items())}

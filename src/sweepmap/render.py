@@ -8,15 +8,15 @@ coordinates integral so output is byte-stable.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .paths import StepSequence
 from .ranking import RankTableau
 from .tableau import Tableau
 
 
 def path_ascii(steps: StepSequence) -> str:
-    heights = [0]
-    for a in steps:
-        heights.append(heights[-1] + a)
+    heights = list(accumulate(steps, initial=0))
     top = max(heights)
     width = len(steps)
     grid = [[" "] * width for _ in range(max(top, 1))]
@@ -33,9 +33,7 @@ def path_ascii(steps: StepSequence) -> str:
 
 
 def path_svg(steps: StepSequence, unit: int = 20, pad: int = 10) -> str:
-    heights = [0]
-    for a in steps:
-        heights.append(heights[-1] + a)
+    heights = list(accumulate(steps, initial=0))
     top = max(heights)
     width = len(steps) * unit + 2 * pad
     height = max(top, 1) * unit + 2 * pad
@@ -55,59 +53,46 @@ def path_svg(steps: StepSequence, unit: int = 20, pad: int = 10) -> str:
     return "\n".join(lines)
 
 
-def tableau_ascii(t: Tableau, ranks: RankTableau | None = None) -> str:
-    cols = t.columns
-    cells = [
-        [
-            str(v) if ranks is None else f"{v}:{ranks.columns[c][row]}"
-            for row, v in enumerate(col)
-        ]
-        for c, col in enumerate(cols)
+def _labels(t: Tableau, ranks: RankTableau | None) -> list[list[str]]:
+    """Each box's label, column by column: its entry, or entry:rank with ranks."""
+    return [
+        [str(v) if ranks is None else f"{v}:{ranks.columns[c][row]}" for row, v in enumerate(col)]
+        for c, col in enumerate(t.columns)
     ]
-    widths = [max(len(s) for s in col) for col in cells]
-    depth = max(len(col) for col in cols)
+
+
+def _grid(cells: list[list[str]]) -> str:
+    """Columns of labels hung from the top row, right-aligned, two spaces apart."""
+    widths = [max(map(len, col)) for col in cells]
     rows = []
-    for row in range(depth):
-        parts = []
-        for c, col in enumerate(cells):
-            parts.append(
-                col[row].rjust(widths[c]) if row < len(col) else " " * widths[c]
-            )
-        rows.append("  ".join(parts).rstrip())
+    for row in range(max(map(len, cells))):
+        parts = [col[row] if row < len(col) else "" for col in cells]
+        rows.append("  ".join(map(str.rjust, parts, widths)).rstrip())
     return "\n".join(rows)
+
+
+def tableau_ascii(t: Tableau, ranks: RankTableau | None = None) -> str:
+    return _grid(_labels(t, ranks))
 
 
 def rank_ascii(r: RankTableau) -> str:
-    cells = [[str(v) for v in col] for col in r.columns]
-    widths = [max(len(s) for s in col) for col in cells]
-    depth = max(len(col) for col in r.columns)
-    rows = []
-    for row in range(depth):
-        parts = []
-        for c, col in enumerate(cells):
-            parts.append(
-                col[row].rjust(widths[c]) if row < len(col) else " " * widths[c]
-            )
-        rows.append("  ".join(parts).rstrip())
-    return "\n".join(rows)
+    return _grid([list(map(str, col)) for col in r.columns])
 
 
 def tableau_svg(
     t: Tableau, ranks: RankTableau | None = None, cell: int = 34, pad: int = 10
 ) -> str:
-    cols = t.columns
-    depth = max(len(col) for col in cols)
-    width = len(cols) * cell + 2 * pad
-    height = depth * cell + 2 * pad
+    labels = _labels(t, ranks)
+    width = len(labels) * cell + 2 * pad
+    height = max(map(len, labels)) * cell + 2 * pad
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    for c, col in enumerate(cols):
+    for c, col in enumerate(labels):
         x = pad + c * cell
-        for row, v in enumerate(col):
+        for row, label in enumerate(col):
             y = pad + row * cell
-            label = str(v) if ranks is None else f"{v}:{ranks.columns[c][row]}"
             parts.append(
                 f'  <rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                 'fill="none" stroke="#000"/>'

@@ -13,25 +13,7 @@ whose levels are scaled by n, cost the same per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .paths import PathError, StepSequence, _levels, _unchecked
-
-
-@dataclass(frozen=True)
-class SweepOrder:
-    """A permutation of step positions (1-based) in sweep order."""
-
-    order: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self):
-        return iter(self.order)
-
-    def __getitem__(self, i):
-        return self.order[i]
 
 
 def _order(s: tuple[int, ...]) -> list[int]:
@@ -42,9 +24,9 @@ def _order(s: tuple[int, ...]) -> list[int]:
     return sorted(range(len(s) - 1, -1, -1), key=levels.__getitem__)
 
 
-def sweep_order(steps: StepSequence) -> SweepOrder:
-    """Positions sorted by starting level, later positions first within a level."""
-    return SweepOrder(tuple([i + 1 for i in _order(tuple(steps))]))
+def sweep_order(steps: StepSequence) -> tuple[int, ...]:
+    """1-based positions sorted by starting level, later positions first within a level."""
+    return tuple([i + 1 for i in _order(tuple(steps))])
 
 
 def sweep(steps: StepSequence) -> StepSequence:

@@ -113,14 +113,6 @@ class TableauPlus:
         return sum(len(col) for col in self.columns)
 
     @property
-    def extended_column(self) -> int:
-        """1-based index of the column holding the extra entry."""
-        for i, (col, ki) in enumerate(zip(self.columns, self.k), start=1):
-            if len(col) == ki + 2:
-                return i
-        raise TableauError("no extended column")  # pragma: no cover
-
-    @property
     def top_row(self) -> tuple[int, ...]:
         return tuple(col[0] for col in self.columns)
 
@@ -128,13 +120,6 @@ class TableauPlus:
     def bottom_row(self) -> tuple[int, ...]:
         """The designated bottoms: entry k_i+1 of each column."""
         return tuple(col[ki] for col, ki in zip(self.columns, self.k))
-
-    def base(self) -> Tableau:
-        """The tableau with the extra entry removed."""
-        cols = tuple(
-            col[: ki + 1] for col, ki in zip(self.columns, self.k)
-        )
-        return Tableau(cols)
 
 
 def fill(word: SWWord) -> Tableau:
@@ -173,10 +158,11 @@ def fill(word: SWWord) -> Tableau:
 
 
 def validate_tableau(t: Tableau) -> Diagnostic:
-    """Check the partition, column, top-row, bound, and strip conditions.
+    """Check the partition, column, top-row, and strip conditions.
 
     The strip condition: whenever d sits directly below a in some column,
-    no two of the values strictly between a and d may share a column.
+    no two of the values strictly between a and d may share a column.  The
+    bound t_i <= k_1+...+k_{i-1}+i on the top row follows from the first three.
     """
     n = len(t.columns)
     size = t.size
@@ -191,9 +177,7 @@ def validate_tableau(t: Tableau) -> Diagnostic:
     for i in range(1, n):
         if top[i - 1] >= top[i]:
             return Diagnostic(False, "top row is not strictly increasing", i + 1)
-    for i, (ti, bound) in enumerate(zip(top, _top_bounds(t.k)), start=1):
-        if ti > bound:
-            return Diagnostic(False, f"top entry {ti} exceeds its bound {bound}", i)
+    # no bound check: every value below t_i lies in columns 1..i-1, so t_i <= k_1+...+k_{i-1}+i
     # two values strictly between a and d share a column exactly when one of
     # them has the entry below it in there too: min(below[a+1..d-1]) < d
     below = [size + 1] * (size + 1)  # below[u]: the entry under u, size+1 under a bottom

@@ -3,8 +3,8 @@
 Each walk visits the tableau and writes a sequence of indices.  Spelling
 the family's letters along that sequence -- an S letter on every top-row
 index, a W on every other index -- gives the SW-word of the unique preimage
-of the filled path under the sweep map.  All three walks, and the digraph
-restatement of the plain one, run in time linear in the number of entries.
+of the filled path under the sweep map.  Each family kind has one walk, and
+all three run in time linear in the number of entries.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .paths import (
 from .ranking import RankTableau, rank_tableau
 from .tableau import Tableau, TableauPlus, extend_plus, fill, is_minus_admissible
 
-VARIANTS = ("plain", "plus", "minus", "graph")
+# the walk each k-vector kind runs, by the variant name its output carries
+_WALK_OF = {KIND_K: "plain", KIND_KPLUS: "plus", KIND_KMINUS: "minus"}
 
 
 class WalkError(ValueError):
@@ -45,7 +46,7 @@ class SweepPermutation:
     variant: str
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        if self.variant not in _WALK_OF.values():
             raise WalkError(f"unknown walk variant {self.variant!r}")
         object.__setattr__(self, "sigma", tuple(map(int, self.sigma)))
 
@@ -187,117 +188,18 @@ def _walk_tilted(cols, bottoms, size: int, sign: int) -> SweepPermutation:
     return _unchecked(SweepPermutation, sigma=tuple(out), variant=variant)
 
 
-@dataclass(frozen=True)
-class RankDigraph:
-    """One edge per tableau index, between ranks.
-
-    A top-row index of rank a in a column of rise k contributes the edge
-    a -> a+k; every other index of rank b contributes b -> b-1.  Vertex r
-    owns the ascending list indices_by_rank[r] of indices at rank r.
-    """
-
-    edge_target: tuple[int, ...]  # edge_target[i-1] = target rank of index i
-    rank_of: tuple[int, ...]
-    indices_by_rank: tuple[tuple[int, ...], ...]
-    top_indices: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.edge_target)
-
-    def balance(self) -> dict[int, tuple[int, int, int]]:
-        """Per-vertex (in-degree, out-degree, #indices at the rank)."""
-        n_ranks = len(self.indices_by_rank)
-        indeg = [0] * n_ranks
-        outdeg = [0] * n_ranks
-        for v, tgt in enumerate(self.edge_target, start=1):
-            outdeg[self.rank_of[v - 1]] += 1
-            indeg[tgt] += 1
-        return {
-            r: (indeg[r], outdeg[r], len(self.indices_by_rank[r]))
-            for r in range(n_ranks)
-        }
-
-    @property
-    def is_balanced(self) -> bool:
-        return all(i == o == s for i, o, s in self.balance().values())
-
-
-def build_rank_digraph(t: Tableau, r: RankTableau) -> RankDigraph:
-    """The rank digraph of a ranked tableau."""
-    by_index = r.by_index
-    size = t.size
-    if len(by_index) != size:
-        raise WalkError("rank tableau does not match the tableau's shape")
-    top_of = dict(zip(t.top_row, t.k))
-    max_rank = max(by_index)
-    targets = []
-    for v in range(1, size + 1):
-        rv = by_index[v - 1]
-        if v in top_of:
-            tgt = rv + top_of[v]
-        else:
-            tgt = rv - 1
-        if tgt < 0 or tgt > max_rank:
-            raise WalkError(f"edge of index {v} leaves the rank range")
-        targets.append(tgt)
-    by_rank: list[list[int]] = [[] for _ in range(max_rank + 1)]
-    for v, rv in enumerate(by_index, start=1):
-        by_rank[rv].append(v)
-    return RankDigraph(
-        tuple(targets),
-        tuple(by_index),
-        tuple(tuple(s) for s in by_rank),
-        frozenset(top_of),
-    )
-
-
-def walk_graph(g: RankDigraph) -> SweepPermutation:
-    """The plain walk restated on the rank digraph.
-
-    Mark the largest index at rank 0, then repeatedly follow the edge of
-    the just-marked index and mark the largest unmarked index at the target
-    rank, stopping when that rank is exhausted.
-    """
-    stacks = [list(s) for s in g.indices_by_rank]
-    if not stacks or not stacks[0]:
-        raise WalkError("no rank-0 index to start from")
-    out = [stacks[0].pop()]
-    while True:
-        tgt = g.edge_target[out[-1] - 1]
-        bucket = stacks[tgt]
-        if not bucket:
-            break
-        out.append(bucket.pop())
-    if len(out) != g.size:
-        raise WalkError(f"walk stopped after {len(out)} of {g.size} writes")
-    return SweepPermutation(tuple(out), "graph")
-
-
-# walk variants per k-vector kind; the first is the one invert runs
-_KIND_VARIANTS = {
-    KIND_K: ("plain", "graph"),
-    KIND_KPLUS: ("plus",),
-    KIND_KMINUS: ("minus",),
-}
-
-
-def variant_for(kind: str, variant: str | None = None) -> str:
-    """The walk variant to run for a kind: the given one, checked, or the default."""
-    variants = _KIND_VARIANTS.get(kind)
-    if variants is None:
+def variant_for(kind: str) -> str:
+    """The name of the one walk a family kind runs."""
+    if kind not in _WALK_OF:
         raise PathError("rational paths have no walk")
-    if variant is not None and variant not in variants:
-        raise WalkError(f"variant {variant!r} does not fit family kind {kind!r}")
-    return variant or variants[0]
+    return _WALK_OF[kind]
 
 
-def run_walk(t: Tableau, variant: str) -> SweepPermutation:
-    """Run a walk, as picked by variant_for, on the tableau of a path's skeleton."""
+def run_walk(t: Tableau, kind: str) -> SweepPermutation:
+    """The walk of a family kind, run on the tableau of a path's skeleton."""
+    variant = variant_for(kind)
     if variant == "plain":
         return walk(t, rank_tableau(t))
-    if variant == "graph":
-        return walk_graph(build_rank_digraph(t, rank_tableau(t)))
     if variant == "plus":
         return walk_plus(extend_plus(t))
     return walk_minus(t)
@@ -312,7 +214,8 @@ def sigma_to_preimage(
     when sigma[j] is the top index t_i, and a W letter otherwise.  The
     result is validated against the permutation-closed family.
     """
-    variant_for(family.kind, sigma.variant)
+    if variant_for(family.kind) != sigma.variant:
+        raise WalkError(f"variant {sigma.variant!r} does not fit family kind {family.kind!r}")
     k, tilt = t.k, family.tilt
     if sorted(k) != sorted(family.k):
         raise WalkError("tableau heights do not permute the family's rise vector")
@@ -349,5 +252,5 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     if not d:
         raise PathError(f"not a member of the family: {d}")
     t = fill(SWWord.from_steps(skeleton(steps, family)))
-    sigma = run_walk(t, variant_for(family.kind))
+    sigma = run_walk(t, family.kind)
     return sigma_to_preimage(sigma, t, family)

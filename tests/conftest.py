@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import itertools
+from collections import Counter, defaultdict
 
 from sweepmap import FamilySpec, StepSequence, from_minus, from_plus, to_minus, to_plus
 
@@ -40,6 +41,29 @@ def fillings(k, increasing=True):
             for tail in place(left, i + 1):
                 yield (col,) + tail
     yield from place(list(range(1, len(k) + sum(k) + 1)), 0)
+
+
+def digraph_walk(t, r):
+    """The plain walk restated on the rank digraph: its sigma, and whether
+    every vertex is balanced (in-degree = out-degree = #indices of the rank).
+
+    Index v of rank a topping a column of rise k gives the edge a -> a+k;
+    every other index of rank b gives b -> b-1.  Write the largest index of
+    rank 0, then, while the rank the last write's edge enters has unwritten
+    indices, write the largest of them.
+    """
+    rank = (None, *r.by_index)  # rank[v] of index v
+    target = [None] + [b - 1 for b in r.by_index]
+    for v, k in zip(t.top_row, t.k):
+        target[v] = rank[v] + k
+    stacks = defaultdict(list)  # one edge leaves each index: out-degree = #indices
+    for v in range(1, len(rank)):
+        stacks[rank[v]].append(v)
+    balanced = Counter(target[1:]) == Counter(rank[1:])
+    sigma = [stacks[0].pop()]
+    while stacks[target[sigma[-1]]]:
+        sigma.append(stacks[target[sigma[-1]]].pop())
+    return tuple(sigma), balanced
 
 
 def skeleton_of(path, family):

@@ -155,11 +155,6 @@ class TestWalk:
         assert code == 0
         assert out.strip() == "2,6,4,1,11,8,18,17,15,13,10,16,14,12,9,7,5,3"
 
-    def test_graph_matches_plain(self, capsys):
-        _, plain, _ = run(capsys, "walk", "--steps", IMAGE)
-        _, graph, _ = run(capsys, "walk", "--steps", IMAGE, "--variant", "graph")
-        assert plain == graph
-
     def test_json_carries_the_variant(self, capsys):
         code, out, _ = run(
             capsys, "walk", "--steps", "1,-1", "--format", "json"
@@ -172,13 +167,6 @@ class TestWalk:
             capsys, "walk", "--steps", "3,-2,3,-2,-2", "--family", "kplus"
         )
         assert code == 0 and len(out.strip().split(",")) == 5
-
-    def test_variant_must_fit(self, capsys):
-        code, _, err = run(
-            capsys, "walk", "--steps", "3,-2,3,-2,-2", "--family", "kplus",
-            "--variant", "plain",
-        )
-        assert code == 1 and "does not fit" in err
 
 
 class TestEnumerate:
@@ -483,7 +471,6 @@ CLI_SURFACE = [
         "walk",
         INPUT_OPTIONS
         + family_options(False)
-        + [(("--variant",), "variant", ("plain", "plus", "minus", "graph"), None, False)]
         + output_options(TEXT, "text"),
     ),
     ("enumerate", family_options(True) + BOUND_OPTIONS + output_options(TEXT, "text")),

@@ -1,0 +1,48 @@
+"""What a user sees first: the public names and the README's examples."""
+
+import io
+import re
+import shlex
+from pathlib import Path
+
+import sweepmap
+from sweepmap.cli import main
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+PUBLIC_NAMES = [
+    "BijectionReport", "Diagnostic", "FamilyEnumeration", "FamilySpec", "OracleError",
+    "PathError", "RankTableau", "StepSequence", "SWWord", "SweepPermutation", "Tableau",
+    "TableauError", "TableauPlus", "WalkError", "brute_invert", "certify_bijection",
+    "dyck_diagnostic", "emit_steps", "enumerate_family", "extend_plus", "fill", "from_minus",
+    "from_plus", "from_top_row", "infer_family", "invert", "is_minus_admissible",
+    "parse_steps", "path_ascii", "path_from_json", "path_svg", "path_to_json", "rank_ascii",
+    "rank_tableau", "random_path", "ranks", "sigma_to_preimage", "sweep", "sweep_order",
+    "tableau_ascii", "tableau_svg", "tableau_to_word", "to_minus", "to_plus", "validate",
+    "validate_tableau", "walk", "walk_minus", "walk_plus",
+]
+
+
+def test_public_api_is_pinned():
+    assert sweepmap.__all__ == PUBLIC_NAMES
+    assert all(hasattr(sweepmap, name) for name in PUBLIC_NAMES)
+
+
+def _block(section, lang):
+    """The first fenced block of the given language in a README section."""
+    body = README.split(f"\n## {section}\n")[1].split("\n## ")[0]
+    return re.search(rf"```{lang}\n(.*?)```", body, re.S).group(1)
+
+
+def test_readme_library_snippet_runs():
+    exec(_block("Library", "python"), {})
+
+
+def test_readme_command_lines_exit_zero(capsys, monkeypatch):
+    # backslash continuations joined; an `echo "..." |` prefix becomes stdin
+    text = _block("Command line", "sh").replace("\\\n", " ")
+    commands = re.findall(r'^(?:echo "([^"]*)" \| )?sweepmap (.+)$', text, re.M)
+    assert len(commands) == text.count("sweepmap ") > 0
+    for stdin, args in commands:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin + "\n" if stdin else ""))
+        assert main(shlex.split(args)) == 0, (args, capsys.readouterr().err)

@@ -1,5 +1,9 @@
 """ASCII and SVG renderings."""
 
+from pathlib import Path
+
+import pytest
+
 from sweepmap import (
     StepSequence,
     Tableau,
@@ -12,6 +16,30 @@ from sweepmap import (
 )
 
 RUN_COLUMNS = ((1, 3, 5, 7, 9), (2, 4, 6), (8, 11, 13, 15, 17, 18), (10, 12, 14, 16))
+RUN_PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _running_example():
+    t = Tableau(RUN_COLUMNS)
+    r = rank_tableau(t)
+    path = StepSequence(RUN_PREIMAGE)
+    return {
+        "path.txt": path_ascii(path),
+        "path.svg": path_svg(path),
+        "tableau.txt": tableau_ascii(t),
+        "tableau_ranks.txt": tableau_ascii(t, r),
+        "rank.txt": rank_ascii(r),
+        "tableau.svg": tableau_svg(t),
+        "tableau_ranks.svg": tableau_svg(t, r),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_running_example()))
+def test_running_example_bytes_are_golden(name):
+    # each file holds a renderer's exact output on the running example, plus a newline
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    assert _running_example()[name] + "\n" == want
 
 
 class TestPathAscii:

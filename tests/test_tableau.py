@@ -219,10 +219,9 @@ class TestFromTopRow:
 class TestExtendPlus:
     def test_running_example(self):
         tp = extend_plus(run_tableau())
-        assert tp.extended_column == 3
-        assert tp.columns[2] == (8, 11, 13, 15, 17, 18, 19)
+        cols = run_tableau().columns
+        assert tp.columns == (*cols[:2], cols[2] + (19,), cols[3])
         assert tp.bottom_row == (9, 6, 18, 16)
-        assert tp.base() == run_tableau()
 
     def test_requires_trailing_entry(self):
         # only a malformed (non-increasing) column can hide the largest entry

@@ -1,4 +1,4 @@
-"""The three inversion walks, the digraph restatement, and invert itself."""
+"""The three inversion walks, checked against the digraph restatement, and invert itself."""
 
 import random
 from collections import Counter
@@ -16,7 +16,6 @@ from sweepmap import (
     Tableau,
     TableauPlus,
     WalkError,
-    build_rank_digraph,
     enumerate_family,
     extend_plus,
     fill,
@@ -29,12 +28,11 @@ from sweepmap import (
     to_minus,
     to_plus,
     walk,
-    walk_graph,
     walk_minus,
     walk_plus,
 )
 from sweepmap.walking import run_walk
-from conftest import family_grid, skeleton_of, uniform_member
+from conftest import digraph_walk, family_grid, skeleton_of, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -168,8 +166,7 @@ class TestWalkGraph:
     def test_matches_plain_walk(self):
         t = run_tableau()
         r = rank_tableau(t)
-        g = build_rank_digraph(t, r)
-        assert walk_graph(g).sigma == walk(t, r).sigma
+        assert digraph_walk(t, r) == (walk(t, r).sigma, True)
 
     def test_balanced_on_fills(self):
         for family in family_grid(3, 3):
@@ -178,17 +175,12 @@ class TestWalkGraph:
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(sweep(path)))
                 r = rank_tableau(t)
-                g = build_rank_digraph(t, r)
-                assert g.is_balanced
-                assert walk_graph(g).sigma == walk(t, r).sigma
+                assert digraph_walk(t, r) == (walk(t, r).sigma, True)
 
-    def test_edges(self):
+    def test_flags_an_unbalanced_ranking(self):
+        # entry 4 ranked 2, not 1: three edges enter rank 1, which holds one index
         t = Tableau(((1, 3), (2, 4)))
-        g = build_rank_digraph(t, rank_tableau(t))
-        # tops 1, 2 at rank 0 rise to 1; entries 3, 4 at rank 1 fall to 0
-        assert g.edge_target == (1, 1, 0, 0)
-        assert g.indices_by_rank == ((1, 2), (3, 4))
-        assert g.top_indices == frozenset({1, 2})
+        assert digraph_walk(t, RankTableau(((0, 1), (0, 2)), (0, 0, 1, 2)))[1] is False
 
 
 class TestSigmaToPreimage:
@@ -321,8 +313,8 @@ def test_uniform_members_differential(kind, n, seed):
     q = uniform_member(family, rng)
     assert sweep(invert(q, family)) == q
     t = fill(SWWord.from_steps(skeleton_of(image, family)))
-    sigma = run_walk(t, "plain")
-    assert sigma.sigma == run_walk(t, "graph").sigma
+    sigma = run_walk(t, "k")
+    assert digraph_walk(t, rank_tableau(t)) == (sigma.sigma, True)
     plain = sigma_to_preimage(sigma, t, FamilySpec.vector(t.k))
     assert rank_tableau(t).by_index == tuple(sorted(ranks(plain)))
     if kind == "k":
