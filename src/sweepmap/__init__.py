@@ -14,7 +14,6 @@ from .oracle import (
     brute_invert,
     certify_bijection,
     enumerate_family,
-    random_path,
 )
 from .paths import (
     Diagnostic,
@@ -96,7 +95,6 @@ __all__ = [
     "path_to_json",
     "rank_ascii",
     "rank_tableau",
-    "random_path",
     "ranks",
     "sigma_to_preimage",
     "sweep",

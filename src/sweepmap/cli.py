@@ -117,6 +117,8 @@ _BOUNDS = (
     ("--max-k", {"type": int, "default": DEFAULT_MAX_K}),
 )
 _RANKS = (("--ranks", {"action": "store_true", "help": "overlay ranks on a tableau"}),)
+_PERMUTE = (("--permute", {"action": "store_true",
+                           "help": "list every ordering of the rise vector"}),)
 _TABLE = {
     "sweep": _Command("apply the sweep map to a path", False, _TEXT, _sweep, _view_path),
     "invert": _Command("recover the unique sweep preimage", True, _TEXT, _invert, _view_path),
@@ -125,7 +127,7 @@ _TABLE = {
     "rank": _Command("rank the tableau of a path", False, _PICTURES, _rank, _view_rank),
     "walk": _Command("walk the ranked tableau of a path", False, _TEXT, _walk, _view_walk),
     "enumerate": _Command("list every path of a family", True, _TEXT, reads_path=False,
-                          options=_BOUNDS),
+                          options=_PERMUTE + _BOUNDS),
     "verify": _Command("certify the sweep bijection on a family", True, _TEXT,
                        reads_path=False, options=_BOUNDS, default_format="json"),
     "render": _Command("draw a path or a tableau", False, ("ascii", "svg"), options=_RANKS),
@@ -146,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", help='rise vector, e.g. "2,1,3"', dest="kvec")
         p.add_argument("--m", type=int, help="rational families: rise of every up step")
         p.add_argument("--n", type=int, help="rational families: drop of every down step")
-        p.add_argument("--permute", action="store_true",
-                       help="accept/emit every ordering of the rise vector")
         for flag, keywords in c.options:
             p.add_argument(flag, **keywords)
         p.add_argument(
@@ -162,8 +162,6 @@ def _parse_kvec(text: str) -> tuple[int, ...]:
         k = tuple(int(v.strip()) for v in text.split(","))
     except ValueError:
         raise PathError(f"malformed rise vector {text!r}") from None
-    if not k or any(v <= 0 for v in k):
-        raise PathError("rise vector entries must be positive")
     return k
 
 
@@ -264,12 +262,12 @@ def _cmd_path(args) -> int:
 
 
 def _bounds(args) -> dict:
-    """The enumeration keywords of the oracle, from --permute, --max-n and --max-k."""
-    return {"permute_k": args.permute, "max_n": args.max_n, "max_k": args.max_k}
+    """The oracle's bound keywords, from --max-n and --max-k."""
+    return {"max_n": args.max_n, "max_k": args.max_k}
 
 
 def _cmd_enumerate(args) -> int:
-    enum = enumerate_family(_family_from_args(args), **_bounds(args))
+    enum = enumerate_family(_family_from_args(args), args.permute, **_bounds(args))
     if args.format == "json":
         _write(json.dumps(enum.to_json(), indent=2), args)
     else:
@@ -278,16 +276,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Certify the sweep on the family's permutation closure, then round-trip each path."""
     family = _family_from_args(args)
-    if not args.permute and len(set(family.k)) > 1:
-        raise PathError(
-            f"the sweep map reorders rises, so the family with rises "
-            f"{emit_steps(family.k)} in this fixed order is not closed under it; "
-            "pass --permute to verify every ordering"
-        )
-    report = certify_bijection(family, **_bounds(args))
+    report = certify_bijection(family, permute_k=True, **_bounds(args))
     ok, counterexample = report.bijection, report.counterexample
-    for p in enumerate_family(family, **_bounds(args)).paths if ok else ():
+    for p in enumerate_family(family, permute_k=True, **_bounds(args)).paths if ok else ():
         image = sweep(p)
         try:
             back = invert(image, family)

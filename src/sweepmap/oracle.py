@@ -9,7 +9,6 @@ each other.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -194,26 +193,3 @@ def certify_bijection(
     return BijectionReport(
         family, permute_k, enum.count, counterexample is None, counterexample
     )
-
-
-def random_path(k, rng: random.Random) -> StepSequence:
-    """A pseudo-random plain-family path with the given rises, in order.
-
-    Not uniform over the family; every member has positive probability.
-    """
-    k = tuple(k)
-    n_down = sum(k)
-    path: list[int] = []
-    i_up, used_down, h = 0, 0, 0
-    while i_up < len(k) or used_down < n_down:
-        can_up = i_up < len(k)
-        can_down = used_down < n_down and h >= 1
-        if can_up and (not can_down or rng.random() < 0.5):
-            path.append(k[i_up])
-            h += k[i_up]
-            i_up += 1
-        else:
-            path.append(-1)
-            h -= 1
-            used_down += 1
-    return StepSequence(tuple(path))

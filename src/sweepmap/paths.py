@@ -82,10 +82,6 @@ class StepSequence:
         """The up-step rises, in path order."""
         return tuple(a for a in self.steps if a > 0)
 
-    @property
-    def n_up(self) -> int:
-        return sum(1 for a in self.steps if a > 0)
-
 
 def _unchecked(cls, **fields):
     """A frozen dataclass built from fields its checks would pass, skipping them."""

@@ -179,31 +179,18 @@ def validate_tableau(t: Tableau) -> Diagnostic:
             return Diagnostic(False, "top row is not strictly increasing", i + 1)
     # no bound check: every value below t_i lies in columns 1..i-1, so t_i <= k_1+...+k_{i-1}+i
     # two values strictly between a and d share a column exactly when one of
-    # them has the entry below it in there too: min(below[a+1..d-1]) < d
+    # them has the entry below it in there too: min(below[a+1..d-1]) < d.  Each
+    # u >= d has below[u] > u >= d, so that is min(below[a+1:]) < d, a suffix minimum
     below = [size + 1] * (size + 1)  # below[u]: the entry under u, size+1 under a bottom
     for col in t.columns:
         for a, d in zip(col, col[1:]):
             below[a] = d
-    least = _range_min(below)
+    least = list(accumulate(reversed(below), min))[::-1]  # least[u] = min(below[u:])
     for col in t.columns:
         for a, d in zip(col, col[1:]):
-            if d - a > 1 and least(a + 1, d - 1) < d:
+            if least[a + 1] < d:
                 return _strip_violation(t, a, d)
     return VALID
-
-
-def _range_min(values: list[int]):
-    """A query for min(values[lo..hi]), O(1) each over a sparse table built in O(N log N)."""
-    table = [values]  # table[j][i] = min(values[i .. i + 2**j - 1])
-    while 1 << len(table) <= len(values):
-        prev, half = table[-1], 1 << (len(table) - 1)
-        table.append(list(map(min, prev, prev[half:])))
-
-    def query(lo: int, hi: int) -> int:
-        j = (hi - lo + 1).bit_length() - 1
-        return min(table[j][lo], table[j][hi - (1 << j) + 1])
-
-    return query
 
 
 def _strip_violation(t: Tableau, a: int, d: int) -> Diagnostic:
@@ -219,7 +206,7 @@ def _strip_violation(t: Tableau, a: int, d: int) -> Diagnostic:
                 f"{seen[c]} and {v} share column {c}",
             )
         seen[c] = v
-    raise TableauError("no two values share a column")  # pragma: no cover - least() found two
+    raise TableauError("no two values share a column")  # pragma: no cover - least found two
 
 
 def from_top_row(top, k) -> Tableau:

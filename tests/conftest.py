@@ -1,9 +1,10 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import random
 from collections import Counter, defaultdict
 
-from sweepmap import FamilySpec, StepSequence, from_minus, from_plus, to_minus, to_plus
+from sweepmap import FamilySpec, StepSequence, to_minus, to_plus
 
 
 def k_multisets(max_n, max_k):
@@ -66,15 +67,6 @@ def digraph_walk(t, r):
     return tuple(sigma), balanced
 
 
-def skeleton_of(path, family):
-    """The plain path a family member unscales to (identity for the k kind)."""
-    if family.kind == "kplus":
-        return from_plus(path)
-    if family.kind == "kminus":
-        return from_minus(path)
-    return path
-
-
 def _good_rotation(seq, c, rng):
     """seq (total -c, drops of 1) rotated uniformly to one of its c rotations
     whose proper prefix sums all stay above -c (the cycle lemma).
@@ -118,3 +110,26 @@ def uniform_member(family, rng):
     if family.kind == "kminus":
         return to_minus(plain, plain.rises)
     return plain
+
+
+def random_path(k, rng: random.Random) -> StepSequence:
+    """A pseudo-random plain-family path with the given rises, in order.
+
+    Not uniform over the family; every member has positive probability.
+    """
+    k = tuple(k)
+    n_down = sum(k)
+    path: list[int] = []
+    i_up, used_down, h = 0, 0, 0
+    while i_up < len(k) or used_down < n_down:
+        can_up = i_up < len(k)
+        can_down = used_down < n_down and h >= 1
+        if can_up and (not can_down or rng.random() < 0.5):
+            path.append(k[i_up])
+            h += k[i_up]
+            i_up += 1
+        else:
+            path.append(-1)
+            h -= 1
+            used_down += 1
+    return StepSequence(tuple(path))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sweepmap import RankTableau, Tableau
+from sweepmap import FamilySpec, RankTableau, Tableau, enumerate_family
 from sweepmap.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -198,9 +198,7 @@ class TestEnumerate:
 
 class TestVerify:
     def test_passes_on_small_family(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--family", "k", "--k", "2,1,3", "--permute"
-        )
+        code, out, _ = run(capsys, "verify", "--family", "k", "--k", "2,1,3")
         assert code == 0
         obj = json.loads(out)
         assert obj["bijection"] is True and obj["counterexample"] is None
@@ -208,19 +206,17 @@ class TestVerify:
 
     def test_all_three_kinds(self, capsys):
         for kind in ("k", "kplus", "kminus"):
-            code, out, _ = run(
-                capsys, "verify", "--family", kind, "--k", "2,2", "--permute"
-            )
+            code, out, _ = run(capsys, "verify", "--family", kind, "--k", "2,2")
             assert code == 0 and json.loads(out)["bijection"] is True
 
     def test_deterministic_output(self, capsys):
-        _, first, _ = run(capsys, "verify", "--family", "k", "--k", "2,1", "--permute")
-        _, second, _ = run(capsys, "verify", "--family", "k", "--k", "2,1", "--permute")
+        _, first, _ = run(capsys, "verify", "--family", "k", "--k", "2,1")
+        _, second, _ = run(capsys, "verify", "--family", "k", "--k", "2,1")
         assert first == second and json.loads(first)["count"] == 5
 
     def test_failure_exits_two(self, capsys, monkeypatch):
         import sweepmap.cli as cli
-        from sweepmap import BijectionReport, FamilySpec
+        from sweepmap import BijectionReport
 
         def fake_certify(family, permute_k=True, max_n=5, max_k=4):
             return BijectionReport(
@@ -235,13 +231,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
     @pytest.mark.parametrize("k", ["2,1", "1,2", "1,1,2"])
-    def test_ordered_distinct_rises_need_permute(self, capsys, kind, k):
-        # the sweep reorders rises, so a fixed order of distinct k_i is not closed
-        code, out, err = run(capsys, "verify", "--family", kind, "--k", k)
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and "--permute" in err
-        code, out, _ = run(capsys, "verify", "--family", kind, "--k", k, "--permute")
-        assert code == 0 and json.loads(out)["bijection"] is True
+    def test_ordered_distinct_rises_certify_the_closure(self, capsys, kind, k):
+        # the sweep reorders rises, so verify covers every ordering of k
+        code, out, _ = run(capsys, "verify", "--family", kind, "--k", k)
+        obj = json.loads(out)
+        assert code == 0 and obj["bijection"] is True
+        closure = enumerate_family(FamilySpec(kind, tuple(map(int, k.split(",")))), True)
+        assert obj["count"] == closure.count
 
     @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
     def test_equal_rises_verify_without_permute(self, capsys, kind):
@@ -250,8 +246,7 @@ class TestVerify:
 
     def test_text_report(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--family", "kplus", "--k", "2,1", "--permute",
-            "--format", "text",
+            capsys, "verify", "--family", "kplus", "--k", "2,1", "--format", "text"
         )
         assert code == 0
         assert out == "family: kplus k=2,1\ncount: 5\nbijection: yes\n"
@@ -398,6 +393,13 @@ class TestFilesAndUsage:
         code, _, err = run(capsys, "sweep", "--bogus")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize(
+        "command", ["sweep", "invert", "fill", "rank", "walk", "verify", "render"]
+    )
+    def test_permute_belongs_to_enumerate_only(self, capsys, command):
+        code, out, err = run(capsys, command, "--family", "k", "--k", "1", "--permute")
+        assert code == 1 and out == "" and "unrecognized arguments: --permute" in err
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
@@ -446,7 +448,6 @@ def family_options(required):
         (("--k",), "kvec", None, None, False),
         (("--m",), "m", None, None, False),
         (("--n",), "n", None, None, False),
-        (("--permute",), "permute", None, False, False),
     ]
 
 
@@ -461,6 +462,7 @@ BOUND_OPTIONS = [
     (("--max-n",), "max_n", None, 5, False),
     (("--max-k",), "max_k", None, 4, False),
 ]
+ENUMERATE_OPTIONS = [(("--permute",), "permute", None, False, False)] + BOUND_OPTIONS
 TEXT, PICTURES = ("text", "json"), ("text", "json", "ascii", "svg")
 CLI_SURFACE = [
     ("sweep", INPUT_OPTIONS + family_options(False) + output_options(TEXT, "text")),
@@ -473,7 +475,7 @@ CLI_SURFACE = [
         + family_options(False)
         + output_options(TEXT, "text"),
     ),
-    ("enumerate", family_options(True) + BOUND_OPTIONS + output_options(TEXT, "text")),
+    ("enumerate", family_options(True) + ENUMERATE_OPTIONS + output_options(TEXT, "text")),
     ("verify", family_options(True) + BOUND_OPTIONS + output_options(TEXT, "json")),
     (
         "render",

@@ -12,14 +12,13 @@ from sweepmap import (
     brute_invert,
     certify_bijection,
     enumerate_family,
-    random_path,
     ranks,
     sweep,
     to_minus,
     to_plus,
     validate,
 )
-from conftest import family_grid, k_multisets
+from conftest import family_grid, k_multisets, random_path
 
 
 class TestEnumeration:

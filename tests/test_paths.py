@@ -23,14 +23,13 @@ from sweepmap import (
     parse_steps,
     path_from_json,
     path_to_json,
-    random_path,
     ranks,
     to_minus,
     to_plus,
     validate,
 )
 
-from conftest import uniform_member
+from conftest import random_path, uniform_member
 
 RUNNING_PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 RUNNING_RANKS = (0, 2, 1, 0, 4, 3, 8, 7, 6, 5, 4, 7, 6, 5, 4, 3, 2, 1)

@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "dyck_diagnostic", "emit_steps", "enumerate_family", "extend_plus", "fill", "from_minus",
     "from_plus", "from_top_row", "infer_family", "invert", "is_minus_admissible",
     "parse_steps", "path_ascii", "path_from_json", "path_svg", "path_to_json", "rank_ascii",
-    "rank_tableau", "random_path", "ranks", "sigma_to_preimage", "sweep", "sweep_order",
+    "rank_tableau", "ranks", "sigma_to_preimage", "sweep", "sweep_order",
     "tableau_ascii", "tableau_svg", "tableau_to_word", "to_minus", "to_plus", "validate",
     "validate_tableau", "walk", "walk_minus", "walk_plus",
 ]

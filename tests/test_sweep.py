@@ -13,13 +13,12 @@ from sweepmap import (
     PathError,
     StepSequence,
     enumerate_family,
-    random_path,
     ranks,
     sweep,
     sweep_order,
     validate,
 )
-from conftest import family_grid, uniform_member
+from conftest import family_grid, random_path, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)

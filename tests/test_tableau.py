@@ -16,13 +16,13 @@ from sweepmap import (
     extend_plus,
     fill,
     from_top_row,
-    random_path,
     is_minus_admissible,
     sweep,
     tableau_to_word,
     validate_tableau,
 )
-from conftest import family_grid, fillings, skeleton_of
+from conftest import family_grid, fillings, random_path
+from sweepmap.paths import skeleton
 from sweepmap.tableau import _top_bounds
 
 # tableau of the running example's image, sweep of (2,-1,-1,4,-1,5,...,3,...)
@@ -68,7 +68,7 @@ class TestFill:
     def test_fill_round_trips_with_word(self, family):
         # filling always happens on the unscaled skeleton of a family member
         for path in enumerate_family(family, permute_k=True).paths:
-            word = SWWord.from_steps(skeleton_of(sweep(path), family))
+            word = SWWord.from_steps(skeleton(sweep(path), family))
             t = fill(word)
             assert validate_tableau(t)
             assert tableau_to_word(t).exponents() == word.exponents()
@@ -211,7 +211,7 @@ class TestFromTopRow:
     @pytest.mark.parametrize("family", family_grid(3, 3), ids=str)
     def test_top_row_determines_the_tableau(self, family):
         for path in enumerate_family(family, permute_k=True).paths:
-            t = fill(SWWord.from_steps(skeleton_of(sweep(path), family)))
+            t = fill(SWWord.from_steps(skeleton(sweep(path), family)))
             exps = tableau_to_word(t).exponents()
             assert from_top_row(t.top_row, exps) == t
 

@@ -31,8 +31,9 @@ from sweepmap import (
     walk_minus,
     walk_plus,
 )
+from sweepmap.paths import skeleton
 from sweepmap.walking import run_walk
-from conftest import digraph_walk, family_grid, skeleton_of, uniform_member
+from conftest import digraph_walk, family_grid, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -312,7 +313,7 @@ def test_uniform_members_differential(kind, n, seed):
     assert invert(image, family) == p
     q = uniform_member(family, rng)
     assert sweep(invert(q, family)) == q
-    t = fill(SWWord.from_steps(skeleton_of(image, family)))
+    t = fill(SWWord.from_steps(skeleton(image, family)))
     sigma = run_walk(t, "k")
     assert digraph_walk(t, rank_tableau(t)) == (sigma.sigma, True)
     plain = sigma_to_preimage(sigma, t, FamilySpec.vector(t.k))
