@@ -16,6 +16,7 @@ from .oracle import (
     DEFAULT_MAX_K,
     DEFAULT_MAX_N,
     OracleError,
+    _closure,
     certify_bijection,
     enumerate_family,
 )
@@ -279,9 +280,9 @@ def _cmd_verify(args) -> int:
     """Certify the sweep on the family's permutation closure, then round-trip each path."""
     family = _family_from_args(args)
     report = certify_bijection(family, permute_k=True, **_bounds(args))
-    ok, counterexample = report.bijection, report.counterexample
-    for p in enumerate_family(family, permute_k=True, **_bounds(args)).paths if ok else ():
-        image = sweep(p)
+    out = report.to_json()
+    images, _ = _closure(family, **_bounds(args))
+    for p, image in images.items() if report.bijection else ():
         try:
             back = invert(image, family)
         except _ERRORS as exc:
@@ -290,19 +291,12 @@ def _cmd_verify(args) -> int:
             if back == p:
                 continue
             kind, found = "round-trip-mismatch", {"preimage": emit_steps(back)}
-        ok = False
-        counterexample = {"kind": kind, "path": emit_steps(p), "image": emit_steps(image)}
-        counterexample.update(found)
+        out.update(bijection=False, counterexample={
+            "kind": kind, "path": emit_steps(p), "image": emit_steps(image), **found})
         break
-    out = {
-        "family": family.to_json(),
-        "count": report.count,
-        "bijection": ok,
-        "counterexample": counterexample,
-    }
     text = json.dumps(out, indent=2) if args.format == "json" else _verify_text(family, out)
     _write(text, args)
-    return 0 if ok else 2
+    return 0 if out["bijection"] else 2
 
 
 def _verify_text(family: FamilySpec, report: dict) -> str:

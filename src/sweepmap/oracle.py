@@ -1,10 +1,9 @@
 """Exhaustive ground truth for small instances.
 
-Enumerates whole families by depth-first search, inverts the sweep map by
-brute-force lookup over a family's permutation closure, and certifies that
-the sweep restricted to the closure is a bijection.  Everything here is
-deliberately independent of the walk-based inversion so the two can check
-each other.
+Enumerates whole families by depth-first search and sweeps each permutation
+closure once into a memo; brute-force inversion and the bijection
+certificate both read that memo.  Everything here is deliberately
+independent of the walk-based inversion so the two can check each other.
 """
 
 from __future__ import annotations
@@ -107,15 +106,20 @@ def enumerate_family(
 
 
 @lru_cache(maxsize=8)
-def _sweep_index(
-    family: FamilySpec, max_n: int, max_k: int
-) -> dict[StepSequence, tuple[StepSequence, ...]]:
-    """Image -> preimages over the permutation closure, kept for 8 families."""
-    enum = enumerate_family(family, permute_k=True, max_n=max_n, max_k=max_k)
-    index: dict[StepSequence, list[StepSequence]] = {}
-    for p in enum.paths:
-        index.setdefault(sweep(p), []).append(p)
-    return {img: tuple(ps) for img, ps in index.items()}
+def _sweep_closure(kind: str, k: tuple[int, ...], max_n: int, max_k: int):
+    """Path -> image in enumeration order, and image -> preimages, kept for 8 closures."""
+    paths = enumerate_family(FamilySpec(kind, k=k), True, max_n, max_k).paths
+    images = {p: sweep(p) for p in paths}
+    preimages: dict[StepSequence, list[StepSequence]] = {}
+    for p, q in images.items():
+        preimages.setdefault(q, []).append(p)
+    return images, {q: tuple(ps) for q, ps in preimages.items()}
+
+
+def _closure(family: FamilySpec, max_n: int, max_k: int):
+    """The family's permutation closure, enumerated and swept once per (kind, sorted k)."""
+    _check_bounds(family, max_n, max_k)
+    return _sweep_closure(family.kind, tuple(sorted(family.k)), max_n, max_k)
 
 
 def brute_invert(
@@ -124,13 +128,11 @@ def brute_invert(
     max_n: int = DEFAULT_MAX_N,
     max_k: int = DEFAULT_MAX_K,
 ) -> StepSequence:
-    """Preimage by exhaustive search over the permutation-closed family.
-
-    The closure is swept once per family and memoized; a lookup then finds
-    the preimages of the given path.  Zero or several preimages raise.
-    """
-    base = family.reordered(tuple(sorted(family.k)))
-    preimages = _sweep_index(base, max_n, max_k).get(steps, ())
+    """Preimage by lookup in the memoized sweep of the closure; none or several raise."""
+    if not isinstance(steps, StepSequence):
+        steps = StepSequence(steps)
+    _, index = _closure(family, max_n, max_k)
+    preimages = index.get(steps, ())
     if not preimages:
         raise OracleError(f"no preimage of {emit_steps(steps)} in the family")
     if len(preimages) > 1:
@@ -163,18 +165,20 @@ def certify_bijection(
     max_n: int = DEFAULT_MAX_N,
     max_k: int = DEFAULT_MAX_K,
 ) -> BijectionReport:
-    """Sweep the whole enumerated family and verify a bijection onto itself.
+    """Check that the memoized sweep maps the family bijectively onto itself.
 
+    Without permute_k the domain is the paths of the family's own ordering.
     Injectivity plus image-inside-domain over a finite set of equal size is
     a bijection; the first violation of either becomes the counterexample.
     """
-    enum = enumerate_family(family, permute_k, max_n=max_n, max_k=max_k)
-    domain = set(enum.paths)
+    images, _ = _closure(family, max_n, max_k)
+    if not permute_k:
+        rises = family.up_rises
+        images = {p: q for p, q in images.items() if p.rises == rises}
     seen: dict[StepSequence, StepSequence] = {}
     counterexample = None
-    for p in enum.paths:
-        q = sweep(p)
-        if q not in domain:
+    for p, q in images.items():
+        if q not in images:
             counterexample = {
                 "kind": "image-outside-family",
                 "path": emit_steps(p),
@@ -191,5 +195,5 @@ def certify_bijection(
             break
         seen[q] = p
     return BijectionReport(
-        family, permute_k, enum.count, counterexample is None, counterexample
+        family, permute_k, len(images), counterexample is None, counterexample
     )

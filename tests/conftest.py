@@ -4,7 +4,29 @@ import itertools
 import random
 from collections import Counter, defaultdict
 
-from sweepmap import FamilySpec, StepSequence, to_minus, to_plus
+import pytest
+
+from sweepmap import FamilySpec, StepSequence, oracle, to_minus, to_plus
+
+
+@pytest.fixture
+def cold_oracle():
+    """The oracle's closure memo, empty before the test and again after it."""
+    oracle._sweep_closure.cache_clear()
+    yield
+    oracle._sweep_closure.cache_clear()
+
+
+def counting(monkeypatch, calls, *bindings):
+    """Count in calls[name] every call through each (module, name) binding."""
+    for module, name in bindings:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
 
 
 def k_multisets(max_n, max_k):

@@ -166,7 +166,8 @@ def test_criterion_6_invariant_suite():
                 if is_minus_admissible(t):
                     assert len(walk_minus(t)) == size - 1
 
-                # the digraph restatement agrees and is balanced
+                # the digraph restatement writes the same order; the sigma
+                # comparison is the check of the walk (any rankable filling is balanced)
                 assert digraph_walk(t, r) == (sigma.sigma, True)
 
                 if equal_parameter:

@@ -6,12 +6,16 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from sweepmap import FamilySpec, RankTableau, Tableau, enumerate_family
+from sweepmap import (
+    FamilySpec, RankTableau, StepSequence, Tableau, cli, enumerate_family, oracle,
+)
 from sweepmap.cli import main
+from conftest import counting
 
 ROOT = Path(__file__).resolve().parent.parent
 # JSON path lines with a non-list or a non-integer where integers belong
@@ -213,6 +217,32 @@ class TestVerify:
         _, first, _ = run(capsys, "verify", "--family", "k", "--k", "2,1")
         _, second, _ = run(capsys, "verify", "--family", "k", "--k", "2,1")
         assert first == second and json.loads(first)["count"] == 5
+
+    @pytest.mark.usefixtures("cold_oracle")
+    def test_sweeps_the_closure_once(self, capsys, monkeypatch):
+        calls = Counter()
+        counting(monkeypatch, calls, (oracle, "enumerate_family"), (cli, "enumerate_family"),
+                 (oracle, "sweep"), (cli, "sweep"))
+        code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1,2,3")
+        assert code == 0
+        assert calls == {"enumerate_family": 1, "sweep": json.loads(out)["count"]}
+
+    def test_round_trip_mismatch_is_the_counterexample(self, capsys, monkeypatch):
+        invert = cli.invert
+        wrong = {(1, 2, -1, -1, -1): (2, 1, -1, -1, -1)}
+
+        def fake_invert(image, family):
+            p = invert(image, family)
+            return StepSequence(wrong.get(p.steps, p.steps))
+
+        monkeypatch.setattr(cli, "invert", fake_invert)
+        code, out, _ = run(capsys, "verify", "--family", "k", "--k", "2,1")
+        obj = json.loads(out)
+        assert code == 2 and (obj["count"], obj["bijection"]) == (5, False)
+        assert obj["counterexample"] == {
+            "kind": "round-trip-mismatch", "path": "1,2,-1,-1,-1",
+            "image": "1,-1,2,-1,-1", "preimage": "2,1,-1,-1,-1",
+        }
 
     def test_failure_exits_two(self, capsys, monkeypatch):
         import sweepmap.cli as cli

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,14 +12,16 @@ from sweepmap import (
     StepSequence,
     brute_invert,
     certify_bijection,
+    emit_steps,
     enumerate_family,
+    oracle,
     ranks,
     sweep,
     to_minus,
     to_plus,
     validate,
 )
-from conftest import family_grid, k_multisets, random_path
+from conftest import counting, family_grid, k_multisets, random_path
 
 
 class TestEnumeration:
@@ -110,6 +113,26 @@ class TestBruteInvert:
             p, FamilySpec.vector((1, 2))
         )
 
+    def test_plain_tuples_are_paths(self):
+        # like sweep and invert, a tuple of rises stands for its StepSequence
+        for p in enumerate_family(FamilySpec.vector((1, 1))).paths:
+            assert brute_invert(tuple(sweep(p).steps), FamilySpec.vector((1, 1))) == p
+
+    def test_rational_family_is_not_enumerable(self):
+        with pytest.raises(OracleError, match="^rational families are not enumerable here$"):
+            brute_invert(StepSequence((2, -1, -1)), FamilySpec.rational(2, 1))
+
+    @pytest.mark.usefixtures("cold_oracle")
+    def test_certify_then_brute_invert_enumerate_once(self, monkeypatch):
+        family = FamilySpec.plus((1, 2, 3))
+        paths = list(enumerate_family(family, permute_k=True).paths)
+        images = [sweep(p) for p in paths]
+        calls = Counter()
+        counting(monkeypatch, calls, (oracle, "enumerate_family"), (oracle, "sweep"))
+        report = certify_bijection(family)
+        assert [brute_invert(q, family) for q in images] == paths
+        assert calls == {"enumerate_family": 1, "sweep": report.count}
+
 
 class TestCertify:
     @pytest.mark.parametrize("family", family_grid(3, 3), ids=str)
@@ -117,6 +140,37 @@ class TestCertify:
         report = certify_bijection(family)
         assert report.bijection, report.counterexample
         assert report.counterexample is None
+
+    def test_fixed_order_domain_is_that_ordering(self):
+        # the sweep reorders rises, so one ordering of (2,1) is not closed under it
+        report = certify_bijection(FamilySpec.vector((1, 2)), permute_k=False)
+        assert (report.permuted, report.count, report.bijection) == (False, 2, False)
+        assert report.counterexample == {
+            "kind": "image-outside-family", "path": "1,-1,2,-1,-1", "image": "2,1,-1,-1,-1",
+        }
+        assert certify_bijection(FamilySpec.plus((1, 2, 2)), permute_k=False).bijection
+
+    # the closure of (2,1) in enumeration order, each with its true image:
+    # 1,2,-1,-1,-1 -> 1,-1,2,-1,-1    1,-1,2,-1,-1 -> 2,1,-1,-1,-1
+    # 2,1,-1,-1,-1 -> 2,-1,-1,1,-1    2,-1,1,-1,-1 -> 2,-1,1,-1,-1
+    # 2,-1,-1,1,-1 -> 1,2,-1,-1,-1
+    @pytest.mark.usefixtures("cold_oracle")
+    @pytest.mark.parametrize("fake, counterexample", [
+        ({"2,1,-1,-1,-1": "3,-1,-1,-1", "2,-1,-1,1,-1": "1,-1,1,-1"},
+         {"kind": "image-outside-family", "path": "2,1,-1,-1,-1", "image": "3,-1,-1,-1"}),
+        ({"2,-1,1,-1,-1": "2,1,-1,-1,-1", "2,-1,-1,1,-1": "1,-1,2,-1,-1"},
+         {"kind": "collision", "first": "1,-1,2,-1,-1", "second": "2,-1,1,-1,-1",
+          "image": "2,1,-1,-1,-1"}),
+    ], ids=["outside", "collision"])
+    def test_first_violation_is_the_counterexample(self, monkeypatch, fake, counterexample):
+        def faked(p, _sweep=oracle.sweep):
+            q = fake.get(emit_steps(p))
+            return StepSequence(tuple(map(int, q.split(",")))) if q else _sweep(p)
+
+        monkeypatch.setattr(oracle, "sweep", faked)
+        report = certify_bijection(FamilySpec.vector((2, 1)))
+        assert (report.count, report.bijection) == (5, False)
+        assert report.counterexample == counterexample
 
     def test_report_json_keys(self):
         obj = certify_bijection(FamilySpec.vector((2, 1))).to_json()
