@@ -49,7 +49,6 @@ from .tableau import (
     validate_tableau,
 )
 from .walking import (
-    SweepPermutation,
     WalkError,
     invert,
     sigma_to_preimage,
@@ -70,7 +69,6 @@ __all__ = [
     "RankTableau",
     "StepSequence",
     "SWWord",
-    "SweepPermutation",
     "Tableau",
     "TableauError",
     "TableauPlus",

@@ -39,7 +39,7 @@ from .ranking import rank_tableau
 from .render import path_ascii, path_svg, rank_ascii, tableau_ascii, tableau_svg
 from .sweep import sweep
 from .tableau import Tableau, TableauError, fill
-from .walking import WalkError, invert, run_walk, variant_for
+from .walking import WalkError, invert, run_walk
 
 _ERRORS = (PathError, TableauError, WalkError, OracleError)
 # unreadable input: no such file, bytes not UTF-8, bad JSON, JSON nested too deep
@@ -72,9 +72,9 @@ def _rank(args, steps, family):
 
 
 def _walk(args, steps, family):
-    kind = family.kind if family else KIND_K
-    variant_for(kind)  # a rational family has no walk: say so before its fill fails
-    return run_walk(_fill(args, steps, family), kind)
+    if family is not None and family.kind == KIND_RATIONAL:  # say so before its fill fails
+        raise PathError("rational paths have no walk")
+    return run_walk(_fill(args, steps, family), family.kind if family else KIND_K)
 
 
 def _view_path(steps, family, fmt: str):
@@ -95,7 +95,7 @@ def _view_rank(t_and_r, _family, fmt: str):
 
 
 def _view_walk(sigma, _family, fmt: str):
-    return sigma.to_json() if fmt == "json" else ",".join(map(str, sigma))
+    return sigma if fmt == "json" else ",".join(map(str, sigma))
 
 
 class _Command(NamedTuple):
@@ -226,12 +226,12 @@ def _member(args, steps: StepSequence, family: FamilySpec | None):
     return steps, family
 
 
-def _write(text: str, args) -> None:
+def _write(text: str, args, end: str = "\n") -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text + end)
     else:
-        print(text)
+        print(text, end=end)
 
 
 def _cmd_path(args) -> int:
@@ -249,7 +249,7 @@ def _cmd_path(args) -> int:
         raise PathError(f"batch mode does not support --format {args.format}")
     out_lines = []  # one per stdin line, so line counts always match
     failed = False
-    for line in sys.stdin.read().splitlines():
+    for line in sys.stdin:  # split at "\n" only, as `wc -l` counts lines
         try:
             text = line.strip()
             if not text:
@@ -258,7 +258,7 @@ def _cmd_path(args) -> int:
         except (ValueError, RecursionError) as exc:  # each error above is a ValueError
             out_lines.append(f"error: {exc}")
             failed = True
-    _write("\n".join(out_lines), args)
+    _write("\n".join(out_lines), args, end="\n" if out_lines else "")
     return 1 if failed else 0
 
 

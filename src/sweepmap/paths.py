@@ -11,6 +11,7 @@ up steps, so all arithmetic stays integral.  Indices in public data are
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, permutations
 
@@ -25,6 +26,8 @@ _ALL_KINDS = _K_KINDS + (KIND_RATIONAL,)
 _TILT = {KIND_KPLUS: 1, KIND_KMINUS: -1}
 
 _STEP_TOKEN = re.compile(r"[+-]?\d+")
+# comma-separated step tokens, each with the whitespace str.strip() would take off
+_STEPS_TEXT = re.compile(r"\s*[+-]?\d+\s*(?:,\s*[+-]?\d+\s*)*")
 _S_TOKEN = re.compile(r"S(\d+)")
 
 
@@ -159,11 +162,8 @@ class SWWord:
             m = _S_TOKEN.fullmatch(tok)
             if m is None:
                 raise PathError(f"malformed token {tok!r} at index {j}")
-            size = int(m.group(1))
-            if size == 0:
-                raise PathError(f"zero rise at index {j}")
-            letters.append(("S", size))
-        return cls(tuple(letters))
+            letters.append(("S", int(m.group(1))))
+        return cls(tuple(letters))  # raises on a zero exponent
 
 
 def _tilt(steps, n: int, t: int) -> list[int]:
@@ -475,17 +475,23 @@ def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
 
 
 def parse_steps(text: str) -> StepSequence:
-    """Parse comma-separated rises, e.g. "2,-1,-1"."""
-    tokens = [t.strip() for t in text.split(",")]
-    values = []
-    for j, tok in enumerate(tokens, start=1):
+    """Parse comma-separated rises, e.g. "2,-1,-1".
+
+    Well-formed text is checked by one match and converted by one map; the
+    tokens are scanned one at a time only to name the first bad one.
+    """
+    tokens = text.split(",")
+    if _STEPS_TEXT.fullmatch(text):
+        with suppress(ValueError):  # a token past int's digit limit: the scan raises it
+            values = tuple(map(int, map(str.strip, tokens)))
+            if 0 not in values:
+                return _unchecked(StepSequence, steps=values)
+    for j, tok in enumerate(map(str.strip, tokens), start=1):
         if not _STEP_TOKEN.fullmatch(tok):
             raise PathError(f"malformed step token {tok!r} at index {j}")
-        v = int(tok)
-        if v == 0:
+        if int(tok) == 0:
             raise PathError(f"zero rise at index {j}")
-        values.append(v)
-    return StepSequence(tuple(values))
+    raise PathError("no bad token found")  # pragma: no cover - the match or the map failed
 
 
 def emit_steps(steps: StepSequence) -> str:

@@ -39,19 +39,6 @@ class RankTableau:
         by = ",".join(str(r) for r in self.by_index)
         return f"{cols};by_index={by}"
 
-    @classmethod
-    def from_text(cls, text: str) -> "RankTableau":
-        try:
-            cols_part, by_part = text.split(";by_index=")
-            cols = tuple(
-                tuple(int(v) for v in part.split(","))
-                for part in cols_part.split("|")
-            )
-            by = tuple(int(v) for v in by_part.split(","))
-        except ValueError as exc:
-            raise TableauError(f"malformed rank text: {exc}") from None
-        return cls(cols, by)
-
 
 def rank_tableau(t: Tableau) -> RankTableau:
     """Rank every box of the tableau.

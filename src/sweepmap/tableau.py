@@ -72,16 +72,6 @@ class Tableau:
     def to_text(self) -> str:
         return "|".join(",".join(str(v) for v in col) for col in self.columns)
 
-    @classmethod
-    def from_text(cls, text: str) -> "Tableau":
-        try:
-            cols = tuple(
-                tuple(int(v) for v in part.split(",")) for part in text.split("|")
-            )
-        except ValueError as exc:
-            raise TableauError(f"malformed tableau text: {exc}") from None
-        return cls(cols)
-
 
 @dataclass(frozen=True)
 class TableauPlus:

@@ -10,7 +10,6 @@ all three run in time linear in the number of entries.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 
 from .paths import (
@@ -30,37 +29,9 @@ from .paths import (
 from .ranking import RankTableau, rank_tableau
 from .tableau import Tableau, TableauPlus, extend_plus, fill, is_minus_admissible
 
-# the walk each k-vector kind runs, by the variant name its output carries
-_WALK_OF = {KIND_K: "plain", KIND_KPLUS: "plus", KIND_KMINUS: "minus"}
-
 
 class WalkError(ValueError):
     """Raised when a walk cannot run or cannot complete on its input."""
-
-
-@dataclass(frozen=True)
-class SweepPermutation:
-    """The order in which a walk writes the tableau indices."""
-
-    sigma: tuple[int, ...]
-    variant: str
-
-    def __post_init__(self) -> None:
-        if self.variant not in _WALK_OF.values():
-            raise WalkError(f"unknown walk variant {self.variant!r}")
-        object.__setattr__(self, "sigma", tuple(map(int, self.sigma)))
-
-    def __len__(self) -> int:
-        return len(self.sigma)
-
-    def __iter__(self):
-        return iter(self.sigma)
-
-    def __getitem__(self, i):
-        return self.sigma[i]
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "sigma": list(self.sigma)}
 
 
 def _above(columns, size: int) -> list[int]:
@@ -86,7 +57,7 @@ def _above(columns, size: int) -> list[int]:
     return above
 
 
-def walk(t: Tableau, r: RankTableau) -> SweepPermutation:
+def walk(t: Tableau, r: RankTableau) -> tuple[int, ...]:
     """Plain walk.
 
     Start by writing the largest rank-0 entry.  From a first-row box move
@@ -122,11 +93,10 @@ def walk(t: Tableau, r: RankTableau) -> SweepPermutation:
         out.append(cur)
     if len(out) != size:
         raise WalkError(f"walk stopped after {len(out)} of {size} writes")
-    # every write is an int entry of the tableau, so sigma needs no re-check
-    return _unchecked(SweepPermutation, sigma=tuple(out), variant="plain")
+    return tuple(out)
 
 
-def walk_plus(tp: TableauPlus) -> SweepPermutation:
+def walk_plus(tp: TableauPlus) -> tuple[int, ...]:
     """Walk for the plus family.
 
     Entries one more than a designated bottom are flagged.  Start by
@@ -140,7 +110,7 @@ def walk_plus(tp: TableauPlus) -> SweepPermutation:
     return _walk_tilted(tp.columns, tp.bottom_row, tp.size, 1)
 
 
-def walk_minus(t: Tableau) -> SweepPermutation:
+def walk_minus(t: Tableau) -> tuple[int, ...]:
     """Walk for the minus family, the mirror image of walk_plus.
 
     Requires a minus-admissible tableau.  Entries one less than a bottom
@@ -153,7 +123,7 @@ def walk_minus(t: Tableau) -> SweepPermutation:
     return _walk_tilted(t.columns, t.bottom_row, t.size, -1)
 
 
-def _walk_tilted(cols, bottoms, size: int, sign: int) -> SweepPermutation:
+def _walk_tilted(cols, bottoms, size: int, sign: int) -> tuple[int, ...]:
     """The plus (sign +1) or minus (sign -1) walk; see walk_plus."""
     step = _above(cols, size)  # a top entry's step becomes its bottom + sign
     is_top = [False] * (size + 1)
@@ -184,53 +154,48 @@ def _walk_tilted(cols, bottoms, size: int, sign: int) -> SweepPermutation:
     expected = size if sign > 0 else size - 1  # the minus walk skips one entry
     if len(out) != expected:
         raise WalkError(f"walk wrote {len(out)} of the expected {expected} entries")
-    variant = "plus" if sign > 0 else "minus"
-    return _unchecked(SweepPermutation, sigma=tuple(out), variant=variant)
+    return tuple(out)
 
 
-def variant_for(kind: str) -> str:
-    """The name of the one walk a family kind runs."""
-    if kind not in _WALK_OF:
-        raise PathError("rational paths have no walk")
-    return _WALK_OF[kind]
-
-
-def run_walk(t: Tableau, kind: str) -> SweepPermutation:
+def run_walk(t: Tableau, kind: str) -> tuple[int, ...]:
     """The walk of a family kind, run on the tableau of a path's skeleton."""
-    variant = variant_for(kind)
-    if variant == "plain":
+    if kind == KIND_K:
         return walk(t, rank_tableau(t))
-    if variant == "plus":
+    if kind == KIND_KPLUS:
         return walk_plus(extend_plus(t))
-    return walk_minus(t)
+    if kind == KIND_KMINUS:
+        return walk_minus(t)
+    raise PathError("rational paths have no walk")
 
 
-def sigma_to_preimage(
-    sigma: SweepPermutation, t: Tableau, family: FamilySpec
-) -> StepSequence:
+def sigma_to_preimage(sigma: tuple[int, ...], t: Tableau, family: FamilySpec) -> StepSequence:
     """Spell the preimage path along a walk's output.
 
     Position j of the word gets the family's scaled S letter of column i
     when sigma[j] is the top index t_i, and a W letter otherwise.  The
     result is validated against the permutation-closed family.
     """
-    if variant_for(family.kind) != sigma.variant:
-        raise WalkError(f"variant {sigma.variant!r} does not fit family kind {family.kind!r}")
+    if family.kind == KIND_RATIONAL:
+        raise PathError("rational paths have no walk")
     k, tilt = t.k, family.tilt
     if sorted(k) != sorted(family.k):
         raise WalkError("tableau heights do not permute the family's rise vector")
-    expected_len = t.size + tilt
+    expected_len = t.size + tilt  # the write count tells the three walks apart
     if len(sigma) != expected_len:
         raise WalkError(f"expected {expected_len} writes, got {len(sigma)}")
-    if min(sigma.sigma) < 1 or max(sigma.sigma) > expected_len:
-        raise WalkError(f"written entries must lie in 1..{expected_len}")
     # the signed step spelled at each entry: its column's rise on a top, else the drop
     step_at = [-family.down_drop] * (expected_len + 1)
     for v, rise in zip(t.top_row, _tilt(k, family.scale, tilt)):
         if 0 < v <= expected_len:
             step_at[v] = rise
+    try:  # a non-int entry fails the comparison or the list index
+        if min(sigma) < 1 or max(sigma) > expected_len:
+            raise WalkError(f"written entries must lie in 1..{expected_len}")
+        steps = tuple(map(step_at.__getitem__, sigma))
+    except TypeError:
+        raise WalkError("written entries must be integers") from None
     # the drop and the tilted rises are nonzero ints, so no entry needs a re-check
-    out = _unchecked(StepSequence, steps=tuple(map(step_at.__getitem__, sigma.sigma)))
+    out = _unchecked(StepSequence, steps=steps)
     d = validate(out, family, permute_k=True)
     if not d:
         raise WalkError(f"reconstruction is not a valid family member: {d}")

@@ -74,7 +74,7 @@ def test_criterion_1_golden_running_example():
         assert t.top_row == (1, 2, 8, 10)
         assert t.bottom_row == (9, 6, 18, 16)
         r = rank_tableau(t)
-        assert walk(t, r).sigma == SIGMA
+        assert walk(t, r) == SIGMA
         assert ranks(PREIMAGE) == (
             0, 2, 1, 0, 4, 3, 8, 7, 6, 5, 4, 7, 6, 5, 4, 3, 2, 1
         )
@@ -85,7 +85,7 @@ def test_criterion_1_golden_running_example():
 def test_criterion_2_golden_plus_example():
     with criterion(2, "plus walk golden and column-removal consistency"):
         tp = extend_plus(fill(SWWord.from_steps(IMAGE)))
-        assert walk_plus(tp).sigma == SIGMA_PLUS
+        assert walk_plus(tp) == SIGMA_PLUS
 
         removed = set(tp.columns[1])
         kept_cols = (tp.columns[0], *tp.columns[2:])
@@ -95,7 +95,7 @@ def test_criterion_2_golden_plus_example():
             tuple(tuple(relabel[v] for v in col) for col in kept_cols),
             (tp.k[0], *tp.k[2:]),
         )
-        back = tuple(kept[i - 1] for i in walk_plus(smaller).sigma)
+        back = tuple(kept[i - 1] for i in walk_plus(smaller))
         assert back == tuple(v for v in SIGMA_PLUS if v not in removed)
 
 
@@ -168,7 +168,7 @@ def test_criterion_6_invariant_suite():
 
                 # the digraph restatement writes the same order; the sigma
                 # comparison is the check of the walk (any rankable filling is balanced)
-                assert digraph_walk(t, r) == (sigma.sigma, True)
+                assert digraph_walk(t, r) == (sigma, True)
 
                 if equal_parameter:
                     kv = family.k[0]
@@ -183,7 +183,7 @@ def test_criterion_6_invariant_suite():
                     smallest_rank_one = min(
                         v for v in range(1, size + 1) if r.rank_of(v) == 1
                     )
-                    assert sigma.sigma[-1] == smallest_rank_one
+                    assert sigma[-1] == smallest_rank_one
 
 
 def test_criterion_7_large_random_round_trips():

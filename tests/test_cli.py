@@ -11,9 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sweepmap import (
-    FamilySpec, RankTableau, StepSequence, Tableau, cli, enumerate_family, oracle,
-)
+from sweepmap import FamilySpec, StepSequence, cli, enumerate_family, oracle
 from sweepmap.cli import main
 from conftest import counting
 
@@ -112,13 +110,10 @@ class TestInvert:
 
 
 class TestFillAndRank:
-    def test_fill_text_parses_back(self, capsys):
+    def test_fill_text(self, capsys):
         code, out, _ = run(capsys, "fill", "--steps", IMAGE)
         assert code == 0
-        t = Tableau.from_text(out.strip())
-        assert t.columns == (
-            (1, 3, 5, 7, 9), (2, 4, 6), (8, 11, 13, 15, 17, 18), (10, 12, 14, 16)
-        )
+        assert out.strip() == "1,3,5,7,9|2,4,6|8,11,13,15,17,18|10,12,14,16"
 
     def test_fill_json(self, capsys):
         code, out, _ = run(capsys, "fill", "--steps", "2,-1,-1", "--format", "json")
@@ -136,11 +131,9 @@ class TestFillAndRank:
         )
         assert code == 0 and out.strip() == "1,2|3,4"
 
-    def test_rank_text_parses_back(self, capsys):
+    def test_rank_text(self, capsys):
         code, out, _ = run(capsys, "rank", "--steps", "1,-1,1,-1")
-        assert code == 0
-        r = RankTableau.from_text(out.strip())
-        assert r.by_index == (0, 1, 1, 2)
+        assert code == 0 and out.strip() == "0,1|1,2;by_index=0,1,1,2"
 
     def test_rank_json(self, capsys):
         code, out, _ = run(capsys, "rank", "--steps", "1,1,-1,-1", "--format", "json")
@@ -159,12 +152,13 @@ class TestWalk:
         assert code == 0
         assert out.strip() == "2,6,4,1,11,8,18,17,15,13,10,16,14,12,9,7,5,3"
 
-    def test_json_carries_the_variant(self, capsys):
-        code, out, _ = run(
-            capsys, "walk", "--steps", "1,-1", "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out) == {"variant": "plain", "sigma": [1, 2]}
+    def test_json_is_the_index_list(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "walk", "--steps", "1,-1", "--format", "json")
+        assert code == 0 and json.loads(out) == [1, 2]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1,-1\n3,-2,3,-2,-2\n"))
+        code, out, _ = run(capsys, "walk", "--family", "kplus", "--format", "json")
+        assert code == 1 and out.splitlines()[1] == "[1, 3, 5, 4, 2]"
+        assert out.splitlines()[0].startswith("error:")
 
     def test_plus_variant(self, capsys):
         code, out, _ = run(
@@ -333,6 +327,18 @@ class TestBatch:
         assert lines[0] == "1,-1"
         assert lines[1].startswith("error:")
         assert lines[2] == "2,-1,-1"
+
+    def test_only_newlines_end_lines(self, capsys, monkeypatch):
+        # a form feed is a line break to str.splitlines, not to `wc -l`
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1,-1\x0c2,-1,-1\n1,1,-1,-1\n"))
+        code, out, _ = run(capsys, "sweep")
+        lines = out.split("\n")
+        assert code == 1 and len(lines) == 3 and lines[2] == ""
+        assert lines[0].startswith("error:") and lines[1] == "1,-1,1,-1"
+
+    def test_empty_stdin_prints_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert run(capsys, "sweep") == (0, "", "")
 
     def test_all_good_batch_exits_zero(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("1,-1\n2,-1,-1\n"))

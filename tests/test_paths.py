@@ -5,7 +5,7 @@ import re
 from itertools import accumulate, combinations_with_replacement
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweepmap import (
@@ -338,16 +338,37 @@ class TestWords:
         assert hash(w) == hash(SWWord(letters))
 
 
+def token_scan(text):
+    """parse_steps as a scan token by token: the steps, or the first error."""
+    values = []
+    for j, tok in enumerate((t.strip() for t in text.split(",")), start=1):
+        if not re.fullmatch(r"[+-]?\d+", tok):
+            return f"malformed step token {tok!r} at index {j}"
+        if int(tok) == 0:
+            return f"zero rise at index {j}"
+        values.append(int(tok))
+    return tuple(values)
+
+
 class TestTextForms:
     def test_parse_emit(self):
         s = parse_steps(" 2, -1 , -1 ")
         assert s.steps == (2, -1, -1)
         assert emit_steps(s) == "2,-1,-1"
 
-    @pytest.mark.parametrize("bad", ["", "1,,1", "1,x", "1,-1,0"])
+    @pytest.mark.parametrize("bad", ["", "1,,1", "1,x", "1,-1,0", "0,x", "x,0", "1,-1\x0c2"])
     def test_parse_rejects(self, bad):
-        with pytest.raises(PathError):
+        with pytest.raises(PathError, match=re.escape(token_scan(bad))):
             parse_steps(bad)
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="0123-+, x\x1c\u2028", max_size=12))
+    def test_parse_names_the_first_bad_token(self, text):
+        try:
+            got = parse_steps(text).steps
+        except PathError as exc:
+            got = str(exc)
+        assert got == token_scan(text)
 
     def test_json_round_trip(self):
         s = StepSequence((5, -2, 3, -2, -2, -2))

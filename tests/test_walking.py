@@ -49,19 +49,19 @@ def run_tableau():
 class TestWalk:
     def test_running_example(self):
         t = run_tableau()
-        assert walk(t, rank_tableau(t)).sigma == RUN_SIGMA
+        assert walk(t, rank_tableau(t)) == RUN_SIGMA
 
     def test_smallest(self):
         t = Tableau(((1, 2),))
-        assert walk(t, rank_tableau(t)).sigma == (1, 2)
+        assert walk(t, rank_tableau(t)) == (1, 2)
 
     def test_two_columns(self):
         t = Tableau(((1, 3), (2, 4)))
-        assert walk(t, rank_tableau(t)).sigma == (2, 4, 1, 3)
+        assert walk(t, rank_tableau(t)) == (2, 4, 1, 3)
 
     def test_single_wide_column(self):
         t = Tableau(((1, 2, 3),))
-        assert walk(t, rank_tableau(t)).sigma == (1, 3, 2)
+        assert walk(t, rank_tableau(t)) == (1, 3, 2)
 
     def test_shape_mismatch(self):
         t = Tableau(((1, 3), (2, 4)))
@@ -77,7 +77,7 @@ class TestWalk:
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(sweep(path)))
                 r = rank_tableau(t)
-                sigma = walk(t, r).sigma
+                sigma = walk(t, r)
                 smallest_rank_one = min(
                     v for v in range(1, t.size + 1) if r.rank_of(v) == 1
                 )
@@ -88,10 +88,10 @@ class TestWalkPlus:
     def test_tiny(self):
         tp = extend_plus(Tableau(((1, 2),)))
         assert tp.columns == ((1, 2, 3),)
-        assert walk_plus(tp).sigma == (1, 3, 2)
+        assert walk_plus(tp) == (1, 3, 2)
 
     def test_running_example(self):
-        assert walk_plus(extend_plus(run_tableau())).sigma == RUN_SIGMA_PLUS
+        assert walk_plus(extend_plus(run_tableau())) == RUN_SIGMA_PLUS
 
     def test_column_removal_consistency(self):
         # dropping a whole column and relabeling contiguously drops exactly
@@ -105,7 +105,7 @@ class TestWalkPlus:
         relabel = {v: i for i, v in enumerate(kept, start=1)}
         smaller = tuple(tuple(relabel[v] for v in col) for col in kept_cols)
         small_tp = TableauPlus(smaller, (tp.k[0], *tp.k[2:]))
-        back = tuple(kept[i - 1] for i in walk_plus(small_tp).sigma)
+        back = tuple(kept[i - 1] for i in walk_plus(small_tp))
         assert back == tuple(v for v in RUN_SIGMA_PLUS if v not in removed)
 
     def test_stops_exactly_once_per_entry(self):
@@ -114,13 +114,13 @@ class TestWalkPlus:
                 continue
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(sweep(path)))
-                sigma = walk_plus(extend_plus(t)).sigma
+                sigma = walk_plus(extend_plus(t))
                 assert sorted(sigma) == list(range(1, t.size + 2))
 
 
 class TestWalkMinus:
     def test_two_columns(self):
-        assert walk_minus(Tableau(((1, 3, 5), (2, 4)))).sigma == (1, 4, 2, 3)
+        assert walk_minus(Tableau(((1, 3, 5), (2, 4)))) == (1, 4, 2, 3)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(WalkError, match="strict top-row bounds"):
@@ -134,7 +134,7 @@ class TestWalkMinus:
                 t = fill(SWWord.from_steps(sweep(path)))
                 if not is_minus_admissible(t):
                     continue
-                sigma = walk_minus(t).sigma
+                sigma = walk_minus(t)
                 assert len(set(sigma)) == len(sigma) == t.size - 1
 
 
@@ -167,7 +167,7 @@ class TestWalkGraph:
     def test_matches_plain_walk(self):
         t = run_tableau()
         r = rank_tableau(t)
-        assert digraph_walk(t, r) == (walk(t, r).sigma, True)
+        assert digraph_walk(t, r) == (walk(t, r), True)
 
     def test_balanced_on_fills(self):
         for family in family_grid(3, 3):
@@ -176,7 +176,7 @@ class TestWalkGraph:
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(sweep(path)))
                 r = rank_tableau(t)
-                assert digraph_walk(t, r) == (walk(t, r).sigma, True)
+                assert digraph_walk(t, r) == (walk(t, r), True)
 
     def test_flags_an_unbalanced_ranking(self):
         # entry 4 ranked 2, not 1: three edges enter rank 1, which holds one index
@@ -191,11 +191,24 @@ class TestSigmaToPreimage:
         got = sigma_to_preimage(sigma, t, FamilySpec.vector((4, 2, 5, 3)))
         assert got.steps == PREIMAGE
 
-    def test_variant_must_fit_family(self):
+    def test_walk_must_fit_family_kind(self):
+        # the write count, size, size+1 or size-1, tells the three walks apart
+        for family in family_grid(3, 3):
+            for path in enumerate_family(family, permute_k=True).paths:
+                t = fill(SWWord.from_steps(skeleton(sweep(path), family)))
+                sigma = run_walk(t, family.kind)
+                for kind in {"k", "kplus", "kminus"} - {family.kind}:
+                    if kind == "kminus" and min(family.k) * len(family.k) < 2:
+                        continue
+                    with pytest.raises(WalkError, match="writes"):
+                        sigma_to_preimage(sigma, t, FamilySpec(kind, family.k))
+
+    @pytest.mark.parametrize("bad", [2.0, "2", None], ids=repr)
+    def test_entries_must_be_integers(self, bad):
         t = run_tableau()
         sigma = walk(t, rank_tableau(t))
-        with pytest.raises(WalkError, match="does not fit"):
-            sigma_to_preimage(sigma, t, FamilySpec.plus((4, 2, 5, 3)))
+        with pytest.raises(WalkError, match="integers"):
+            sigma_to_preimage((bad,) + sigma[1:], t, FamilySpec.vector((4, 2, 5, 3)))
 
     def test_k_must_match(self):
         t = run_tableau()
@@ -315,7 +328,7 @@ def test_uniform_members_differential(kind, n, seed):
     assert sweep(invert(q, family)) == q
     t = fill(SWWord.from_steps(skeleton(image, family)))
     sigma = run_walk(t, "k")
-    assert digraph_walk(t, rank_tableau(t)) == (sigma.sigma, True)
+    assert digraph_walk(t, rank_tableau(t)) == (sigma, True)
     plain = sigma_to_preimage(sigma, t, FamilySpec.vector(t.k))
     assert rank_tableau(t).by_index == tuple(sorted(ranks(plain)))
     if kind == "k":
