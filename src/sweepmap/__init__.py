@@ -34,13 +34,12 @@ from .paths import (
     to_plus,
     validate,
 )
-from .ranking import RankTableau, rank_tableau
+from .ranking import rank_tableau
 from .render import path_ascii, path_svg, rank_ascii, tableau_ascii, tableau_svg
 from .sweep import sweep, sweep_order
 from .tableau import (
     Tableau,
     TableauError,
-    TableauPlus,
     extend_plus,
     fill,
     from_top_row,
@@ -66,12 +65,10 @@ __all__ = [
     "FamilySpec",
     "OracleError",
     "PathError",
-    "RankTableau",
     "StepSequence",
     "SWWord",
     "Tableau",
     "TableauError",
-    "TableauPlus",
     "WalkError",
     "brute_invert",
     "certify_bijection",

@@ -42,8 +42,8 @@ from .tableau import Tableau, TableauError, fill
 from .walking import WalkError, invert, run_walk
 
 _ERRORS = (PathError, TableauError, WalkError, OracleError)
-# unreadable input: no such file, bytes not UTF-8, bad JSON, JSON nested too deep
-_INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError)
+# bad input that raises no ValueError: no such file, JSON nested too deep
+_INPUT_ERRORS = (OSError, RecursionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,11 +87,15 @@ def _view_fill(t, _family, fmt: str):
     return t.to_json() if fmt == "json" else t.to_text()
 
 
-def _view_rank(t_and_r, _family, fmt: str):
-    t, r = t_and_r
+def _view_rank(t_and_ranks, _family, fmt: str):
+    t, ranks = t_and_ranks
     if fmt in ("ascii", "svg"):
-        return rank_ascii(r) if fmt == "ascii" else tableau_svg(t, r)
-    return r.to_json() if fmt == "json" else r.to_text()
+        return rank_ascii(t, ranks) if fmt == "ascii" else tableau_svg(t, ranks)
+    cols = [[ranks[v - 1] for v in col] for col in t.columns]
+    if fmt == "json":
+        return {"k": list(t.k), "ranks": cols, "by_index": list(ranks)}
+    by = ",".join(map(str, ranks))
+    return "|".join(",".join(map(str, col)) for col in cols) + f";by_index={by}"
 
 
 def _view_walk(sigma, _family, fmt: str):
@@ -336,7 +340,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS.get(args.command, _cmd_path)(args)
-    except (*_ERRORS, *_INPUT_ERRORS) as exc:
+    except (ValueError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

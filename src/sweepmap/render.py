@@ -11,7 +11,6 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .paths import StepSequence
-from .ranking import RankTableau
 from .tableau import Tableau
 
 
@@ -53,11 +52,10 @@ def path_svg(steps: StepSequence, unit: int = 20, pad: int = 10) -> str:
     return "\n".join(lines)
 
 
-def _labels(t: Tableau, ranks: RankTableau | None) -> list[list[str]]:
+def _labels(t: Tableau, ranks: tuple[int, ...] | None) -> list[list[str]]:
     """Each box's label, column by column: its entry, or entry:rank with ranks."""
     return [
-        [str(v) if ranks is None else f"{v}:{ranks.columns[c][row]}" for row, v in enumerate(col)]
-        for c, col in enumerate(t.columns)
+        [str(v) if ranks is None else f"{v}:{ranks[v - 1]}" for v in col] for col in t.columns
     ]
 
 
@@ -71,16 +69,17 @@ def _grid(cells: list[list[str]]) -> str:
     return "\n".join(rows)
 
 
-def tableau_ascii(t: Tableau, ranks: RankTableau | None = None) -> str:
+def tableau_ascii(t: Tableau, ranks: tuple[int, ...] | None = None) -> str:
     return _grid(_labels(t, ranks))
 
 
-def rank_ascii(r: RankTableau) -> str:
-    return _grid([list(map(str, col)) for col in r.columns])
+def rank_ascii(t: Tableau, ranks: tuple[int, ...]) -> str:
+    """The tableau's shape with each box showing its entry's rank."""
+    return _grid([[str(ranks[v - 1]) for v in col] for col in t.columns])
 
 
 def tableau_svg(
-    t: Tableau, ranks: RankTableau | None = None, cell: int = 34, pad: int = 10
+    t: Tableau, ranks: tuple[int, ...] | None = None, cell: int = 34, pad: int = 10
 ) -> str:
     labels = _labels(t, ranks)
     width = len(labels) * cell + 2 * pad

@@ -6,6 +6,9 @@ the i-th S letter.  Each S opens the next column, each W lands directly
 below the smallest *active* entry -- the bottom of a column that has not
 reached full height yet.  The resulting tableaux are exactly characterized
 by their top rows, and drive the sweep-inversion walks in walking.py.
+Every walk reads a plain Tableau: the plus walk's is the filled one with
+index size+1 appended below its largest entry (extend_plus), so the three
+walks differ only in the length of one column.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .paths import VALID, Diagnostic, PathError, SWWord, _is_ints, _json_ints, _unchecked
+from .paths import VALID, Diagnostic, SWWord, _is_ints, _json_ints, _unchecked
 
 
 class TableauError(ValueError):
@@ -71,45 +74,6 @@ class Tableau:
 
     def to_text(self) -> str:
         return "|".join(",".join(str(v) for v in col) for col in self.columns)
-
-
-@dataclass(frozen=True)
-class TableauPlus:
-    """A tableau with one extra index appended below its largest entry.
-
-    The designated bottom of column i stays the (k_i+1)-st entry, including
-    in the extended column, so ``k`` is carried explicitly.
-    """
-
-    columns: tuple[tuple[int, ...], ...]
-    k: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        cols = tuple(tuple(map(int, col)) for col in self.columns)
-        k = tuple(map(int, self.k))
-        if len(cols) != len(k):
-            raise TableauError("one k entry per column required")
-        if min(k, default=1) < 1:
-            raise TableauError("k entries must be positive")
-        extended = [i for i, (col, ki) in enumerate(zip(cols, k)) if len(col) == ki + 2]
-        plain = [i for i, (col, ki) in enumerate(zip(cols, k)) if len(col) == ki + 1]
-        if len(extended) != 1 or len(plain) != len(cols) - 1:
-            raise TableauError("exactly one column must carry one extra entry")
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "k", k)
-
-    @property
-    def size(self) -> int:
-        return sum(len(col) for col in self.columns)
-
-    @property
-    def top_row(self) -> tuple[int, ...]:
-        return tuple(col[0] for col in self.columns)
-
-    @property
-    def bottom_row(self) -> tuple[int, ...]:
-        """The designated bottoms: entry k_i+1 of each column."""
-        return tuple(col[ki] for col, ki in zip(self.columns, self.k))
 
 
 def fill(word: SWWord) -> Tableau:
@@ -237,17 +201,20 @@ def tableau_to_word(t: Tableau) -> SWWord:
     return _top_word(t.top_row, t.k)
 
 
-def extend_plus(t: Tableau) -> TableauPlus:
-    """Append index size+1 directly below the largest entry."""
+def extend_plus(t: Tableau) -> Tableau:
+    """Append index size+1 directly below the largest entry.
+
+    This is the plus walk's tableau: walk_plus keeps the extended column's
+    designated bottom at its (k_i+1)-st entry, the one above size+1.
+    """
     size = t.size
-    cols = [list(col) for col in t.columns]
-    for col in cols:
+    cols = list(t.columns)
+    for i, col in enumerate(cols):
         if col[-1] == size:
-            col.append(size + 1)
-            break
-    else:
-        raise TableauError(f"no column ends with the largest entry {size}")
-    return TableauPlus(tuple(tuple(c) for c in cols), t.k)
+            cols[i] = col + (size + 1,)
+            # only the extended column is new, and t's columns are int tuples already
+            return _unchecked(Tableau, columns=tuple(cols))
+    raise TableauError(f"no column ends with the largest entry {size}")
 
 
 def is_minus_admissible(t: Tableau) -> bool:

@@ -26,8 +26,8 @@ from .paths import (
     skeleton,
     validate,
 )
-from .ranking import RankTableau, rank_tableau
-from .tableau import Tableau, TableauPlus, extend_plus, fill, is_minus_admissible
+from .ranking import rank_tableau
+from .tableau import Tableau, extend_plus, fill, is_minus_admissible
 
 
 class WalkError(ValueError):
@@ -57,8 +57,8 @@ def _above(columns, size: int) -> list[int]:
     return above
 
 
-def walk(t: Tableau, r: RankTableau) -> tuple[int, ...]:
-    """Plain walk.
+def walk(t: Tableau, ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """Plain walk, on the tableau and its ranks by entry (rank_tableau's).
 
     Start by writing the largest rank-0 entry.  From a first-row box move
     to the bottom of its column, from any other box move up one box; read
@@ -68,14 +68,14 @@ def walk(t: Tableau, r: RankTableau) -> tuple[int, ...]:
     """
     cols = t.columns
     size = t.size
-    if len(r.by_index) != size or list(map(len, r.columns)) != list(map(len, cols)):
-        raise WalkError("rank tableau does not match the tableau's shape")
-    if min(r.by_index) < 0:
+    if len(ranks) != size:
+        raise WalkError(f"expected {size} ranks, one per entry, got {len(ranks)}")
+    if min(ranks) < 0:
         raise WalkError("ranks must be nonnegative")
-    rank = (0,) + r.by_index  # rank[v] of entry v
+    rank = (0, *ranks)  # rank[v] of entry v
     # ascending entries per rank; popping the back yields the largest
     # unwritten entry of that rank
-    stacks: list[list[int]] = [[] for _ in range(max(r.by_index) + 1)]
+    stacks: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for v in range(1, size + 1):
         stacks[rank[v]].append(v)
     # after writing v, the walk pops the stack of the rank read above v
@@ -96,18 +96,26 @@ def walk(t: Tableau, r: RankTableau) -> tuple[int, ...]:
     return tuple(out)
 
 
-def walk_plus(tp: TableauPlus) -> tuple[int, ...]:
-    """Walk for the plus family.
+def walk_plus(t: Tableau) -> tuple[int, ...]:
+    """Walk for the plus family, on extend_plus's tableau.
 
-    Entries one more than a designated bottom are flagged.  Start by
-    writing 1.  From a first-row box read the designated bottom b of the
-    column and write entry b+1 -- written even when b+1 is flagged.  From
-    any other box step up one box; a normal entry there is written, a
-    flagged entry r slides down to r-1, r-2, ... until a normal entry
-    appears, and that one is written.  The walk stops when its next write
-    would repeat an index, having written every entry exactly once.
+    Its largest entry sits directly under the second largest, in a column of
+    three or more entries.  That column's designated bottom is the entry
+    above the largest; every other column's is its last entry.  Entries one
+    more than a designated bottom are flagged.  Start by writing 1.  From a
+    first-row box read the designated bottom b of the column and write
+    entry b+1 -- written even when b+1 is flagged.  From any other box step
+    up one box; a normal entry there is written, a flagged entry r slides
+    down to r-1, r-2, ... until a normal entry appears, and that one is
+    written.  The walk stops when its next write would repeat an index,
+    having written every entry exactly once.
     """
-    return _walk_tilted(tp.columns, tp.bottom_row, tp.size, 1)
+    cols, size = t.columns, t.size
+    foot = next((col for col in cols if col[-1] == size), ())
+    if len(foot) < 3 or foot[-2] != size - 1:
+        raise WalkError(f"entry {size} must sit under {size - 1} in a column of 3+ entries")
+    bottoms = [col[-2] if col[-1] == size else col[-1] for col in cols]
+    return _walk_tilted(cols, bottoms, size, 1)
 
 
 def walk_minus(t: Tableau) -> tuple[int, ...]:

@@ -75,8 +75,8 @@ def digraph_walk(t, r):
     rank 0, then, while the rank the last write's edge enters has unwritten
     indices, write the largest of them.
     """
-    rank = (None, *r.by_index)  # rank[v] of index v
-    target = [None] + [b - 1 for b in r.by_index]
+    rank = (None, *r)  # rank[v] of index v
+    target = [None] + [b - 1 for b in r]
     for v, k in zip(t.top_row, t.k):
         target[v] = rank[v] + k
     stacks = defaultdict(list)  # one edge leaves each index: out-degree = #indices

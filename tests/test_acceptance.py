@@ -15,7 +15,6 @@ from sweepmap import (
     StepSequence,
     SWWord,
     Tableau,
-    TableauPlus,
     brute_invert,
     certify_bijection,
     enumerate_family,
@@ -91,10 +90,7 @@ def test_criterion_2_golden_plus_example():
         kept_cols = (tp.columns[0], *tp.columns[2:])
         kept = sorted(v for col in kept_cols for v in col)
         relabel = {v: i for i, v in enumerate(kept, start=1)}
-        smaller = TableauPlus(
-            tuple(tuple(relabel[v] for v in col) for col in kept_cols),
-            (tp.k[0], *tp.k[2:]),
-        )
+        smaller = Tableau(tuple(tuple(relabel[v] for v in col) for col in kept_cols))
         back = tuple(kept[i - 1] for i in walk_plus(smaller))
         assert back == tuple(v for v in SIGMA_PLUS if v not in removed)
 
@@ -153,11 +149,11 @@ def test_criterion_6_invariant_suite():
 
                 # ranking is total and climbs by 0 or 1
                 r = rank_tableau(t)
-                assert len(r.by_index) == size
-                assert all(b - a in (0, 1) for a, b in zip(r.by_index, r.by_index[1:]))
+                assert len(r) == size
+                assert all(b - a in (0, 1) for a, b in zip(r, r[1:]))
 
                 # rank multiset equals the preimage's level multiset
-                assert sorted(r.by_index) == sorted(ranks(p))
+                assert sorted(r) == sorted(ranks(p))
 
                 # walk lengths: size / size+1 / size-1
                 sigma = walk(t, r)
@@ -172,8 +168,8 @@ def test_criterion_6_invariant_suite():
 
                 if equal_parameter:
                     kv = family.k[0]
-                    top = Counter(col[0] for col in r.columns)
-                    below_top = Counter(a for col in r.columns for a in col[1:])
+                    top = Counter(r[col[0] - 1] for col in t.columns)
+                    below_top = Counter(r[v - 1] for col in t.columns for v in col[1:])
                     for rank, total in (top + below_top).items():
                         assert total == top[rank - kv] + below_top[rank + 1]
                         assert total <= n
@@ -181,7 +177,7 @@ def test_criterion_6_invariant_suite():
 
                     # final write of the plain walk: smallest rank-1 entry
                     smallest_rank_one = min(
-                        v for v in range(1, size + 1) if r.rank_of(v) == 1
+                        v for v in range(1, size + 1) if r[v - 1] == 1
                     )
                     assert sigma[-1] == smallest_rank_one
 

@@ -7,9 +7,13 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepmap import FamilySpec, StepSequence, cli, enumerate_family, oracle
 from sweepmap.cli import main
@@ -131,15 +135,22 @@ class TestFillAndRank:
         )
         assert code == 0 and out.strip() == "1,2|3,4"
 
-    def test_rank_text(self, capsys):
-        code, out, _ = run(capsys, "rank", "--steps", "1,-1,1,-1")
-        assert code == 0 and out.strip() == "0,1|1,2;by_index=0,1,1,2"
+    @pytest.mark.parametrize("steps, text", [
+        ("1,-1,1,-1", "0,1|1,2;by_index=0,1,1,2"),
+        ("1,1,-1,-1", "0,1|0,1;by_index=0,0,1,1"),
+    ], ids=["rising-ranks", "equal-ranks"])
+    def test_rank_text(self, capsys, steps, text):
+        code, out, _ = run(capsys, "rank", "--steps", steps)
+        assert code == 0 and out == text + "\n"
 
     def test_rank_json(self, capsys):
         code, out, _ = run(capsys, "rank", "--steps", "1,1,-1,-1", "--format", "json")
         assert code == 0
-        obj = json.loads(out)
-        assert obj["ranks"] == [[0, 1], [0, 1]] and obj["by_index"] == [0, 0, 1, 1]
+        assert json.loads(out) == {
+            "k": [1, 1],
+            "ranks": [[0, 1], [0, 1]],
+            "by_index": [0, 0, 1, 1],
+        }
 
     def test_rank_svg(self, capsys):
         code, out, _ = run(capsys, "rank", "--steps", "1,1,-1,-1", "--format", "svg")
@@ -583,3 +594,87 @@ def test_render_checks_the_file_family(capsys, tmp_path):
     f.write_text(json.dumps({"family": {"kind": "k", "k": [1]}, "steps": [1, -1]}))
     code, out, _ = run(capsys, "render", "--file", str(f))
     assert code == 0 and out.rstrip("\n") == "/\\"
+
+
+HUGE = "1" + "0" * 5000  # past Python's 4,300-digit limit on converting text to int
+
+
+@pytest.mark.parametrize("source", ["steps", "sw", "file"])
+def test_huge_int_is_an_error(capsys, tmp_path, source):
+    f = tmp_path / "p.json"
+    f.write_text(f'{{"steps": [{HUGE}, -1]}}')
+    value = {"steps": f"{HUGE},-1", "sw": f"S{HUGE} W", "file": str(f)}[source]
+    code, out, err = run(capsys, "sweep", f"--{source}", value)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# raw material for the single-input fuzzer: step tokens, SW letters, JSON
+# fragments, ints past the digit limit and nesting past the recursion limit
+_HUGE_INTS = st.integers(4301, 5000).map(lambda n: "9" * n)
+_DEEP = st.integers(1, 3000).map(lambda d: "[" * d + "]" * d)
+_KEYS = st.sampled_from(["steps", "family", "kind", "k", "m", "n", "columns"])
+
+
+def _object(pairs):
+    return "{" + ",".join(f'"{key}": {value}' for key, value in pairs) + "}"
+
+
+_JSON = st.recursive(
+    st.one_of(
+        st.integers(-4, 4).map(str), _HUGE_INTS, _DEEP,
+        st.sampled_from(["null", "true", "1.5", "1e999", '"k"', '"kplus"', '"rational"']),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5).map(lambda xs: "[" + ",".join(xs) + "]"),
+        st.lists(st.tuples(_KEYS, inner), max_size=4).map(_object),
+    ),
+    max_leaves=12,
+)
+_OBJECTS = st.lists(st.tuples(_KEYS, _JSON), max_size=4).map(_object)
+_TOKENS = st.one_of(
+    st.integers(-4, 4).map(str), _HUGE_INTS, st.text(max_size=3),
+    st.sampled_from(["S", "S2", "W", "W3", ",", " ", "-", "{", "[", "]"]),
+)
+_INPUTS = st.one_of(
+    st.lists(_TOKENS, max_size=12).map("".join),
+    _OBJECTS,
+    _OBJECTS.map(lambda text: text[:-1]),  # cut short
+    st.text(max_size=20),
+)
+_FAMILIES = st.sampled_from([
+    [], ["--family", "k"], ["--family", "kplus"], ["--family", "kminus"],
+    ["--family", "k", "--k", "2,1"], ["--family", "rational"],
+    ["--family", "rational", "--m", "3", "--n", "2"],
+])
+_PATH_COMMANDS = ["sweep", "invert", "fill", "rank", "walk", "render"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(_PATH_COMMANDS),
+    source=st.sampled_from(["steps", "sw", "file"]),
+    text=_INPUTS,
+    family=_FAMILIES,
+    fmt=st.integers(0, 3),
+    ranks=st.booleans(),
+)
+def test_single_input_fuzz_exits_zero_or_one(tmp_path_factory, command, source, text, family,
+                                             fmt, ranks):
+    formats = cli._TABLE[command].formats
+    argv = [command, *family, "--format", formats[fmt % len(formats)]]
+    if command == "render" and ranks:
+        argv.append("--ranks")
+    if source == "file":
+        f = tmp_path_factory.mktemp("fuzz") / "input"
+        f.write_bytes(text.encode("utf-8", "surrogatepass"))
+        text = str(f)
+    argv.append(f"--{source}={text}")
+    out, err = io.StringIO(), io.StringIO()
+    # an empty --steps or --sw falls through to batch mode, which reads no stdin here
+    with mock.patch.object(sys, "stdin", io.StringIO()), redirect_stdout(out), \
+            redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    if code == 1:  # one error line, from main or from argparse
+        assert err.getvalue().splitlines()[-1].startswith(("error:", "sweepmap")), argv

@@ -12,8 +12,8 @@ README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8"
 
 PUBLIC_NAMES = [
     "BijectionReport", "Diagnostic", "FamilyEnumeration", "FamilySpec", "OracleError",
-    "PathError", "RankTableau", "StepSequence", "SWWord", "Tableau",
-    "TableauError", "TableauPlus", "WalkError", "brute_invert", "certify_bijection",
+    "PathError", "StepSequence", "SWWord", "Tableau",
+    "TableauError", "WalkError", "brute_invert", "certify_bijection",
     "dyck_diagnostic", "emit_steps", "enumerate_family", "extend_plus", "fill", "from_minus",
     "from_plus", "from_top_row", "infer_family", "invert", "is_minus_admissible",
     "parse_steps", "path_ascii", "path_from_json", "path_svg", "path_to_json", "rank_ascii",

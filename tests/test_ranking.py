@@ -1,4 +1,4 @@
-"""Rank tableaux: the frozen example, invariants, and occurrence counts."""
+"""Tableau ranks: the frozen example, invariants, and occurrence counts."""
 
 from collections import Counter
 
@@ -21,23 +21,28 @@ RUN_RANKS = ((0, 1, 2, 3, 4), (0, 1, 2), (3, 4, 5, 6, 7, 8), (4, 5, 6, 7))
 RUN_BY_INDEX = (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 5, 5, 6, 6, 7, 7, 8)
 
 
+def box_ranks(columns):
+    """The ranks in tableau shape: each box holds its entry's rank."""
+    r = rank_tableau(Tableau(columns))
+    return tuple(tuple(r[v - 1] for v in col) for col in columns)
+
+
 class TestGoldens:
     def test_running_example(self):
         r = rank_tableau(Tableau(RUN_COLUMNS))
-        assert r.columns == RUN_RANKS
-        assert r.by_index == RUN_BY_INDEX
-        assert r.rank_of(11) == 4
+        assert box_ranks(RUN_COLUMNS) == RUN_RANKS
+        assert r == RUN_BY_INDEX
+        assert r[11 - 1] == 4
 
     def test_two_columns(self):
-        assert rank_tableau(Tableau(((1, 3), (2, 4)))).columns == ((0, 1), (0, 1))
+        assert box_ranks(((1, 3), (2, 4))) == ((0, 1), (0, 1))
 
     def test_single_column(self):
-        assert rank_tableau(Tableau(((1, 2),))).columns == ((0, 1),)
+        assert box_ranks(((1, 2),)) == ((0, 1),)
 
     def test_later_column_inherits_mid_rank(self):
         # column 2 tops at 3, whose predecessor 2 has rank 1
-        r = rank_tableau(Tableau(((1, 2), (3, 4, 5))))
-        assert r.columns == ((0, 1), (1, 2, 3))
+        assert box_ranks(((1, 2), (3, 4, 5))) == ((0, 1), (1, 2, 3))
 
 
 PLAIN_FAMILIES = [f for f in family_grid(3, 3) if f.kind == "k"]
@@ -49,11 +54,10 @@ class TestInvariants:
         for path in enumerate_family(family, permute_k=True).paths:
             t = fill(SWWord.from_steps(sweep(path)))
             r = rank_tableau(t)
-            assert r.rank_of(1) == 0
+            assert r[0] == 0
             # ranks step by 0 or 1 along the index order
-            by = r.by_index
-            assert all(b - a in (0, 1) for a, b in zip(by, by[1:]))
-            assert len(by) == t.size
+            assert all(b - a in (0, 1) for a, b in zip(r, r[1:]))
+            assert len(r) == t.size
 
     def test_ranks_echo_the_preimage_levels(self):
         # multiset of box ranks == multiset of the preimage's starting levels
@@ -61,7 +65,7 @@ class TestInvariants:
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(sweep(path)))
                 r = rank_tableau(t)
-                assert sorted(r.by_index) == sorted(ranks(path))
+                assert sorted(r) == sorted(ranks(path))
 
     def test_unrankable_top(self):
         # column 2 tops at 4 but index 3 is ranked in the same pass later
@@ -76,23 +80,10 @@ class TestInvariants:
 class TestRankCounts:
     def test_running_example(self):
         r = rank_tableau(Tableau(RUN_COLUMNS))
-        top = Counter(col[0] for col in r.columns)
-        below_top = Counter(a for col in r.columns for a in col[1:])
+        top = Counter(r[col[0] - 1] for col in RUN_COLUMNS)
+        below_top = Counter(r[v - 1] for col in RUN_COLUMNS for v in col[1:])
         assert (top[2], below_top[2]) == (0, 2)
         assert (top[0], below_top[0]) == (2, 0)
         assert (top[4], below_top[4]) == (1, 2)
         assert sum((top + below_top).values()) == 18
 
-
-class TestSerialization:
-    def test_text(self):
-        r = rank_tableau(Tableau(((1, 3), (2, 4))))
-        assert r.to_text() == "0,1|0,1;by_index=0,0,1,1"
-
-    def test_json(self):
-        r = rank_tableau(Tableau(((1, 3), (2, 4))))
-        assert r.to_json() == {
-            "k": [1, 1],
-            "ranks": [[0, 1], [0, 1]],
-            "by_index": [0, 0, 1, 1],
-        }

@@ -29,7 +29,7 @@ def _running_example():
         "path.svg": path_svg(path),
         "tableau.txt": tableau_ascii(t),
         "tableau_ranks.txt": tableau_ascii(t, r),
-        "rank.txt": rank_ascii(r),
+        "rank.txt": rank_ascii(t, r),
         "tableau.svg": tableau_svg(t),
         "tableau_ranks.svg": tableau_svg(t, r),
     }
@@ -86,7 +86,7 @@ class TestTableauAscii:
 
     def test_rank_ascii(self):
         t = Tableau(((1, 3), (2, 4)))
-        assert rank_ascii(rank_tableau(t)).splitlines()[0].split() == ["0", "0"]
+        assert rank_ascii(t, rank_tableau(t)).splitlines()[0].split() == ["0", "0"]
 
 
 class TestTableauSvg:

@@ -11,7 +11,6 @@ from sweepmap import (
     SWWord,
     Tableau,
     TableauError,
-    TableauPlus,
     enumerate_family,
     extend_plus,
     fill,
@@ -32,12 +31,6 @@ RUN_WORD = "S4 S2 W W W W W S5 W S3 W W W W W W W W"
 
 def run_tableau():
     return Tableau(RUN_COLUMNS)
-
-
-def test_tableau_plus_needs_positive_k():
-    # a k entry of -1 would let an empty column through to the walks
-    with pytest.raises(TableauError, match="positive"):
-        TableauPlus(((1, 2, 3), ()), (1, -1))
 
 
 def test_columns_become_int_tuples():
@@ -220,17 +213,13 @@ class TestExtendPlus:
     def test_running_example(self):
         tp = extend_plus(run_tableau())
         cols = run_tableau().columns
+        assert type(tp) is Tableau
         assert tp.columns == (*cols[:2], cols[2] + (19,), cols[3])
-        assert tp.bottom_row == (9, 6, 18, 16)
 
     def test_requires_trailing_entry(self):
         # only a malformed (non-increasing) column can hide the largest entry
         with pytest.raises(TableauError, match="largest entry"):
             extend_plus(Tableau(((4, 1), (2, 3))))
-
-    def test_plus_shape_is_checked(self):
-        with pytest.raises(TableauError, match="one extra entry"):
-            TableauPlus(((1, 2), (3, 4)), (1, 1))
 
 
 class TestMinusAdmissible:

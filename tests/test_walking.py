@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from sweepmap import (
     FamilySpec,
     PathError,
-    RankTableau,
     StepSequence,
     SWWord,
     Tableau,
-    TableauPlus,
     WalkError,
     enumerate_family,
     extend_plus,
@@ -66,7 +64,7 @@ class TestWalk:
     def test_shape_mismatch(self):
         t = Tableau(((1, 3), (2, 4)))
         other = rank_tableau(Tableau(((1, 2, 3),)))
-        with pytest.raises(WalkError, match="shape"):
+        with pytest.raises(WalkError, match="expected 4 ranks"):
             walk(t, other)
 
     def test_final_write_is_smallest_rank_one(self):
@@ -79,7 +77,7 @@ class TestWalk:
                 r = rank_tableau(t)
                 sigma = walk(t, r)
                 smallest_rank_one = min(
-                    v for v in range(1, t.size + 1) if r.rank_of(v) == 1
+                    v for v in range(1, t.size + 1) if r[v - 1] == 1
                 )
                 assert sigma[-1] == smallest_rank_one
 
@@ -96,17 +94,24 @@ class TestWalkPlus:
     def test_column_removal_consistency(self):
         # dropping a whole column and relabeling contiguously drops exactly
         # that column's indices from the walk order
-        from sweepmap import TableauPlus
-
         tp = extend_plus(run_tableau())
         removed = set(tp.columns[1])
         kept_cols = (tp.columns[0], *tp.columns[2:])
         kept = sorted(v for col in kept_cols for v in col)
         relabel = {v: i for i, v in enumerate(kept, start=1)}
         smaller = tuple(tuple(relabel[v] for v in col) for col in kept_cols)
-        small_tp = TableauPlus(smaller, (tp.k[0], *tp.k[2:]))
+        small_tp = Tableau(smaller)
         back = tuple(kept[i - 1] for i in walk_plus(small_tp))
         assert back == tuple(v for v in RUN_SIGMA_PLUS if v not in removed)
+
+    @pytest.mark.parametrize("columns", [
+        ((1, 5, 3), (2, 4)),  # the largest entry ends no column
+        ((1, 3, 5), (2, 4)),  # the largest entry is not under the second largest
+        ((1, 2, 3), (4, 5)),  # the largest entry's column holds two entries
+    ], ids=["no-foot", "not-under", "short-column"])
+    def test_needs_extend_plus_shape(self, columns):
+        with pytest.raises(WalkError, match="entry 5 must sit under 4"):
+            walk_plus(Tableau(columns))
 
     def test_stops_exactly_once_per_entry(self):
         for family in family_grid(3, 3):
@@ -139,17 +144,18 @@ class TestWalkMinus:
 
 
 # malformed tableaux for each walk: an entry out of range, a repeated
-# entry, entry 1 off the first column's top, and a zero entry
-_UNIT_RANKS = RankTableau(((0, 1), (0, 1)), (0, 0, 1, 1))
+# entry, entry 1 off the first column's top, and a zero entry; the plus
+# cases keep entry 5 under 4, so each reaches the check it names
+_UNIT_RANKS = (0, 0, 1, 1)
 BAD_WALKS = {
-    "plain-range": lambda: walk(Tableau(((1, 5), (2, 3))), RankTableau(((0, 1), (1, 2)), (0, 1, 2, 3))),
+    "plain-range": lambda: walk(Tableau(((1, 5), (2, 3))), (0, 1, 2, 3)),
     "plain-repeat": lambda: walk(Tableau(((1, 3), (3, 4))), _UNIT_RANKS),
     "plain-off-top": lambda: walk(Tableau(((2, 3), (1, 4))), _UNIT_RANKS),
     "plain-zero": lambda: walk(Tableau(((0, 2), (1, 3))), _UNIT_RANKS),
-    "plus-range": lambda: walk_plus(TableauPlus(((1, 3), (2, 9, 5)), (1, 1))),
-    "plus-repeat": lambda: walk_plus(TableauPlus(((1, 3, 4), (2, 3)), (1, 1))),
-    "plus-off-top": lambda: walk_plus(TableauPlus(((2, 3, 5), (1, 4)), (1, 1))),
-    "plus-zero": lambda: walk_plus(TableauPlus(((1, 3, 4), (0, 2)), (1, 1))),
+    "plus-range": lambda: walk_plus(Tableau(((1, 9), (2, 4, 5)))),
+    "plus-repeat": lambda: walk_plus(Tableau(((1, 2), (2, 4, 5)))),
+    "plus-off-top": lambda: walk_plus(Tableau(((2, 3), (1, 4, 5)))),
+    "plus-zero": lambda: walk_plus(Tableau(((1, 3), (0, 4, 5)))),
     "minus-range": lambda: walk_minus(Tableau(((1, 3, 9), (2, 4)))),
     "minus-repeat": lambda: walk_minus(Tableau(((1, 3, 5), (2, 3)))),
     "minus-off-top": lambda: walk_minus(Tableau(((2, 3, 5), (1, 4)))),
@@ -181,7 +187,7 @@ class TestWalkGraph:
     def test_flags_an_unbalanced_ranking(self):
         # entry 4 ranked 2, not 1: three edges enter rank 1, which holds one index
         t = Tableau(((1, 3), (2, 4)))
-        assert digraph_walk(t, RankTableau(((0, 1), (0, 2)), (0, 0, 1, 2)))[1] is False
+        assert digraph_walk(t, (0, 0, 1, 2))[1] is False
 
 
 class TestSigmaToPreimage:
@@ -330,7 +336,7 @@ def test_uniform_members_differential(kind, n, seed):
     sigma = run_walk(t, "k")
     assert digraph_walk(t, rank_tableau(t)) == (sigma, True)
     plain = sigma_to_preimage(sigma, t, FamilySpec.vector(t.k))
-    assert rank_tableau(t).by_index == tuple(sorted(ranks(plain)))
+    assert rank_tableau(t) == tuple(sorted(ranks(plain)))
     if kind == "k":
         assert plain == p
 
@@ -347,4 +353,4 @@ class TestWrittenOrderLaw:
                 r = rank_tableau(t)
                 sigma = walk(t, r)
                 pre = ranks(path)
-                assert all(r.rank_of(v) == pre[j] for j, v in enumerate(sigma))
+                assert all(r[v - 1] == pre[j] for j, v in enumerate(sigma))
