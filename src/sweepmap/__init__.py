@@ -1,10 +1,10 @@
 """Sweep map on generalized Dyck paths, with linear-time inversion.
 
-The sweep map reorders a path's steps by their starting levels.  This
-package computes it for four families of paths -- plain rise-vector paths,
-their plus/minus variants with fractional rises, and rational paths -- and
-inverts it in linear time for the first three via a fill/rank/walk
-pipeline.  An exhaustive oracle certifies bijectivity on small instances.
+The sweep map reorders a path's steps by their starting levels.  This package
+computes it for plain rise-vector paths, their plus/minus variants with fractional
+rises, and rational (m, n) paths, and inverts it in linear time by fill, rank and
+walk: all of them, rational ones when m mod n is 0, 1 or n - 1.  An exhaustive
+oracle certifies bijectivity on small instances, rational families included.
 """
 
 from .oracle import (

@@ -21,12 +21,12 @@ from .oracle import (
     enumerate_family,
 )
 from .paths import (
-    KIND_K,
     KIND_RATIONAL,
     FamilySpec,
     PathError,
     StepSequence,
     SWWord,
+    _walk_tilt,
     emit_steps,
     infer_family,
     parse_steps,
@@ -72,9 +72,7 @@ def _rank(args, steps, family):
 
 
 def _walk(args, steps, family):
-    if family is not None and family.kind == KIND_RATIONAL:  # say so before its fill fails
-        raise PathError("rational paths have no walk")
-    return run_walk(_fill(args, steps, family), family.kind if family else KIND_K)
+    return run_walk(_fill(args, steps, family), family.tilt if family else 0)
 
 
 def _view_path(steps, family, fmt: str):
@@ -170,30 +168,36 @@ def _parse_kvec(text: str) -> tuple[int, ...]:
     return k
 
 
+def _check_family_flags(args) -> None:
+    """Refuse family flags that the chosen kind would not read."""
+    rational = args.family == KIND_RATIONAL
+    if (args.m is None) != (args.n is None):
+        raise PathError("--m and --n go together")
+    if args.m is not None and not rational:
+        raise PathError("--m and --n need --family rational")
+    if args.kvec is not None and (rational or args.family is None):
+        raise PathError("--k needs --family k, kplus or kminus")
+
+
 def _family_from_args(args, steps: StepSequence | None = None) -> FamilySpec | None:
-    kind = args.family
+    kind = args.family  # _check_family_flags has matched --m/--n or --k to it
     if kind is None:
         return None
-    if kind == KIND_RATIONAL:
-        if args.m is not None and args.n is not None:
-            return FamilySpec.rational(args.m, args.n)
-        if steps is not None:
-            return infer_family(steps, kind)
-        raise PathError("rational family needs --m and --n")
-    if args.kvec:
+    if args.m is not None:
+        return FamilySpec.rational(args.m, args.n)
+    if args.kvec is not None:
         return FamilySpec(kind, k=_parse_kvec(args.kvec))
     if steps is not None:
         return infer_family(steps, kind)
+    if kind == KIND_RATIONAL:
+        raise PathError("rational family needs --m and --n")
     raise PathError(f"family {kind!r} needs --k")
 
 
 def _sw_down(args, text: str) -> int:
-    if args.family in ("kplus", "kminus"):
+    """The drop of a W letter: 1 for the k kind, else the number of up steps."""
+    if args.family in ("kplus", "kminus", KIND_RATIONAL):
         return sum(1 for tok in text.split() if tok != "W") or 1
-    if args.family == KIND_RATIONAL:
-        if args.n is None:
-            raise PathError("parsing a rational SW word needs --n")
-        return args.n
     return 1
 
 
@@ -283,6 +287,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     """Certify the sweep on the family's permutation closure, then round-trip each path."""
     family = _family_from_args(args)
+    _walk_tilt(family)  # a family no walk inverts fails here, not in the round trips
     report = certify_bijection(family, permute_k=True, **_bounds(args))
     out = report.to_json()
     images, _ = _closure(family, **_bounds(args))
@@ -305,8 +310,9 @@ def _cmd_verify(args) -> int:
 
 def _verify_text(family: FamilySpec, report: dict) -> str:
     """verify's report as lines: family, count, bijection, then each counterexample field."""
-    lines = [  # the oracle enumerates the k-vector kinds only
-        f"family: {family.kind} k={emit_steps(family.k)}",
+    named = f"k={emit_steps(family.k)}" if family.k else f"m={family.m} n={family.n}"
+    lines = [
+        f"family: {family.kind} {named}",
         f"count: {report['count']}",
         f"bijection: {'yes' if report['bijection'] else 'no'}",
     ]
@@ -339,6 +345,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        _check_family_flags(args)
         return _COMMANDS.get(args.command, _cmd_path)(args)
     except (ValueError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Exhaustive ground truth for small instances.
 
-Enumerates whole families by depth-first search and sweeps each permutation
-closure once into a memo; brute-force inversion and the bijection
-certificate both read that memo.  Everything here is deliberately
+Enumerates whole families, of every kind, by depth-first search over their
+rises and drop, and sweeps each permutation closure once into a memo; brute-force
+inversion and the bijection certificate both read that memo.  Everything here is
 independent of the walk-based inversion so the two can check each other.
 """
 
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
-from .paths import KIND_RATIONAL, FamilySpec, StepSequence, emit_steps
+from .paths import FamilySpec, StepSequence, emit_steps
 from .sweep import sweep
 
 DEFAULT_MAX_N = 5
@@ -48,12 +49,12 @@ class FamilyEnumeration:
 
 
 def _check_bounds(family: FamilySpec, max_n: int, max_k: int) -> None:
-    if family.kind == KIND_RATIONAL:
-        raise OracleError("rational families are not enumerable here")
     if family.n_up > max_n:
         raise OracleError(f"n={family.n_up} exceeds the bound {max_n}")
-    if max(family.k) > max_k:
-        raise OracleError(f"max k_i={max(family.k)} exceeds the bound {max_k}")
+    # the largest k_i of rise = drop*k_i + tilt; m // n for a rational family with no walk
+    k = (max(family.up_rises) - (family.tilt or 0)) // family.down_drop
+    if k > max_k:
+        raise OracleError(f"max k_i={k} exceeds the bound {max_k}")
 
 
 def _paths_for(rises: tuple[int, ...], drop: int, n_down: int):
@@ -95,21 +96,24 @@ def enumerate_family(
     """
     _check_bounds(family, max_n, max_k)
     orderings = family.orderings() if permute_k else (family.k,)
-    all_paths: list[StepSequence] = []
-    counts: dict[tuple[int, ...], int] = {}
-    for ordering in orderings:
-        fam = family.reordered(ordering)
-        ps = tuple(_paths_for(fam.up_rises, fam.down_drop, fam.n_down))
-        counts[ordering] = len(ps)
-        all_paths.extend(ps)
-    return FamilyEnumeration(family, permute_k, tuple(all_paths), counts)
+    # drop*k_i + tilt increases with k_i: the sorted orderings of k and of the rises pair up
+    groups = dict(zip(orderings, _by_ordering(family.up_rises, family.down_drop, permute_k)))
+    paths = tuple(p for ps in groups.values() for p in ps)
+    return FamilyEnumeration(family, permute_k, paths, {o: len(ps) for o, ps in groups.items()})
+
+
+def _by_ordering(rises: tuple[int, ...], drop: int, permute: bool):
+    """The paths of the rises in their order, or of each distinct ordering, sorted."""
+    n_down = sum(rises) // drop
+    for ordering in sorted(set(permutations(rises))) if permute else (rises,):
+        yield tuple(_paths_for(ordering, drop, n_down))
 
 
 @lru_cache(maxsize=8)
-def _sweep_closure(kind: str, k: tuple[int, ...], max_n: int, max_k: int):
-    """Path -> image in enumeration order, and image -> preimages, kept for 8 closures."""
-    paths = enumerate_family(FamilySpec(kind, k=k), True, max_n, max_k).paths
-    images = {p: sweep(p) for p in paths}
+def _sweep_closure(rises: tuple[int, ...], drop: int):
+    """Path -> image in enumeration order, and image -> preimages, kept for 8 closures
+    of sorted rises and drop, whatever kind names them."""
+    images = {p: sweep(p) for ps in _by_ordering(rises, drop, True) for p in ps}
     preimages: dict[StepSequence, list[StepSequence]] = {}
     for p, q in images.items():
         preimages.setdefault(q, []).append(p)
@@ -117,9 +121,9 @@ def _sweep_closure(kind: str, k: tuple[int, ...], max_n: int, max_k: int):
 
 
 def _closure(family: FamilySpec, max_n: int, max_k: int):
-    """The family's permutation closure, enumerated and swept once per (kind, sorted k)."""
+    """The family's permutation closure, enumerated and swept once per (sorted rises, drop)."""
     _check_bounds(family, max_n, max_k)
-    return _sweep_closure(family.kind, tuple(sorted(family.k)), max_n, max_k)
+    return _sweep_closure(tuple(sorted(family.up_rises)), family.down_drop)
 
 
 def brute_invert(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, permutations
 
 KIND_K = "k"
@@ -196,21 +196,33 @@ class FamilySpec:
     For the three k-vector kinds, ``k`` lists the defining positive rises;
     the plus/minus kinds store their fractional rises scaled by ``n`` so
     that everything stays an integer.  The rational kind is a pair (m, n):
-    n up steps of rise m, m down steps of drop n.
+    n up steps of rise m, m down steps of drop n.  All else reads the derived
+    ``up_rises``, ``down_drop`` and ``tilt`` (rise = drop*k_i + tilt, which
+    picks the walk); a rational (kn + t, n) has tilt t, other residues None.
     """
 
     kind: str
     k: tuple[int, ...] = ()
     m: int = 0
     n: int = 0
-    # derived from kind: the up-step tilt in units of 1/n, +1 kplus, -1 kminus, else 0
-    tilt: int = field(init=False, repr=False, compare=False)
+    up_rises: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    down_drop: int = field(init=False, repr=False, compare=False)
+    tilt: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _ALL_KINDS:
             raise PathError(f"unknown family kind {self.kind!r}")
-        object.__setattr__(self, "tilt", _TILT.get(self.kind, 0))
-        if self.kind in _K_KINDS:
+        if self.kind == KIND_RATIONAL:
+            if self.k:
+                raise PathError("rational families take (m, n), not a rise vector")
+            m, n = self.m, self.n
+            if m <= 0 or n <= 0:
+                raise PathError("rational family needs positive m and n")
+            # at n = 2 the residues +1 and -1 agree: plus, unless its k would be 0
+            r = m % n
+            tilt = 0 if r == 0 else 1 if r == 1 and m > n else -1 if r == n - 1 else None
+            rises, drop = (m,) * n, n
+        else:
             k = tuple(int(v) for v in self.k)
             if not k:
                 raise PathError("family needs a nonempty rise vector")
@@ -222,11 +234,12 @@ class FamilySpec:
                     "minus family needs n*k_i >= 2 for every entry"
                 )
             object.__setattr__(self, "k", k)
-        else:
-            if self.k:
-                raise PathError("rational families take (m, n), not a rise vector")
-            if self.m <= 0 or self.n <= 0:
-                raise PathError("rational family needs positive m and n")
+            tilt = _TILT.get(self.kind, 0)
+            drop = len(k) if tilt else 1
+            rises = tuple(_tilt(k, drop, tilt)) if tilt else k
+        object.__setattr__(self, "up_rises", rises)
+        object.__setattr__(self, "down_drop", drop)
+        object.__setattr__(self, "tilt", tilt)
 
     @classmethod
     def vector(cls, k) -> "FamilySpec":
@@ -246,13 +259,11 @@ class FamilySpec:
 
     @property
     def n_up(self) -> int:
-        return self.n if self.kind == KIND_RATIONAL else len(self.k)
+        return len(self.up_rises)
 
     @property
     def n_down(self) -> int:
-        if self.kind == KIND_RATIONAL:
-            return self.m
-        return sum(self.k) + self.tilt
+        return sum(self.up_rises) // self.down_drop
 
     @property
     def size(self) -> int:
@@ -261,31 +272,10 @@ class FamilySpec:
     @property
     def scale(self) -> int:
         """Denominator the fractional rises were multiplied by (1 if none)."""
-        return len(self.k) if self.tilt else 1
-
-    @property
-    def up_rises(self) -> tuple[int, ...]:
-        if self.kind == KIND_RATIONAL:
-            return (self.m,) * self.n
-        return tuple(_tilt(self.k, self.scale, self.tilt)) if self.tilt else self.k
-
-    @property
-    def down_drop(self) -> int:
-        return self.n if self.kind == KIND_RATIONAL else self.scale
-
-    def reordered(self, k) -> "FamilySpec":
-        """The same family with its rise vector in a different order."""
-        if self.kind == KIND_RATIONAL:
-            raise PathError("rational families have no rise vector to reorder")
-        k = tuple(k)
-        if sorted(k) != sorted(self.k):
-            raise PathError("reordering must permute the original rise vector")
-        return replace(self, k=k)
+        return self.down_drop if self.k else 1
 
     def orderings(self) -> tuple[tuple[int, ...], ...]:
         """All distinct orderings of the rise vector, sorted."""
-        if self.kind == KIND_RATIONAL:
-            return ()
         return tuple(sorted(set(permutations(self.k))))
 
     def to_json(self) -> dict:
@@ -303,10 +293,8 @@ class FamilySpec:
             if type(m) is not int or type(n) is not int:
                 raise PathError("'m' and 'n' must be integers")
             fam = cls.rational(m, n)
-        elif kind in _K_KINDS:
+        else:  # the constructor refuses an unknown kind
             fam = cls(kind, k=_json_ints(obj, "k"))
-        else:
-            raise PathError(f"unknown family kind {kind!r}")
         if "scale" in obj and obj["scale"] != fam.scale:
             raise PathError(
                 f"scale {obj['scale']} does not match the family (expected {fam.scale})"
@@ -377,12 +365,15 @@ def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
     Tilting n rises by t/n moves the end of the path by t, so the plus kind
     appends one drop and the minus kind removes the final one.
     """
-    k, n, t = family.k, family.scale, family.tilt
+    k, n, t = family.k, family.down_drop, family.tilt
     d = validate(steps, FamilySpec.vector(k))
     if not d:
         raise PathError(f"not a valid path for rises {k}: {d}")
-    if t < 0:
-        _require_single_zero(steps)
+    if t < 0:  # the minus kind needs a single zero among the starting levels
+        starts = _levels(steps)[0][:-1]
+        if starts.count(0) > 1:
+            j = starts.index(0, 1) + 1
+            raise PathError(f"rank 0 reappears at index {j}; need a single zero rank")
     out = _tilt(steps, n, t)
     result = StepSequence(tuple(out + [-n] if t > 0 else out[:-1]))
     d = validate(result, family)
@@ -402,15 +393,8 @@ def _unlift(steps: StepSequence, kind: str) -> StepSequence:
     # and h = -1 means u = n at height 0 with a drop still to come.  Minus:
     # u >= 1, so h >= 1 after the first step, and rank 0 occurs once.
     t = family.tilt
-    out = _untilt(steps, family.scale, t)
+    out = _untilt(steps, family.down_drop, t)
     return StepSequence(tuple(out[:-1] if t > 0 else out + [-1]))
-
-
-def _require_single_zero(plain: StepSequence) -> None:
-    starts = _levels(plain)[0][:-1]  # the starting level of every step; the first is 0
-    if starts.count(0) > 1:
-        j = starts.index(0, 1) + 1
-        raise PathError(f"rank 0 reappears at index {j}; need a single zero rank")
 
 
 def to_plus(steps: StepSequence, k) -> StepSequence:
@@ -442,14 +426,25 @@ def from_minus(steps: StepSequence) -> StepSequence:
     return _unlift(steps, KIND_KMINUS)
 
 
+def _walk_tilt(family: FamilySpec) -> int:
+    """The family's tilt, or the error for a rational residue no walk handles."""
+    if family.tilt is None:
+        m, n = family.m, family.n
+        raise PathError(f"rational ({m}, {n}) paths have no walk: m mod n is {m % n}, "
+                        f"and the walks need 0, {n - 1}, or 1 with m > n")
+    return family.tilt
+
+
 def skeleton(steps: StepSequence, family: FamilySpec | None) -> StepSequence:
-    """The plain path whose word gets filled: the path itself for the k kind
-    or no family, the unlifted path for the plus and minus kinds."""
-    if family is None or family.kind == KIND_K:
+    """The plain path whose word gets filled: the unlifted path for a tilt of
+    +/-1, the path divided by its drop otherwise (itself for a drop of 1)."""
+    if family is None:
         return steps
-    if family.kind == KIND_RATIONAL:
-        raise PathError("rational paths have no fill tableau")
-    return from_plus(steps) if family.tilt > 0 else from_minus(steps)
+    t = _walk_tilt(family)
+    if t:
+        return from_plus(steps) if t > 0 else from_minus(steps)
+    d = family.down_drop
+    return steps if d == 1 else StepSequence(tuple(_untilt(steps, d, 0)))
 
 
 def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
@@ -460,11 +455,10 @@ def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
         raise PathError("path has no up steps")
     if kind in _K_KINDS:
         t = _TILT.get(kind, 0)
-        scale = n if t else 1
-        k = _untilt(rises, scale, t)
-        if min(k) < 1 or _tilt(k, scale, t) != list(rises):
-            raise PathError(f"rises are not of the form n*k{t:+d} for n={n}")
-        return FamilySpec(kind, k=tuple(k))
+        k = tuple(_untilt(rises, n if t else 1, t))
+        if min(k) >= 1 and (family := FamilySpec(kind, k=k)).up_rises == rises:
+            return family
+        raise PathError(f"rises are not of the form n*k{t:+d} for n={n}")
     if kind == KIND_RATIONAL:
         m = rises[0]
         drops = {-a for a in steps if a < 0}

@@ -3,8 +3,9 @@
 Each walk visits the tableau and writes a sequence of indices.  Spelling
 the family's letters along that sequence -- an S letter on every top-row
 index, a W on every other index -- gives the SW-word of the unique preimage
-of the filled path under the sweep map.  Each family kind has one walk, and
-all three run in time linear in the number of entries.
+of the filled path under the sweep map.  The family's tilt picks the walk
+(plain, plus or minus), and all three run in time linear in the number of
+entries.
 """
 
 from __future__ import annotations
@@ -13,16 +14,13 @@ from collections import Counter
 from itertools import chain
 
 from .paths import (
-    KIND_K,
-    KIND_KMINUS,
-    KIND_KPLUS,
-    KIND_RATIONAL,
     FamilySpec,
     PathError,
     StepSequence,
     SWWord,
     _tilt,
     _unchecked,
+    _walk_tilt,
     skeleton,
     validate,
 )
@@ -165,15 +163,13 @@ def _walk_tilted(cols, bottoms, size: int, sign: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def run_walk(t: Tableau, kind: str) -> tuple[int, ...]:
-    """The walk of a family kind, run on the tableau of a path's skeleton."""
-    if kind == KIND_K:
-        return walk(t, rank_tableau(t))
-    if kind == KIND_KPLUS:
+def run_walk(t: Tableau, tilt: int) -> tuple[int, ...]:
+    """The walk of a family's tilt, run on the tableau of a path's skeleton."""
+    if tilt > 0:
         return walk_plus(extend_plus(t))
-    if kind == KIND_KMINUS:
+    if tilt < 0:
         return walk_minus(t)
-    raise PathError("rational paths have no walk")
+    return walk(t, rank_tableau(t))
 
 
 def sigma_to_preimage(sigma: tuple[int, ...], t: Tableau, family: FamilySpec) -> StepSequence:
@@ -183,17 +179,16 @@ def sigma_to_preimage(sigma: tuple[int, ...], t: Tableau, family: FamilySpec) ->
     when sigma[j] is the top index t_i, and a W letter otherwise.  The
     result is validated against the permutation-closed family.
     """
-    if family.kind == KIND_RATIONAL:
-        raise PathError("rational paths have no walk")
-    k, tilt = t.k, family.tilt
-    if sorted(k) != sorted(family.k):
+    tilt = _walk_tilt(family)
+    rises = _tilt(t.k, family.down_drop, tilt)  # each column's tilted rise
+    if sorted(rises) != sorted(family.up_rises):
         raise WalkError("tableau heights do not permute the family's rise vector")
     expected_len = t.size + tilt  # the write count tells the three walks apart
     if len(sigma) != expected_len:
         raise WalkError(f"expected {expected_len} writes, got {len(sigma)}")
     # the signed step spelled at each entry: its column's rise on a top, else the drop
     step_at = [-family.down_drop] * (expected_len + 1)
-    for v, rise in zip(t.top_row, _tilt(k, family.scale, tilt)):
+    for v, rise in zip(t.top_row, rises):
         if 0 < v <= expected_len:
             step_at[v] = rise
     try:  # a non-int entry fails the comparison or the list index
@@ -213,17 +208,16 @@ def sigma_to_preimage(sigma: tuple[int, ...], t: Tableau, family: FamilySpec) ->
 def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     """The unique sweep preimage of a path, by fill, rank, and walk.
 
-    Accepts any member of the permutation-closed family.  Plus and minus
-    paths are unscaled to their underlying plain path before filling; minus
-    inversion additionally needs the filled tableau to be minus-admissible,
-    which holds exactly when that underlying path returns to level zero
-    only once.
+    Accepts any member of the permutation-closed family.  The path is
+    unscaled to its plain skeleton before filling, and the family's tilt
+    picks the walk; minus inversion additionally needs the filled tableau
+    to be minus-admissible, which holds exactly when the skeleton returns
+    to level zero only once.  Rational (m, n) paths invert when m mod n is
+    0, 1 or n - 1, as plain, plus or minus paths.
     """
-    if family.kind == KIND_RATIONAL:
-        raise PathError("inversion is not available for rational paths")
     d = validate(steps, family, permute_k=True)
     if not d:
         raise PathError(f"not a member of the family: {d}")
     t = fill(SWWord.from_steps(skeleton(steps, family)))
-    sigma = run_walk(t, family.kind)
+    sigma = run_walk(t, family.tilt)
     return sigma_to_preimage(sigma, t, family)

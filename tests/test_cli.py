@@ -106,11 +106,36 @@ class TestInvert:
         assert code == 0 and out.strip() == "3,-2,1,-2"
 
     def test_rational_is_refused(self, capsys):
-        code, _, err = run(
-            capsys, "invert", "--steps", "2,-1,-1", "--family", "rational",
-            "--m", "2", "--n", "1",
+        # (7, 5): m mod n = 2, a residue no walk handles
+        code, out, err = run(
+            capsys, "invert", "--steps", "7,-5,7,-5,7,-5,7,-5,7,-5,-5,-5", "--family",
+            "rational", "--m", "7", "--n", "5",
         )
-        assert code == 1 and "rational" in err
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: rational (7, 5) paths have no walk: m mod n is 2, "
+            "and the walks need 0, 4, or 1 with m > n"
+        ]
+
+    @pytest.mark.parametrize("m, n, steps, preimage", [
+        (6, 3, "6,-3,6,6,-3,-3,-3,-3,-3", "6,-3,6,-3,-3,6,-3,-3,-3"),
+        (7, 3, "7,-3,7,7,-3,-3,-3,-3,-3,-3", "7,-3,7,-3,-3,7,-3,-3,-3,-3"),
+        (5, 3, "5,5,-3,-3,-3,5,-3,-3", "5,-3,5,5,-3,-3,-3,-3"),
+        (1, 2, "1,1,-2", "1,1,-2"),
+    ], ids=["m=0-mod-n", "m=1-mod-n", "m=-1-mod-n", "1,2"])
+    def test_rational_round_trips(self, capsys, m, n, steps, preimage):
+        family = ["--family", "rational", "--m", str(m), "--n", str(n)]
+        code, out, _ = run(capsys, "invert", "--steps", steps, *family)
+        assert (code, out.strip()) == (0, preimage)
+        code, out, _ = run(capsys, "sweep", "--steps", preimage, *family)
+        assert (code, out.strip()) == (0, steps)
+
+    @pytest.mark.parametrize("command", ["invert", "fill", "rank", "walk"])
+    @pytest.mark.parametrize("steps", ["1,1,1,-3", "7,-5,7,-5,7,-5,7,-5,7,-5,-5,-5"])
+    def test_residue_without_a_walk_is_one_error(self, capsys, command, steps):
+        code, out, err = run(capsys, command, "--steps", steps, "--family", "rational")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "m mod n is" in err
 
 
 class TestFillAndRank:
@@ -225,12 +250,25 @@ class TestVerify:
 
     @pytest.mark.usefixtures("cold_oracle")
     def test_sweeps_the_closure_once(self, capsys, monkeypatch):
+        # one search per ordering of the rises, one sweep per path
         calls = Counter()
-        counting(monkeypatch, calls, (oracle, "enumerate_family"), (cli, "enumerate_family"),
-                 (oracle, "sweep"), (cli, "sweep"))
+        counting(monkeypatch, calls, (oracle, "_paths_for"), (oracle, "enumerate_family"),
+                 (cli, "enumerate_family"), (oracle, "sweep"), (cli, "sweep"))
         code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1,2,3")
         assert code == 0
-        assert calls == {"enumerate_family": 1, "sweep": json.loads(out)["count"]}
+        assert calls == {"_paths_for": 6, "sweep": json.loads(out)["count"]}
+
+    def test_rational_closure(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "rational", "--m", "7", "--n", "3",
+                           "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "family: rational m=7 n=3", "count: 12", "bijection: yes", ]
+
+    def test_residue_without_a_walk_is_an_error_not_a_failure(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "rational", "--m", "7", "--n", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: rational (7, 5) paths have no walk")
 
     def test_round_trip_mismatch_is_the_counterexample(self, capsys, monkeypatch):
         invert = cli.invert
@@ -404,6 +442,22 @@ class TestRender:
 
 
 class TestFilesAndUsage:
+    @pytest.mark.parametrize("flags", [
+        ["--family", "rational", "--m", "5"],
+        ["--family", "rational", "--n", "1"],
+        ["--family", "k", "--m", "2", "--n", "1"],
+        ["--family", "rational", "--k", "2"],
+        ["--k", "2"],
+    ], ids=["lone-m", "lone-n", "m-and-n-with-k-kind", "k-with-rational", "k-without-family"])
+    @pytest.mark.parametrize("stdin", ["", "2,-1,-1\n1,-1\n"], ids=["single", "batch"])
+    def test_family_flags_the_kind_does_not_read(self, capsys, monkeypatch, flags, stdin):
+        # the parent ignored each of these flags: sweep printed 2,-1,-1 and exited 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        steps = [] if stdin else ["--steps", "2,-1,-1"]
+        code, out, err = run(capsys, "sweep", *steps, *flags)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: --")
+
     def test_file_input_with_family(self, capsys, tmp_path):
         f = tmp_path / "p.json"
         f.write_text(
@@ -456,6 +510,9 @@ class TestFilesAndUsage:
             capsys, "enumerate", "--family", "k", "--k", "2,x"
         )
         assert code == 1 and "malformed rise vector" in err
+        # an empty --k is malformed too; it used to be dropped and the rises inferred
+        code, out, err = run(capsys, "sweep", "--steps", "2,-1,-1", "--family", "k", "--k", "")
+        assert (code, out, err) == (1, "", "error: malformed rise vector ''\n")
 
 
 def test_console_script_round_trip(tmp_path):

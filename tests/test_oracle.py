@@ -9,11 +9,13 @@ import pytest
 from sweepmap import (
     FamilySpec,
     OracleError,
+    PathError,
     StepSequence,
     brute_invert,
     certify_bijection,
     emit_steps,
     enumerate_family,
+    invert,
     oracle,
     ranks,
     sweep,
@@ -87,8 +89,11 @@ class TestEnumeration:
             enumerate_family(FamilySpec.vector((1,) * 9))
         with pytest.raises(OracleError, match="exceeds the bound"):
             enumerate_family(FamilySpec.vector((9,)))
-        with pytest.raises(OracleError, match="rational"):
-            enumerate_family(FamilySpec.rational(2, 1))
+        # a rational family is bounded by its n and by k, where m = kn + tilt
+        with pytest.raises(OracleError, match="^n=6 exceeds the bound 5$"):
+            enumerate_family(FamilySpec.rational(7, 6))
+        with pytest.raises(OracleError, match="^max k_i=6 exceeds the bound 4$"):
+            enumerate_family(FamilySpec.rational(13, 2))
 
     def test_to_json(self):
         obj = enumerate_family(FamilySpec.vector((2, 1)), permute_k=True).to_json()
@@ -119,8 +124,11 @@ class TestBruteInvert:
             assert brute_invert(tuple(sweep(p).steps), FamilySpec.vector((1, 1))) == p
 
     def test_rational_family_is_not_enumerable(self):
-        with pytest.raises(OracleError, match="^rational families are not enumerable here$"):
-            brute_invert(StepSequence((2, -1, -1)), FamilySpec.rational(2, 1))
+        # past the bounds, as for the k kinds; (7, 5) has no walk but is enumerable
+        with pytest.raises(OracleError, match="^n=6 exceeds the bound 5$"):
+            brute_invert(StepSequence((7, -6, 7, -6, -6)), FamilySpec.rational(7, 6))
+        path = enumerate_family(FamilySpec.rational(7, 5)).paths[-1]
+        assert brute_invert(sweep(path), FamilySpec.rational(7, 5)) == path
 
     @pytest.mark.usefixtures("cold_oracle")
     def test_certify_then_brute_invert_enumerate_once(self, monkeypatch):
@@ -128,10 +136,22 @@ class TestBruteInvert:
         paths = list(enumerate_family(family, permute_k=True).paths)
         images = [sweep(p) for p in paths]
         calls = Counter()
-        counting(monkeypatch, calls, (oracle, "enumerate_family"), (oracle, "sweep"))
+        counting(monkeypatch, calls, (oracle, "_paths_for"), (oracle, "enumerate_family"),
+                 (oracle, "sweep"))
         report = certify_bijection(family)
         assert [brute_invert(q, family) for q in images] == paths
-        assert calls == {"enumerate_family": 1, "sweep": report.count}
+        # one search per ordering of the rises, one sweep per path
+        assert calls == {"_paths_for": 6, "sweep": report.count}
+
+    @pytest.mark.usefixtures("cold_oracle")
+    def test_one_closure_for_equal_rises_and_drop(self, monkeypatch):
+        # kplus (1,1), kminus (2,2) and rational (3,2) are the same paths: 3s and -2s
+        calls = Counter()
+        counting(monkeypatch, calls, (oracle, "sweep"))
+        families = [FamilySpec.plus((1, 1)), FamilySpec.minus((2, 2)), FamilySpec.rational(3, 2)]
+        reports = [certify_bijection(family) for family in families]
+        assert [r.count for r in reports] == [2, 2, 2] and all(r.bijection for r in reports)
+        assert calls == {"sweep": 2}
 
 
 class TestCertify:
@@ -176,6 +196,44 @@ class TestCertify:
         obj = certify_bijection(FamilySpec.vector((2, 1))).to_json()
         assert set(obj) == {"family", "count", "bijection", "counterexample"}
         assert obj["bijection"] is True
+
+
+# every rational (m, n) with n <= 5 and m <= 12; n = 1 makes m // n reach 12
+RATIONAL = [FamilySpec.rational(m, n) for n in range(1, 6) for m in range(1, 13)]
+RATIONAL_BOUNDS = {"max_n": 5, "max_k": 12}
+
+
+class TestRationalFamilies:
+    def test_fuss_families_invert_as_the_oracle_does(self):
+        # m = kn, kn + 1 or kn - 1: the plain, plus and minus walks apply
+        fuss = [family for family in RATIONAL if family.tilt is not None]
+        count = 0
+        for family in fuss:
+            assert certify_bijection(family, **RATIONAL_BOUNDS).bijection, family
+            for p in enumerate_family(family, **RATIONAL_BOUNDS).paths:
+                q = sweep(p)
+                assert invert(q, family) == brute_invert(q, family, **RATIONAL_BOUNDS) == p
+                count += 1
+        assert (len(fuss), count) == (49, 1414)
+
+    def test_other_residues_certify_but_have_no_walk(self):
+        others = [family for family in RATIONAL if family.tilt is None]
+        assert [(f.m, f.n) for f in others] == [
+            (1, 3), (1, 4), (2, 4), (6, 4), (10, 4), (1, 5), (2, 5), (3, 5), (7, 5), (8, 5),
+            (12, 5),
+        ]
+        for family in others:
+            assert certify_bijection(family, **RATIONAL_BOUNDS).bijection, family
+            q = sweep(enumerate_family(family, **RATIONAL_BOUNDS).paths[-1])
+            with pytest.raises(PathError, match=rf"^rational \({family.m}, {family.n}\) "
+                               rf"paths have no walk: m mod n is {family.m % family.n}, "):
+                invert(q, family)
+
+    def test_seven_five(self):
+        family = FamilySpec.rational(7, 5)
+        assert enumerate_family(family).count == 66 == math.comb(12, 5) // 12
+        report = certify_bijection(family)
+        assert (report.count, report.bijection) == (66, True)
 
 
 class TestRandomPath:

@@ -164,7 +164,7 @@ def test_checks_match_the_loops_on_mutants(kind):
         n = rng.randint(1, 5) if trial % 10 else rng.randint(20, 60)
         family = FamilySpec(kind, k=tuple(rng.randint(2, 4) for _ in range(n)))
         path = uniform_member(family, rng)
-        families = (family, family.reordered(family.k[::-1]), FamilySpec.vector(family.k))
+        families = (family, FamilySpec(kind, k=family.k[::-1]), FamilySpec.vector(family.k))
         for name, steps in _mutants(path.steps, rng).items():
             steps = StepSequence(tuple(steps))
             assert dyck_diagnostic(steps) == _loop_dyck(steps), name
@@ -299,6 +299,30 @@ class TestFamilySpec:
         assert fam.up_rises == (12,) * 4
         assert fam.down_drop == 4 and fam.n_down == 12 and fam.scale == 1
 
+    @pytest.mark.parametrize("m, n, tilt, like", [
+        (12, 4, 0, None),
+        (7, 3, 1, FamilySpec.plus((2, 2, 2))),
+        (5, 3, -1, FamilySpec.minus((2, 2, 2))),
+        (3, 2, 1, FamilySpec.plus((1, 1))),  # at n = 2, +1 and -1 agree: plus
+        (1, 2, -1, FamilySpec.minus((1, 1))),  # unless k would be 0
+        (1, 3, None, None),
+        (7, 5, None, None),
+        (4, 1, 0, FamilySpec.vector((4,))),
+    ])
+    def test_rational_tilt(self, m, n, tilt, like):
+        # m mod n picks the walk; a (kn +/- 1, n) family has the plus/minus rises and drop
+        fam = FamilySpec.rational(m, n)
+        assert fam.tilt == tilt
+        if like is not None:
+            assert (fam.up_rises, fam.down_drop, fam.tilt) == (
+                like.up_rises, like.down_drop, like.tilt)
+
+    def test_derived_fields_are_not_compared(self):
+        fam = FamilySpec.rational(7, 3)
+        assert repr(fam) == "FamilySpec(kind='rational', k=(), m=7, n=3)"
+        assert hash(fam) == hash(FamilySpec.rational(7, 3))
+        assert FamilySpec.rational(7, 3) != FamilySpec.plus((2, 2, 2))
+
     def test_orderings_sorted_and_distinct(self):
         fam = FamilySpec.vector((2, 1, 2))
         assert fam.orderings() == ((1, 2, 2), (2, 1, 2), (2, 2, 1))
@@ -391,6 +415,11 @@ class TestTextForms:
         obj = path_to_json(StepSequence((2, -2)), FamilySpec.rational(2, 1))
         _, fam = path_from_json(obj)
         assert fam == FamilySpec.rational(2, 1)
+        # the drop is n, but the rises were never scaled
+        assert FamilySpec.rational(7, 3).to_json() == {"kind": "rational", "m": 7, "n": 3,
+                                                       "scale": 1}
+        with pytest.raises(PathError, match="scale"):
+            FamilySpec.from_json({"kind": "rational", "m": 7, "n": 3, "scale": 3})
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9).filter(bool), min_size=1, max_size=30))

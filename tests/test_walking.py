@@ -202,7 +202,7 @@ class TestSigmaToPreimage:
         for family in family_grid(3, 3):
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(skeleton(sweep(path), family)))
-                sigma = run_walk(t, family.kind)
+                sigma = run_walk(t, family.tilt)
                 for kind in {"k", "kplus", "kminus"} - {family.kind}:
                     if kind == "kminus" and min(family.k) * len(family.k) < 2:
                         continue
@@ -223,10 +223,19 @@ class TestSigmaToPreimage:
             sigma_to_preimage(sigma, t, FamilySpec.vector((1, 1, 1, 1)))
 
     def test_rational_has_no_walk(self):
-        t = run_tableau()
+        # (7, 5): m mod n = 2, a residue no walk handles
+        t = fill(SWWord.from_steps(StepSequence((1, -1) * 5)))
         sigma = walk(t, rank_tableau(t))
-        with pytest.raises(PathError, match="rational"):
-            sigma_to_preimage(sigma, t, FamilySpec.rational(4, 4))
+        no_walk = r"^rational \(7, 5\) paths have no walk: m mod n is 2,"
+        with pytest.raises(PathError, match=no_walk):
+            sigma_to_preimage(sigma, t, FamilySpec.rational(7, 5))
+
+    def test_rational_spells_the_scaled_rises(self):
+        # (4, 4) is the plain family (1, 1, 1, 1) scaled by 4
+        plain = StepSequence((1, -1, 1, 1, -1, 1, -1, -1))
+        t = fill(SWWord.from_steps(plain))
+        got = sigma_to_preimage(walk(t, rank_tableau(t)), t, FamilySpec.rational(4, 4))
+        assert got.steps == tuple(4 * a for a in invert(plain, FamilySpec.vector((1,) * 4)))
 
 
 class TestInvert:
@@ -256,8 +265,18 @@ class TestInvert:
         assert got.steps == (3, -2, 1, -2)
 
     def test_rational_refused(self):
-        with pytest.raises(PathError, match="rational"):
-            invert(StepSequence((2, -1, -1)), FamilySpec.rational(2, 1))
+        # (1, 3): m mod n = 1 with m < n, and k = 0 has no plus family
+        no_walk = r"^rational \(1, 3\) paths have no walk: m mod n is 1,"
+        with pytest.raises(PathError, match=no_walk):
+            invert(StepSequence((1, 1, 1, -3)), FamilySpec.rational(1, 3))
+        with pytest.raises(PathError, match="m mod n is 1,"):
+            skeleton(StepSequence((1, 1, 1, -3)), FamilySpec.rational(1, 3))
+
+    def test_one_two_inverts_as_minus_one_one(self):
+        # (1, 2): m = 2*1 - 1, the minus family with k = (1, 1), whose one path is fixed
+        family = FamilySpec.rational(1, 2)
+        assert family.tilt == -1 and family.up_rises == FamilySpec.minus((1, 1)).up_rises
+        assert invert(StepSequence((1, 1, -2)), family).steps == (1, 1, -2)
 
     def test_non_member_refused(self):
         with pytest.raises(PathError, match="not a member"):
@@ -292,6 +311,24 @@ class TestLargeRoundTrips:
             assert invert(sweep(p), family) == p
             q = uniform_member(family, rng)
             assert sweep(invert(q, family)) == q
+
+    @pytest.mark.parametrize("tilt", [0, 1, -1])
+    def test_rational_uniform_members(self, tilt):
+        # (3n + tilt, n) with n = 2500, about 10^4 steps: a plus/minus member with
+        # k = (3,)*n step for step, or a plain member scaled by n
+        n, rng = 2500, random.Random(tilt)
+        family = FamilySpec.rational(3 * n + tilt, n)
+        assert family.tilt == tilt
+        kind = {0: "k", 1: "kplus", -1: "kminus"}[tilt]
+
+        def member():
+            p = uniform_member(FamilySpec(kind, (3,) * n), rng)
+            return StepSequence(tuple(n * a for a in p)) if tilt == 0 else p
+
+        p, q = member(), member()
+        assert len(p) == 4 * n + tilt
+        assert invert(sweep(p), family) == p
+        assert sweep(invert(q, family)) == q
 
     @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
     def test_ups_first(self, kind):
@@ -333,7 +370,7 @@ def test_uniform_members_differential(kind, n, seed):
     q = uniform_member(family, rng)
     assert sweep(invert(q, family)) == q
     t = fill(SWWord.from_steps(skeleton(image, family)))
-    sigma = run_walk(t, "k")
+    sigma = run_walk(t, 0)
     assert digraph_walk(t, rank_tableau(t)) == (sigma, True)
     plain = sigma_to_preimage(sigma, t, FamilySpec.vector(t.k))
     assert rank_tableau(t) == tuple(sorted(ranks(plain)))
