@@ -30,7 +30,7 @@ class FamilyEnumeration:
     family: FamilySpec
     permuted: bool
     paths: tuple[StepSequence, ...]
-    counts: dict[tuple[int, ...], int]  # paths per rise-vector ordering
+    counts: dict[tuple[int, ...], int]  # paths per ordering of k (rational: of the rises)
 
     @property
     def count(self) -> int:
@@ -95,7 +95,10 @@ def enumerate_family(
     (sorted), and the result is their concatenation.
     """
     _check_bounds(family, max_n, max_k)
-    orderings = family.orderings() if permute_k else (family.k,)
+    if not family.k:  # a rational family has one ordering, keyed by its rises
+        orderings = (family.up_rises,)
+    else:
+        orderings = family.orderings() if permute_k else (family.k,)
     # drop*k_i + tilt increases with k_i: the sorted orderings of k and of the rises pair up
     groups = dict(zip(orderings, _by_ordering(family.up_rises, family.down_drop, permute_k)))
     paths = tuple(p for ps in groups.values() for p in ps)

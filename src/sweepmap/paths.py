@@ -10,6 +10,7 @@ up steps, so all arithmetic stays integral.  Indices in public data are
 
 from __future__ import annotations
 
+import operator
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -215,12 +216,17 @@ class FamilySpec:
         if self.kind == KIND_RATIONAL:
             if self.k:
                 raise PathError("rational families take (m, n), not a rise vector")
-            m, n = self.m, self.n
+            try:  # ints only: 7.5 would make float rises, and True becomes 1
+                m, n = operator.index(self.m), operator.index(self.n)
+            except TypeError:
+                raise PathError("rational family needs integer m and n") from None
             if m <= 0 or n <= 0:
                 raise PathError("rational family needs positive m and n")
             # at n = 2 the residues +1 and -1 agree: plus, unless its k would be 0
             r = m % n
             tilt = 0 if r == 0 else 1 if r == 1 and m > n else -1 if r == n - 1 else None
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "n", n)
             rises, drop = (m,) * n, n
         else:
             k = tuple(int(v) for v in self.k)
@@ -255,7 +261,7 @@ class FamilySpec:
 
     @classmethod
     def rational(cls, m: int, n: int) -> "FamilySpec":
-        return cls(KIND_RATIONAL, m=int(m), n=int(n))
+        return cls(KIND_RATIONAL, m=m, n=n)
 
     @property
     def n_up(self) -> int:

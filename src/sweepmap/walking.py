@@ -5,7 +5,8 @@ the family's letters along that sequence -- an S letter on every top-row
 index, a W on every other index -- gives the SW-word of the unique preimage
 of the filled path under the sweep map.  The family's tilt picks the walk
 (plain, plus or minus), and all three run in time linear in the number of
-entries.
+entries.  For tilt 0, invert does fill, rank, plain walk and spelling in one
+pass over the path's ints, with the staged functions as its oracle.
 """
 
 from __future__ import annotations
@@ -197,12 +198,72 @@ def sigma_to_preimage(sigma: tuple[int, ...], t: Tableau, family: FamilySpec) ->
         steps = tuple(map(step_at.__getitem__, sigma))
     except TypeError:
         raise WalkError("written entries must be integers") from None
-    # the drop and the tilted rises are nonzero ints, so no entry needs a re-check
+    return _preimage(steps, family)
+
+
+def _preimage(steps: tuple[int, ...], family: FamilySpec) -> StepSequence:
+    """The spelled steps as a path, guarded: it must be a member of the
+    family's closure.  Walks spell the family's drop and rises, nonzero ints,
+    so no step needs the StepSequence re-check."""
     out = _unchecked(StepSequence, steps=steps)
     d = validate(out, family, permute_k=True)
     if not d:
         raise WalkError(f"reconstruction is not a valid family member: {d}")
     return out
+
+
+def _invert_flat(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
+    """The preimage of a validated tilt-0 path s (rises drop*k_i, drops -drop):
+    fill, rank, plain walk and spelling in one pass over 0-based entries.
+
+    Filling keeps a FIFO of the columns with room below their bottom, as
+    (rank of the bottom, rank the column ends at).  A rise tops a new column
+    at the latest entry's rank; a drop goes under the head's bottom and takes
+    the rank after the bottom's.  The walk only ever reads the rank after an entry -- the end rank
+    of a top's column, the rank above any other entry -- so that is all the
+    fill keeps per entry.  The FIFO holds bottoms in index order, so a drop's
+    rank is the latest rank or one more: each rank is one run of entries, and
+    the walk writes its largest unwritten entry with a counter per rank,
+    floored at the last entry of the rank before.
+    """
+    after: list[int] = []  # the rank the walk reads after writing each entry
+    bottom: list[int] = []  # the FIFO's ranks of bottoms, from index head
+    end: list[int] = []  # and the ranks their columns end at
+    last: list[int] = []  # the last entry of each rank but the highest
+    add_after, add_bottom, add_end = after.append, bottom.append, end.append
+    head = rank = 0  # rank: the latest entry's, the highest so far
+    for j, a in enumerate(s):
+        if a > 0:
+            e = rank + a // drop
+            add_after(e)
+            add_bottom(rank)
+            add_end(e)
+            continue
+        r = bottom[head]
+        e = end[head]
+        head += 1
+        add_after(r)
+        if r == rank:  # entry j starts rank r + 1
+            last.append(j - 1)
+            rank += 1
+        r += 1
+        if r < e:
+            add_bottom(r)
+            add_end(e)
+    del bottom, end
+    size = len(s)
+    nxt = [*last, size - 1]  # the largest unwritten entry of each rank
+    floor = [-1, *last]  # the entry below each rank's run
+    out: list[int] = []
+    write = out.append
+    r = 0  # the walk starts with the largest rank-0 entry
+    while (cur := nxt[r]) != floor[r]:
+        nxt[r] = cur - 1
+        write(cur)
+        r = after[cur]
+    if len(out) != size:
+        raise WalkError(f"walk stopped after {len(out)} of {size} writes")
+    return tuple(map(s.__getitem__, out))
 
 
 def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
@@ -213,11 +274,15 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     picks the walk; minus inversion additionally needs the filled tableau
     to be minus-admissible, which holds exactly when the skeleton returns
     to level zero only once.  Rational (m, n) paths invert when m mod n is
-    0, 1 or n - 1, as plain, plus or minus paths.
+    0, 1 or n - 1, as plain, plus or minus paths.  A tilt-0 family takes
+    the one flat pass of _invert_flat; the public stages are its oracle.
     """
     d = validate(steps, family, permute_k=True)
     if not d:
         raise PathError(f"not a member of the family: {d}")
+    if family.tilt == 0:
+        s = steps.steps if isinstance(steps, StepSequence) else StepSequence(steps).steps
+        return _preimage(_invert_flat(s, family.down_drop), family)
     t = fill(SWWord.from_steps(skeleton(steps, family)))
     sigma = run_walk(t, family.tilt)
     return sigma_to_preimage(sigma, t, family)

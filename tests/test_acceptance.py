@@ -30,7 +30,7 @@ from sweepmap import (
     walk_minus,
     walk_plus,
 )
-from conftest import digraph_walk, family_grid, random_path
+from conftest import digraph_walk, family_grid, random_path, uniform_member
 
 IMAGE = StepSequence(
     (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -208,4 +208,13 @@ def test_criterion_7_large_random_round_trips():
         # the ratio moves with host load, so the line shows both times
         timing = f"sweep {t_sort * 1e3:.2f} ms, invert {t_invert * 1e3:.2f} ms"
         notes.append(f"(ratio {ratio:.1f}: {timing})")
+
+        # reported, not gated: each kind on a uniform member with k = (1,)*2000
+        for kind in ("k", "kplus", "kminus"):
+            family = FamilySpec(kind, (1,) * 2000)
+            image = sweep(uniform_member(family, random.Random(kind)))
+            t_s = best_of(lambda: sweep(image))
+            t_i = best_of(lambda: invert(image, family))
+            notes.append(f"[{kind} 1x2000: ratio {t_i / t_s:.1f}, "
+                         f"sweep {t_s * 1e3:.2f} ms, invert {t_i * 1e3:.2f} ms]")
         assert ratio <= 10, f"invert/sweep ratio {ratio:.1f} ({timing})"

@@ -223,6 +223,15 @@ class TestEnumerate:
         obj = json.loads(out)
         assert code == 0 and obj["counts"] == {"1,2": 2, "2,1": 3}
 
+    @pytest.mark.parametrize("permute", [[], ["--permute"]])
+    def test_rational_json_counts_are_keyed_by_the_rises(self, capsys, permute):
+        code, out, _ = run(
+            capsys, "enumerate", "--family", "rational", "--m", "7", "--n", "3",
+            "--format", "json", *permute,
+        )
+        obj = json.loads(out)
+        assert code == 0 and obj["counts"] == {"7,7,7": 12} and obj["count"] == 12
+
     def test_bounds_are_enforced(self, capsys):
         code, _, err = run(
             capsys, "enumerate", "--family", "k", "--k", "1,1,1", "--max-n", "2"

@@ -317,6 +317,19 @@ class TestFamilySpec:
             assert (fam.up_rises, fam.down_drop, fam.tilt) == (
                 like.up_rises, like.down_drop, like.tilt)
 
+    @pytest.mark.parametrize("m, n", [(7.5, 5), (7, 5.0), ("7", 5), (None, 5)])
+    def test_rational_needs_integers(self, m, n):
+        with pytest.raises(PathError, match="^rational family needs integer m and n$"):
+            FamilySpec("rational", m=m, n=n)
+        with pytest.raises(PathError, match="needs integer"):
+            FamilySpec.rational(m, n)
+
+    def test_rational_bool_is_its_int(self):
+        fam = FamilySpec("rational", m=True, n=1)
+        assert (fam.m, fam.n, fam.up_rises, fam.tilt) == (1, 1, (1,), 0)
+        assert type(fam.m) is int and type(fam.up_rises[0]) is int
+        assert fam == FamilySpec.rational(1, 1)
+
     def test_derived_fields_are_not_compared(self):
         fam = FamilySpec.rational(7, 3)
         assert repr(fam) == "FamilySpec(kind='rational', k=(), m=7, n=3)"

@@ -29,9 +29,10 @@ from sweepmap import (
     walk_minus,
     walk_plus,
 )
+from sweepmap import walking
 from sweepmap.paths import skeleton
 from sweepmap.walking import run_walk
-from conftest import digraph_walk, family_grid, uniform_member
+from conftest import counting, digraph_walk, family_grid, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -242,6 +243,7 @@ class TestInvert:
     def test_running_example(self):
         got = invert(StepSequence(IMAGE), FamilySpec.vector((2, 4, 5, 3)))
         assert got.steps == PREIMAGE
+        assert invert(IMAGE, FamilySpec.vector((2, 4, 5, 3))) == got  # a tuple stands for its path
 
     def test_fixed_points(self):
         assert invert(StepSequence((1, -1)), FamilySpec.vector((1,))).steps == (1, -1)
@@ -376,6 +378,80 @@ def test_uniform_members_differential(kind, n, seed):
     assert rank_tableau(t) == tuple(sorted(ranks(plain)))
     if kind == "k":
         assert plain == p
+
+
+def staged_invert(image, family):
+    """invert's stages run one by one: the oracle of its one-pass tilt-0 route."""
+    t = fill(SWWord.from_steps(skeleton(image, family)))
+    return sigma_to_preimage(walk(t, rank_tableau(t)), t, family)
+
+
+class TestFlatInvert:
+    """invert on a tilt-0 family (the k kind, rational (kn, n)) runs one pass
+    over the path's ints; it must write what the public stages write."""
+
+    def test_runs_no_stage_and_validates_twice(self, monkeypatch):
+        calls = Counter()
+        stages = ("validate", "skeleton", "fill", "run_walk", "sigma_to_preimage")
+        counting(monkeypatch, calls, *((walking, name) for name in stages))
+        assert invert(StepSequence(IMAGE), FamilySpec.vector((2, 4, 5, 3))).steps == PREIMAGE
+        p = StepSequence((4, -2, -2, 4, -2, -2))
+        assert invert(sweep(p), FamilySpec.rational(4, 2)) == p
+        assert calls == Counter(validate=4)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_every_rational_closure_in_the_oracle_bounds(self, k, n):
+        family = FamilySpec.rational(k * n, n)
+        assert family.tilt == 0
+        for p in enumerate_family(family, permute_k=True).paths:
+            image = sweep(p)
+            assert invert(image, family) == staged_invert(image, family) == p
+
+    @pytest.mark.parametrize("k", [(1,), (1,) * 2000], ids=["k=1", "k=1x2000"])
+    def test_ups_first(self, k):
+        family = FamilySpec.vector(k)
+        p = StepSequence(k + (-1,) * sum(k))
+        for path in (p, sweep(p)):
+            assert invert(path, family) == staged_invert(path, family)
+        assert invert(sweep(p), family) == p
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_members(self, n, seed):
+        # up to about 2*10^3 steps: a k member, and a rational (kn, n) member,
+        # a plain one with constant rises scaled by n
+        rng = random.Random(seed)
+        family = FamilySpec.vector(tuple(rng.randint(1, 10) for _ in range(n)))
+        k = rng.randint(1, 10)
+        rational = FamilySpec.rational(k * n, n)
+        scaled = uniform_member(FamilySpec.vector((k,) * n), rng)
+        for fam, p in ((family, uniform_member(family, rng)),
+                       (rational, StepSequence(tuple(n * a for a in scaled)))):
+            for path in (p, sweep(p)):
+                assert invert(path, fam) == staged_invert(path, fam)
+
+    @pytest.mark.parametrize("steps, family, error", [
+        ((1, -1), FamilySpec.vector((2,)), "not a member of the family: expected 3 steps, got 2"),
+        # the membership check runs before the refusal of a residue no walk handles
+        ((1, -1), FamilySpec.rational(7, 5),
+         "not a member of the family: expected 12 steps, got 2"),
+        ((7,) * 5 + (-5,) * 7, FamilySpec.rational(7, 5),
+         "rational (7, 5) paths have no walk: m mod n is 2, "
+         "and the walks need 0, 4, or 1 with m > n"),
+        ((2, -2, -2, 2), FamilySpec.rational(2, 2),
+         "not a member of the family: prefix sum -2 is negative (index 3)"),
+    ])
+    def test_refusals(self, steps, family, error):
+        with pytest.raises(PathError) as exc:
+            invert(StepSequence(steps), family)
+        assert str(exc.value) == error
+
+    def test_walk_that_stops_short_is_an_error(self):
+        # not a path (its total is 2), so invert refuses it; the pass alone
+        # fills it and its walk ends after three writes
+        with pytest.raises(WalkError, match=r"^walk stopped after 3 of 4 writes$"):
+            walking._invert_flat((1, 1, 1, -1), 1)
 
 
 class TestWrittenOrderLaw:
