@@ -6,7 +6,9 @@ index, a W on every other index -- gives the SW-word of the unique preimage
 of the filled path under the sweep map.  The family's tilt picks the walk
 (plain, plus or minus), and all three run in time linear in the number of
 entries.  For tilt 0, invert does fill, rank, plain walk and spelling in one
-pass over the path's ints, with the staged functions as its oracle.
+pass over the path's ints, and for tilt -1 fill, admissibility, minus walk
+and spelling in another; the staged functions are their oracle.  The plus
+kind runs the stages.
 """
 
 from __future__ import annotations
@@ -266,23 +268,98 @@ def _invert_flat(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
     return tuple(map(s.__getitem__, out))
 
 
+def _invert_minus(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
+    """The preimage of a validated tilt -1 path s (rises drop*k_i - 1, drops
+    -drop): fill, admissibility, minus walk and spelling in one pass over
+    0-based entries, without unscaling s.
+
+    Entry j < len(s) is step j, and entry len(s) the restored final drop of the
+    skeleton.  A rise of s opens a column of height (rise + 1) // drop + 1, and
+    a drop goes under the bottom at the head of a FIFO of the columns with
+    room.  Each top must lie strictly before the total height of the columns
+    left of it (is_minus_admissible).  above[v] holds the entry above v, or,
+    on a top, its column's bottom b negated: the top writes b - 1, and any
+    other entry slides from the one above it to land[], the first entry at or
+    after it that is not one less than a bottom.  So no write leaves the
+    tableau: b - 1 is at least the top, and no slide passes the last entry,
+    as no bottom follows it.  Entry j spells s[j].
+    """
+    size = len(s) + 1
+    above: list = [0] * size
+    flags: list[int] = []  # the entries one less than a bottom, ascending
+    at: list[int] = []  # the FIFO's bottoms, from index head,
+    room: list[int] = []  # their columns' entries still to come,
+    top: list[int] = []  # and their columns' tops
+    add_at, add_room, add_top = at.append, room.append, top.append
+    head = bound = 0  # bound: the heights of the columns opened so far
+    try:
+        for j, a in enumerate(chain(s, (-drop,))):
+            if a > 0:
+                if j >= bound and j:  # the first top is unbounded
+                    raise WalkError("tableau violates the strict top-row bounds")
+                k = (a + 1) // drop
+                bound += k + 1
+                add_at(j)
+                add_room(k)
+                add_top(j)
+                continue
+            above[j] = at[head]
+            r = room[head] - 1
+            t = top[head]
+            head += 1
+            if r:
+                add_at(j)
+                add_room(r)
+                add_top(t)
+            else:
+                above[t] = -j
+                flags.append(j - 1)
+    except IndexError:  # the FIFO is empty
+        raise WalkError(f"no column has room for the drop at entry {j + 1}") from None
+    if head != len(at):
+        raise WalkError(f"path ends while the column topped by entry {top[head] + 1} is unfilled")
+    del at, room, top
+    land = list(range(size))
+    for f in reversed(flags):
+        land[f] = land[f + 1]
+    del flags
+    a = above[0]
+    above[0] = None  # written
+    out = [0]
+    write = out.append
+    while True:
+        target = ~a if a < 0 else land[a]
+        if (a := above[target]) is None:
+            break
+        above[target] = None
+        write(target)
+    if len(out) != size - 1:  # the minus walk skips one entry
+        raise WalkError(f"walk wrote {len(out)} of the expected {size - 1} entries")
+    if above[size - 1] is None:
+        raise WalkError(f"written entries must lie in 1..{size - 1}")
+    return tuple(map(s.__getitem__, out))
+
+
 def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     """The unique sweep preimage of a path, by fill, rank, and walk.
 
-    Accepts any member of the permutation-closed family.  The path is
-    unscaled to its plain skeleton before filling, and the family's tilt
-    picks the walk; minus inversion additionally needs the filled tableau
-    to be minus-admissible, which holds exactly when the skeleton returns
-    to level zero only once.  Rational (m, n) paths invert when m mod n is
-    0, 1 or n - 1, as plain, plus or minus paths.  A tilt-0 family takes
-    the one flat pass of _invert_flat; the public stages are its oracle.
+    Accepts any member of the permutation-closed family, and the family's
+    tilt picks the walk; minus inversion additionally needs the filled
+    tableau to be minus-admissible, which holds exactly when the skeleton
+    returns to level zero only once.  Rational (m, n) paths invert when
+    m mod n is 0, 1 or n - 1, as plain, plus or minus paths.  A tilt-0
+    family takes the one flat pass of _invert_flat and a tilt -1 family
+    that of _invert_minus, both on the path's own ints.  A tilt +1 path is
+    unscaled to its plain skeleton and runs the public stages, which are
+    also the passes' oracle.
     """
     d = validate(steps, family, permute_k=True)
     if not d:
         raise PathError(f"not a member of the family: {d}")
-    if family.tilt == 0:
+    if family.tilt in (0, -1):
         s = steps.steps if isinstance(steps, StepSequence) else StepSequence(steps).steps
-        return _preimage(_invert_flat(s, family.down_drop), family)
+        one_pass = _invert_flat if family.tilt == 0 else _invert_minus
+        return _preimage(one_pass(s, family.down_drop), family)
     t = fill(SWWord.from_steps(skeleton(steps, family)))
     sigma = run_walk(t, family.tilt)
     return sigma_to_preimage(sigma, t, family)

@@ -524,19 +524,24 @@ class TestFilesAndUsage:
         assert (code, out, err) == (1, "", "error: malformed rise vector ''\n")
 
 
+def _console():
+    """The installed script if there is one; otherwise the same entry point
+    through `python -m sweepmap`.  Returns the command and its environment."""
+    script = shutil.which("sweepmap")
+    if script is not None:
+        return [script], None
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return [sys.executable, "-m", "sweepmap"], {
+        **os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))
+    }
+
+
 def test_console_script_round_trip(tmp_path):
-    # the installed script if there is one; otherwise the same entry point
-    # through `python -m sweepmap`, with the script declared in pyproject.toml
+    # the script is declared in pyproject.toml
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     assert 'sweepmap = "sweepmap.cli:main"' in scripts.splitlines()
-    script = shutil.which("sweepmap")
-    if script is not None:
-        command, env = [script], None
-    else:
-        command = [sys.executable, "-m", "sweepmap"]
-        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    command, env = _console()
     result = subprocess.run(
         [*command, "sweep", "--steps", "2,-1,-1"],
         capture_output=True,
@@ -545,6 +550,24 @@ def test_console_script_round_trip(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "2,-1,-1"
+
+
+@pytest.mark.parametrize("argv, stdin, first", [
+    (("enumerate", "--family", "k", "--k", "4,4,4,4,4", "--permute"), b"",
+     b"4,4,4,4,4" + b",-1" * 20 + b"\n"),
+    (("sweep",), b"2,-1,1,-1,3,-1,-1,-1,-1\n" * 20000, b"2,-1,3,1,-1,-1,-1,-1,-1\n"),
+], ids=["enumerate", "batch"])
+def test_closed_stdout_is_not_an_error(argv, stdin, first):
+    # `sweepmap ... | head -1`: far more than a pipe buffer of output, so the
+    # writer meets the closed pipe; nothing goes to stderr, and the exit is 1
+    command, env = _console()
+    with subprocess.Popen([*command, *argv], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdin.write(stdin)
+        proc.stdin.close()
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 1)
 
 
 # every option of every subcommand, in parser order: (flags, dest, choices, default, required)

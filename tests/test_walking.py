@@ -25,6 +25,7 @@ from sweepmap import (
     sweep,
     to_minus,
     to_plus,
+    validate,
     walk,
     walk_minus,
     walk_plus,
@@ -32,7 +33,7 @@ from sweepmap import (
 from sweepmap import walking
 from sweepmap.paths import skeleton
 from sweepmap.walking import run_walk
-from conftest import counting, digraph_walk, family_grid, uniform_member
+from conftest import counting, digraph_walk, family_grid, k_multisets, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -381,9 +382,10 @@ def test_uniform_members_differential(kind, n, seed):
 
 
 def staged_invert(image, family):
-    """invert's stages run one by one: the oracle of its one-pass tilt-0 route."""
+    """invert's stages run one by one, with the walk of the family's tilt: the
+    oracle of its one-pass tilt-0 and tilt -1 routes."""
     t = fill(SWWord.from_steps(skeleton(image, family)))
-    return sigma_to_preimage(walk(t, rank_tableau(t)), t, family)
+    return sigma_to_preimage(run_walk(t, family.tilt), t, family)
 
 
 class TestFlatInvert:
@@ -452,6 +454,94 @@ class TestFlatInvert:
         # fills it and its walk ends after three writes
         with pytest.raises(WalkError, match=r"^walk stopped after 3 of 4 writes$"):
             walking._invert_flat((1, 1, 1, -1), 1)
+
+
+MINUS_CLOSURES = [k for k in k_multisets(4, 4) if all(len(k) * v >= 2 for v in k)]
+# every rational (m, n) with m = -1 (mod n) in the oracle's default bounds;
+# at n = 2 only (1, 2) takes the minus walk, the other odd m the plus walk
+MINUS_RATIONALS = [(k * n - 1, n) for n in range(2, 6) for k in range(1, 5)
+                   if FamilySpec.rational(k * n - 1, n).tilt == -1]
+
+
+class TestMinusFlatInvert:
+    """invert on a tilt -1 family (the kminus kind, rational (m, n) with
+    m = -1 mod n) runs one pass over the tilted ints; it must write what the
+    public stages write."""
+
+    def test_runs_no_stage_and_validates_twice(self, monkeypatch):
+        calls = Counter()
+        stages = ("validate", "skeleton", "fill", "run_walk", "sigma_to_preimage")
+        counting(monkeypatch, calls, *((walking, name) for name in stages))
+        assert invert(StepSequence((3, 1, -2, -2)), FamilySpec.minus((2, 1))).steps == (
+            3, -2, 1, -2)
+        p = StepSequence((5, -3, 5, -3, -3, 5, -3, -3))
+        assert invert(sweep(p), FamilySpec.rational(5, 3)) == p
+        assert calls == Counter(validate=4)
+
+    @pytest.mark.parametrize("k", MINUS_CLOSURES, ids=str)
+    def test_every_minus_closure_in_the_oracle_bounds(self, k):
+        family = FamilySpec.minus(k)
+        for p in enumerate_family(family, permute_k=True).paths:
+            image = sweep(p)
+            assert invert(image, family) == staged_invert(image, family) == p
+
+    @pytest.mark.parametrize("m, n", MINUS_RATIONALS)
+    def test_every_rational_closure_in_the_oracle_bounds(self, m, n):
+        family = FamilySpec.rational(m, n)
+        for p in enumerate_family(family, permute_k=True).paths:
+            image = sweep(p)
+            assert invert(image, family) == staged_invert(image, family) == p
+
+    @pytest.mark.parametrize("k", [(1, 1), (1,) * 2000], ids=["k=1,1", "k=1x2000"])
+    def test_ups_first(self, k):
+        family = FamilySpec.minus(k)
+        n = len(k)
+        p = StepSequence(tuple(n * v - 1 for v in k) + (-n,) * (sum(k) - 1))
+        for path in (p, sweep(p)):
+            assert invert(path, family) == staged_invert(path, family)
+        assert invert(sweep(p), family) == p
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_members(self, n, seed):
+        # up to about 2*10^3 steps
+        rng = random.Random(seed)
+        family = FamilySpec.minus(tuple(rng.randint(1, 10) for _ in range(n)))
+        p = uniform_member(family, rng)
+        for path in (p, sweep(p)):
+            assert invert(path, family) == staged_invert(path, family)
+        assert invert(sweep(p), family) == p
+
+    @pytest.mark.parametrize("steps, family, error", [
+        ((3, -1, 1, -3), FamilySpec.minus((2, 1)),
+         "not a member of the family: down step drops 1, expected 2 (index 2)"),
+        ((3, 1, -2), FamilySpec.minus((2, 1)), "not a member of the family: total rise is 2, not 0"),
+        ((5, -3, -3, 5, -3, 5, -3, -3), FamilySpec.rational(5, 3),
+         "not a member of the family: prefix sum -1 is negative (index 3)"),
+        # (7, 5) has no walk, but the membership check runs first
+        ((7,) * 5 + (-5,) * 6 + (5,), FamilySpec.rational(7, 5),
+         "not a member of the family: total rise is 10, not 0"),
+    ])
+    def test_refusals(self, steps, family, error):
+        with pytest.raises(PathError) as exc:
+            invert(StepSequence(steps), family)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("steps, drop, error", [
+        # the skeleton 1,-1,1,-1 returns to level 0 twice: its second top is
+        # entry 3, not below the first column's height 2
+        ((1, -2, 1), 2, "tableau violates the strict top-row bounds"),
+        # not Dyck: a first drop, and a drop past the columns' room
+        ((-2, 3, -2), 2, "no column has room for the drop at entry 1"),
+        ((1, -2, -2, 3, -2), 2, "no column has room for the drop at entry 3"),
+        # a rise of k = 3 that two drops leave unfilled
+        ((5, -2), 2, "path ends while the column topped by entry 1 is unfilled"),
+    ])
+    def test_pass_refuses_what_validate_refuses(self, steps, drop, error):
+        assert not validate(StepSequence(steps), FamilySpec.minus((1,) * drop), permute_k=True)
+        with pytest.raises(WalkError) as exc:
+            walking._invert_minus(steps, drop)
+        assert str(exc.value) == error
 
 
 class TestWrittenOrderLaw:
