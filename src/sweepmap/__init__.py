@@ -42,10 +42,7 @@ from .tableau import (
     TableauError,
     extend_plus,
     fill,
-    from_top_row,
     is_minus_admissible,
-    tableau_to_word,
-    validate_tableau,
 )
 from .walking import (
     WalkError,
@@ -79,7 +76,6 @@ __all__ = [
     "fill",
     "from_minus",
     "from_plus",
-    "from_top_row",
     "infer_family",
     "invert",
     "is_minus_admissible",
@@ -96,11 +92,9 @@ __all__ = [
     "sweep_order",
     "tableau_ascii",
     "tableau_svg",
-    "tableau_to_word",
     "to_minus",
     "to_plus",
     "validate",
-    "validate_tableau",
     "walk",
     "walk_minus",
     "walk_plus",

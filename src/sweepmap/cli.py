@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Callable, NamedTuple
 
 from .oracle import (
@@ -235,12 +236,12 @@ def _member(args, steps: StepSequence, family: FamilySpec | None):
     return steps, family
 
 
-def _write(text: str, args, end: str = "\n") -> None:
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + end)
+            fh.write(text + "\n")
     else:
-        print(text, end=end)
+        print(text)
 
 
 def _cmd_path(args) -> int:
@@ -256,18 +257,21 @@ def _cmd_path(args) -> int:
         return 0
     if args.format in ("ascii", "svg"):
         raise PathError(f"batch mode does not support --format {args.format}")
-    out_lines = []  # one per stdin line, so line counts always match
     failed = False
-    for line in sys.stdin:  # split at "\n" only, as `wc -l` counts lines
-        try:
-            text = line.strip()
-            if not text:
-                raise PathError("empty line")
-            out_lines.append(show(*_member(args, *_path(_load(text)))))
-        except (ValueError, RecursionError) as exc:  # each error above is a ValueError
-            out_lines.append(f"error: {exc}")
-            failed = True
-    _write("\n".join(out_lines), args, end="\n" if out_lines else "")
+    # one line out per stdin line, written as it is read, so a reader in a pipe
+    # sees each answer before the next line is sent and memory stays flat
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        for line in sys.stdin:  # split at "\n" only, as `wc -l` counts lines
+            try:
+                text = line.strip()
+                if not text:
+                    raise PathError("empty line")
+                text = show(*_member(args, *_path(_load(text))))
+            except (ValueError, RecursionError) as exc:  # each error above is a ValueError
+                text = f"error: {exc}"
+                failed = True
+            out.write(text + "\n")
+            out.flush()
     return 1 if failed else 0
 
 

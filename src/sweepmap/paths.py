@@ -65,7 +65,10 @@ class StepSequence:
     steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        steps = tuple(map(int, self.steps))
+        try:  # ints only: 1.5 would be truncated, and True becomes 1
+            steps = tuple(map(operator.index, self.steps))
+        except TypeError:
+            raise PathError("path steps must be integers") from None
         if not steps:
             raise PathError("empty path")
         if 0 in steps:
@@ -115,15 +118,6 @@ class SWWord:
                 raise PathError(f"zero rise at index {j}")
         object.__setattr__(self, "letters", letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
-
     @classmethod
     def from_steps(cls, steps: StepSequence) -> "SWWord":
         # a StepSequence holds only nonzero ints, so no letter needs a re-check
@@ -136,15 +130,6 @@ class SWWord:
     def steps(self) -> StepSequence:
         return StepSequence(
             tuple(size if kind == "S" else -size for kind, size in self.letters)
-        )
-
-    def exponents(self) -> tuple[int, ...]:
-        """Exponents of the S letters, in word order."""
-        return tuple(size for kind, size in self.letters if kind == "S")
-
-    def text(self) -> str:
-        return " ".join(
-            f"S{size}" if kind == "S" else "W" for kind, size in self.letters
         )
 
     @classmethod
@@ -229,7 +214,10 @@ class FamilySpec:
             object.__setattr__(self, "n", n)
             rises, drop = (m,) * n, n
         else:
-            k = tuple(int(v) for v in self.k)
+            try:  # ints only: 2.5 would be truncated, and True becomes 1
+                k = tuple(map(operator.index, self.k))
+            except TypeError:
+                raise PathError("rise vector entries must be integers") from None
             if not k:
                 raise PathError("family needs a nonempty rise vector")
             if any(v <= 0 for v in k):

@@ -353,13 +353,14 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     unscaled to its plain skeleton and runs the public stages, which are
     also the passes' oracle.
     """
+    if not isinstance(steps, StepSequence):
+        steps = StepSequence(steps)
     d = validate(steps, family, permute_k=True)
     if not d:
         raise PathError(f"not a member of the family: {d}")
     if family.tilt in (0, -1):
-        s = steps.steps if isinstance(steps, StepSequence) else StepSequence(steps).steps
         one_pass = _invert_flat if family.tilt == 0 else _invert_minus
-        return _preimage(one_pass(s, family.down_drop), family)
+        return _preimage(one_pass(steps.steps, family.down_drop), family)
     t = fill(SWWord.from_steps(skeleton(steps, family)))
     sigma = run_walk(t, family.tilt)
     return sigma_to_preimage(sigma, t, family)

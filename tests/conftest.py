@@ -6,7 +6,17 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from sweepmap import FamilySpec, StepSequence, oracle, to_minus, to_plus
+from sweepmap import (
+    Diagnostic,
+    FamilySpec,
+    StepSequence,
+    SWWord,
+    fill,
+    oracle,
+    to_minus,
+    to_plus,
+)
+from sweepmap.tableau import _top_bounds
 
 
 @pytest.fixture
@@ -64,6 +74,52 @@ def fillings(k, increasing=True):
             for tail in place(left, i + 1):
                 yield (col,) + tail
     yield from place(list(range(1, len(k) + sum(k) + 1)), 0)
+
+
+def validate_tableau(t):
+    """The paper's conditions on a filled tableau, checked pair by pair: its
+    entries are 1..size, its columns and top row increase, each top t_i is at
+    most k_1+...+k_{i-1}+i, and the strip condition holds -- whenever d sits
+    directly below a, no two of the values strictly between them share a column."""
+    n = len(t.columns)
+    size = t.size
+    entries = [v for col in t.columns for v in col]
+    if sorted(entries) != list(range(1, size + 1)):
+        return Diagnostic(False, f"entries do not form 1..{size}")
+    for i, col in enumerate(t.columns, start=1):
+        for a, b in zip(col, col[1:]):
+            if a >= b:
+                return Diagnostic(False, f"column {i} is not strictly increasing", i)
+    top = t.top_row
+    for i in range(1, n):
+        if top[i - 1] >= top[i]:
+            return Diagnostic(False, "top row is not strictly increasing", i + 1)
+    for i, (ti, bound) in enumerate(zip(top, _top_bounds(t.k)), start=1):
+        if ti > bound:
+            return Diagnostic(False, f"top entry {ti} exceeds its bound {bound}", i)
+    col_of = {v: c for c, col in enumerate(t.columns, start=1) for v in col}
+    for col in t.columns:
+        for a, d in zip(col, col[1:]):
+            seen = {}
+            for v in range(a + 1, d):
+                c = col_of[v]
+                if c in seen:
+                    return Diagnostic(
+                        False,
+                        f"strip violation {a} < {seen[c]} < {v} < {d}: "
+                        f"{seen[c]} and {v} share column {c}",
+                    )
+                seen[c] = v
+    return Diagnostic(True)
+
+
+def top_row_tableau(top, k):
+    """The tableau with top row top and heights k_i+1: fill's tableau of the
+    word with S^{k_i} at position top_i and W everywhere else."""
+    tops = dict(zip(top, k))
+    size = len(k) + sum(k)
+    return fill(SWWord(tuple(("S", tops[j]) if j in tops else ("W", 1)
+                             for j in range(1, size + 1))))
 
 
 def digraph_walk(t, r):

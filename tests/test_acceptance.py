@@ -25,12 +25,11 @@ from sweepmap import (
     rank_tableau,
     ranks,
     sweep,
-    validate_tableau,
     walk,
     walk_minus,
     walk_plus,
 )
-from conftest import digraph_walk, family_grid, random_path, uniform_member
+from conftest import digraph_walk, family_grid, random_path, uniform_member, validate_tableau
 
 IMAGE = StepSequence(
     (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)

@@ -6,8 +6,10 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 from unittest import mock
 
@@ -563,11 +565,69 @@ def test_closed_stdout_is_not_an_error(argv, stdin, first):
     command, env = _console()
     with subprocess.Popen([*command, *argv], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, env=env) as proc:
-        proc.stdin.write(stdin)
-        proc.stdin.close()
+        feeder = _feed(proc, stdin)
         assert proc.stdout.readline() == first
         proc.stdout.close()
         assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 1)
+        feeder.join(timeout=60)
+
+
+def _feed(proc, data: bytes) -> threading.Thread:
+    """Write data to a child's stdin, then close it, in a thread: a batch answers
+    as it reads, so a parent that wrote all of a long stdin before reading any
+    answer would wait on the child while the child waits on it."""
+    def write():
+        with suppress(BrokenPipeError):  # the child stopped reading
+            proc.stdin.write(data)
+        with suppress(BrokenPipeError):
+            proc.stdin.close()
+
+    thread = threading.Thread(target=write)
+    thread.start()
+    return thread
+
+
+def _poll(read, want: bytes, seconds: float = 30) -> bytes:
+    """Call read() until it returns want, or until the time is up; its last result."""
+    deadline = time.monotonic() + seconds
+    while (got := read()) != want and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return got
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_batch_answers_each_line_before_the_next(tmp_path, to_file):
+    # `producer | sweepmap invert ...`: each answer is written, to stdout or to
+    # --out, before the next line is sent, and the exit code still reports the bad line
+    target = tmp_path / "answers.txt"
+    command, env = _console()
+    argv = [*command, "invert", "--family", "k", "--k", "1,1"]
+    with subprocess.Popen(argv + (["--out", str(target)] if to_file else []),
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        fd = proc.stdout.fileno()
+        os.set_blocking(fd, False)
+        seen = bytearray()
+
+        def read() -> bytes:
+            if to_file:
+                return target.read_bytes() if target.exists() else b""
+            with suppress(BlockingIOError):  # nothing written yet
+                seen.extend(os.read(fd, 1 << 16))
+            return bytes(seen)
+
+        want = b""
+        for line, answer in [(b"1,1,-1,-1\n", b"1,-1,1,-1\n"),
+                             (b"x\n", b"error: malformed step token 'x' at index 1\n"),
+                             (b"1,-1,1,-1\n", b"1,1,-1,-1\n")]:
+            proc.stdin.write(line)
+            proc.stdin.flush()
+            want += answer
+            assert _poll(read, want) == want
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 1
+        assert os.read(fd, 1 << 16) == b""  # stdout holds nothing more
+        assert (read(), proc.stderr.read()) == (want, b"")
 
 
 # every option of every subcommand, in parser order: (flags, dest, choices, default, required)

@@ -20,10 +20,12 @@ from sweepmap import (
     from_minus,
     from_plus,
     infer_family,
+    invert,
     parse_steps,
     path_from_json,
     path_to_json,
     ranks,
+    sweep,
     to_minus,
     to_plus,
     validate,
@@ -48,9 +50,18 @@ class TestStepSequence:
         assert StepSequence((2, -1, 1, -1, -1)).rises == (2, 1)
 
     def test_entries_become_ints(self):
-        s = StepSequence((2.0, -1, -1))
-        assert s.steps == (2, -1, -1)
+        s = StepSequence([True, -1])
+        assert s.steps == (1, -1)
         assert all(type(a) is int for a in s.steps)
+
+    @pytest.mark.parametrize("build", [
+        StepSequence, sweep, lambda s: invert(s, FamilySpec.vector((2,))),
+    ], ids=["StepSequence", "sweep", "invert"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
+    def test_entries_must_be_integers(self, build, bad):
+        # int() would truncate 1.5 to 1 and read "2"
+        with pytest.raises(PathError, match="^path steps must be integers$"):
+            build((bad, -1, -1))
 
     def test_zero_rise_text(self):
         with pytest.raises(PathError, match=r"^zero rise at index 3$"):
@@ -324,6 +335,16 @@ class TestFamilySpec:
         with pytest.raises(PathError, match="needs integer"):
             FamilySpec.rational(m, n)
 
+    @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+    def test_k_needs_integers(self, kind, bad):
+        with pytest.raises(PathError, match="^rise vector entries must be integers$"):
+            FamilySpec(kind, k=(bad, 1))
+
+    def test_k_bool_is_its_int(self):
+        fam = FamilySpec.vector((True, 2))
+        assert fam.k == (1, 2) and type(fam.k[0]) is int
+
     def test_rational_bool_is_its_int(self):
         fam = FamilySpec("rational", m=True, n=1)
         assert (fam.m, fam.n, fam.up_rises, fam.tilt) == (1, 1, (1,), 0)
@@ -348,9 +369,7 @@ class TestFamilySpec:
 
 class TestWords:
     def test_text_round_trip(self):
-        w = SWWord.from_steps(StepSequence((2, -1, -1)))
-        assert w.text() == "S2 W W"
-        assert SWWord.from_text("S2 W W") == w
+        assert SWWord.from_text("S2 W W") == SWWord.from_steps(StepSequence((2, -1, -1)))
 
     def test_exponent_mandatory_and_s1_allowed(self):
         assert SWWord.from_text("S1 W").steps().steps == (1, -1)
@@ -364,9 +383,6 @@ class TestWords:
     def test_scaled_down(self):
         w = SWWord.from_text("S5 W S3 W W W", down=2)
         assert w.steps().steps == (5, -2, 3, -2, -2, -2)
-
-    def test_exponents(self):
-        assert SWWord.from_text("S4 S2 W W S3 W").exponents() == (4, 2, 3)
 
     def test_from_steps_equals_the_letter_word(self):
         letters = (("S", 3), ("W", 2), ("S", 1), ("W", 2))

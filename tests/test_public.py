@@ -1,5 +1,7 @@
 """What a user sees first: the public names and the README's examples."""
 
+import ast
+import importlib
 import io
 import re
 import shlex
@@ -8,24 +10,41 @@ from pathlib import Path
 import sweepmap
 from sweepmap.cli import main
 
-README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 PUBLIC_NAMES = [
     "BijectionReport", "Diagnostic", "FamilyEnumeration", "FamilySpec", "OracleError",
     "PathError", "StepSequence", "SWWord", "Tableau",
     "TableauError", "WalkError", "brute_invert", "certify_bijection",
     "dyck_diagnostic", "emit_steps", "enumerate_family", "extend_plus", "fill", "from_minus",
-    "from_plus", "from_top_row", "infer_family", "invert", "is_minus_admissible",
+    "from_plus", "infer_family", "invert", "is_minus_admissible",
     "parse_steps", "path_ascii", "path_from_json", "path_svg", "path_to_json", "rank_ascii",
     "rank_tableau", "ranks", "sigma_to_preimage", "sweep", "sweep_order",
-    "tableau_ascii", "tableau_svg", "tableau_to_word", "to_minus", "to_plus", "validate",
-    "validate_tableau", "walk", "walk_minus", "walk_plus",
+    "tableau_ascii", "tableau_svg", "to_minus", "to_plus", "validate",
+    "walk", "walk_minus", "walk_plus",
 ]
 
 
 def test_public_api_is_pinned():
     assert sweepmap.__all__ == PUBLIC_NAMES
     assert all(hasattr(sweepmap, name) for name in PUBLIC_NAMES)
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps each LAYER_OF name ("module.function" or
+    # "module.Class.method"); read without importing, so nothing is written there
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    layer_of = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "LAYER_OF")
+    assert layer_of
+    for name in layer_of:
+        module, *attrs = name.split(".")
+        owner = importlib.import_module(f"sweepmap.{module}")
+        if len(attrs) == 2:  # a method, looked up on its class
+            owner = getattr(owner, attrs[0])
+        assert attrs[-1] in vars(owner), name
 
 
 def _block(section, lang):
