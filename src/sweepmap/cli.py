@@ -8,6 +8,7 @@ success, 1 on invalid input or usage, 2 on verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .paths import (
     PathError,
     StepSequence,
     SWWord,
+    _step_ints,
     _walk_tilt,
     emit_steps,
     infer_family,
@@ -113,6 +115,7 @@ class _Command(NamedTuple):
     reads_path: bool = True  # takes --steps, --sw and --file
     options: tuple = ()  # (flag, argparse keywords) pairs placed after the family flags
     default_format: str | None = None  # when it is not the first choice
+    checks_member: bool = False  # run refuses a path outside the family itself
 
 
 _TEXT = ("text", "json")
@@ -126,7 +129,8 @@ _PERMUTE = (("--permute", {"action": "store_true",
                            "help": "list every ordering of the rise vector"}),)
 _TABLE = {
     "sweep": _Command("apply the sweep map to a path", False, _TEXT, _sweep, _view_path),
-    "invert": _Command("recover the unique sweep preimage", True, _TEXT, _invert, _view_path),
+    "invert": _Command("recover the unique sweep preimage", True, _TEXT, _invert, _view_path,
+                       checks_member=True),
     "fill": _Command("fill a path's word into its tableau", False, _PICTURES, _fill,
                      _view_fill),
     "rank": _Command("rank the tableau of a path", False, _PICTURES, _rank, _view_rank),
@@ -139,7 +143,9 @@ _TABLE = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built at the first call and shared after it."""
     parser = _Parser(prog="sweepmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, c in _TABLE.items():
@@ -163,10 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_kvec(text: str) -> tuple[int, ...]:
-    try:
-        k = tuple(int(v.strip()) for v in text.split(","))
-    except ValueError:
-        raise PathError(f"malformed rise vector {text!r}") from None
+    k = _step_ints(text)  # each entry a step token; FamilySpec refuses one that is not positive
+    if k is None:
+        raise PathError(f"malformed rise vector {text!r}")
     return k
 
 
@@ -194,6 +199,26 @@ def _family_from_args(args, steps: StepSequence | None = None) -> FamilySpec | N
     if kind == KIND_RATIONAL:
         raise PathError("rational family needs --m and --n")
     raise PathError(f"family {kind!r} needs --k")
+
+
+def _family_of(args) -> Callable[[StepSequence], FamilySpec | None]:
+    """The family --family gives an input path, or None without the flag.
+
+    --k or --m/--n name one family for every path of a batch, so it is built
+    once; if that fails, each path raises the same error, after its own.
+    """
+    if args.kvec is None and args.m is None:  # read off each path's rises
+        return lambda steps: _family_from_args(args, steps)
+    try:
+        family = _family_from_args(args)
+    except PathError as exc:
+        error = str(exc)
+
+        def refuse(steps):
+            raise PathError(error)
+
+        return refuse
+    return lambda steps: family
 
 
 def _sw_down(args, text: str) -> int:
@@ -225,11 +250,11 @@ def _path(source) -> tuple[StepSequence, FamilySpec | None]:
     return (source, None) if isinstance(source, StepSequence) else path_from_json(source)
 
 
-def _member(args, steps: StepSequence, family: FamilySpec | None):
-    """The path's family, --family winning over the input's; the path must belong."""
-    if args.family is not None:
-        family = _family_from_args(args, steps)
-    if family is not None:
+def _member(family_of, steps: StepSequence, family: FamilySpec | None, check: bool = True):
+    """The path's family, --family's (from family_of) winning over the input's;
+    the path must belong, which check=False leaves to the caller."""
+    family = family_of(steps) or family
+    if check and family is not None:
         d = validate(steps, family, permute_k=True)
         if not d:
             raise PathError(f"not a member of the family: {d}")
@@ -247,13 +272,15 @@ def _write(text: str, args) -> None:
 def _cmd_path(args) -> int:
     """Run a path subcommand on the input path, or on every stdin line."""
     c = _TABLE[args.command]
+    family_of = _family_of(args)
 
-    def show(steps, family, indent=None) -> str:
+    def show(source, indent=None) -> str:
+        steps, family = _member(family_of, *_path(source), not c.checks_member)
         out = c.view(c.run(args, steps, family), family, args.format)
         return json.dumps(out, indent=indent) if args.format == "json" else out
 
     if args.steps or args.sw or args.file:
-        _write(show(*_member(args, *_path(_read(args))), indent=2), args)
+        _write(show(_read(args), indent=2), args)
         return 0
     if args.format in ("ascii", "svg"):
         raise PathError(f"batch mode does not support --format {args.format}")
@@ -266,7 +293,7 @@ def _cmd_path(args) -> int:
                 text = line.strip()
                 if not text:
                     raise PathError("empty line")
-                text = show(*_member(args, *_path(_load(text))))
+                text = show(_load(text))
             except (ValueError, RecursionError) as exc:  # each error above is a ValueError
                 text = f"error: {exc}"
                 failed = True
@@ -335,7 +362,7 @@ def _cmd_render(args) -> int:
     steps, family = _path(source)
     if args.ranks:
         raise PathError("--ranks overlays apply to tableaux, not paths")
-    _member(args, steps, family)
+    _member(_family_of(args), steps, family)
     _write(path_ascii(steps) if args.format == "ascii" else path_svg(steps), args)
     return 0
 
@@ -344,9 +371,8 @@ _COMMANDS = {"enumerate": _cmd_enumerate, "verify": _cmd_verify, "render": _cmd_
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

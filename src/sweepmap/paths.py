@@ -110,7 +110,10 @@ class SWWord:
     letters: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        letters = tuple((kind, int(size)) for kind, size in self.letters)
+        try:  # ints only: 2.5 would be truncated, and True becomes 1
+            letters = tuple((kind, operator.index(size)) for kind, size in self.letters)
+        except TypeError:
+            raise PathError("letter sizes must be integers") from None
         for j, (kind, size) in enumerate(letters, start=1):
             if kind not in ("S", "W"):
                 raise PathError(f"bad letter kind {kind!r} at index {j}")
@@ -462,28 +465,60 @@ def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
     raise PathError(f"unknown family kind {kind!r}")
 
 
+def _step_ints(text: str) -> tuple[int, ...] | None:
+    """The ints of comma-separated step tokens, or None if one is malformed or
+    past int's digit limit.
+
+    A family member repeats a few values, so when the distinct tokens are at
+    most half of the tokens each is checked and converted once and the rest
+    are looked up; otherwise one match checks the text and one map converts it.
+    The first 64 tokens are counted first: when they are mostly distinct, as in
+    a long line of distinct tokens, counting all of them would not pay.
+    """
+    tokens = text.split(",")
+    head = set(tokens[:64])
+    with suppress(ValueError):  # a token past int's digit limit
+        if (2 * len(head) <= min(len(tokens), 64)
+                and 2 * len(distinct := head.union(tokens)) <= len(tokens)):
+            if all(map(_STEPS_TEXT.fullmatch, distinct)):  # a token holds no comma
+                value = {tok: int(tok.strip()) for tok in distinct}
+                return tuple(map(value.__getitem__, tokens))
+        elif _STEPS_TEXT.fullmatch(text):
+            # int() would not take off the separators \x1c-\x1f that strip() does
+            return tuple(map(int, map(str.strip, tokens)))
+    return None
+
+
 def parse_steps(text: str) -> StepSequence:
     """Parse comma-separated rises, e.g. "2,-1,-1".
 
-    Well-formed text is checked by one match and converted by one map; the
-    tokens are scanned one at a time only to name the first bad one.
+    Well-formed text is converted by _step_ints; the tokens are scanned one
+    at a time only to name the first bad one.
     """
-    tokens = text.split(",")
-    if _STEPS_TEXT.fullmatch(text):
-        with suppress(ValueError):  # a token past int's digit limit: the scan raises it
-            values = tuple(map(int, map(str.strip, tokens)))
-            if 0 not in values:
-                return _unchecked(StepSequence, steps=values)
-    for j, tok in enumerate(map(str.strip, tokens), start=1):
+    values = _step_ints(text)
+    if values is not None and 0 not in values:
+        return _unchecked(StepSequence, steps=values)
+    for j, tok in enumerate(map(str.strip, text.split(",")), start=1):
         if not _STEP_TOKEN.fullmatch(tok):
             raise PathError(f"malformed step token {tok!r} at index {j}")
         if int(tok) == 0:
             raise PathError(f"zero rise at index {j}")
-    raise PathError("no bad token found")  # pragma: no cover - the match or the map failed
+    raise PathError("no bad token found")  # pragma: no cover - the scan names every refusal
 
 
 def emit_steps(steps: StepSequence) -> str:
-    return ",".join(str(a) for a in steps)
+    """Comma-separated rises, the text parse_steps reads back.
+
+    As in _step_ints, a path whose distinct steps are at most half of its
+    steps spells each distinct one once; a StepSequence holds only ints, so
+    equal steps spell alike.
+    """
+    if isinstance(steps, StepSequence):
+        s = steps.steps
+        if 2 * len(distinct := set(s)) <= len(s):
+            text = {a: str(a) for a in distinct}
+            return ",".join(map(text.__getitem__, s))
+    return ",".join([str(a) for a in steps])
 
 
 def path_to_json(steps: StepSequence, family: FamilySpec | None = None) -> dict:

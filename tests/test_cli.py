@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepmap import FamilySpec, StepSequence, cli, enumerate_family, oracle
+from sweepmap import FamilySpec, StepSequence, cli, enumerate_family, oracle, paths, walking
 from sweepmap.cli import main
 from conftest import counting
 
@@ -34,6 +34,9 @@ BAD_JSON_LINES = [
 ]
 PREIMAGE = "2,-1,-1,4,-1,5,-1,-1,-1,-1,3,-1,-1,-1,-1,-1,-1,-1"
 IMAGE = "4,2,-1,-1,-1,-1,-1,5,-1,3,-1,-1,-1,-1,-1,-1,-1,-1"
+# a batch for the family k = (1, 1): members, malformed, JSON, zero, blank and
+# too short lines
+BATCH_LINES = '1,1,-1,-1\nx\n\n{"steps": [null]}\n1,-1,1,-1\n0,1\n   \n2,-1,-1\n'
 
 
 def run(capsys, *argv):
@@ -421,6 +424,52 @@ class TestBatch:
         assert code == 0
         assert out.strip("\n").split("\n") == ["1,-1,1,-1", "1,1,-1,-1"]
 
+    @pytest.mark.parametrize("flags, error", [
+        (("--family", "k", "--k", "1,x"), "malformed rise vector '1,x'"),
+        (("--family", "kminus", "--k", "1"), "minus family needs n*k_i >= 2 for every entry"),
+        (("--family", "rational", "--m", "0", "--n", "3"),
+         "rational family needs positive m and n"),
+    ], ids=["malformed-k", "kminus-k", "rational-m"])
+    def test_bad_family_flags_fail_each_line_after_its_own_error(self, capsys, monkeypatch,
+                                                                 flags, error):
+        # the family is built once per run; a line's own parse error comes first
+        monkeypatch.setattr(sys, "stdin", io.StringIO(BATCH_LINES))
+        lines = [f"error: {error}", "error: malformed step token 'x' at index 1",
+                 "error: empty line", "error: 'steps' must be a list of integers",
+                 f"error: {error}", "error: zero rise at index 1", "error: empty line",
+                 f"error: {error}"]
+        assert run(capsys, "invert", *flags) == (1, "".join(f"{x}\n" for x in lines), "")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert run(capsys, "invert", *flags) == (0, "", "")
+
+    def test_good_family_flags_on_the_same_lines(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(BATCH_LINES))
+        calls = Counter()
+        counting(monkeypatch, calls, (cli, "_family_from_args"))
+        assert run(capsys, "invert", "--family", "k", "--k", "1,1") == (1, (
+            "1,-1,1,-1\nerror: malformed step token 'x' at index 1\nerror: empty line\n"
+            "error: 'steps' must be a list of integers\n1,1,-1,-1\n"
+            "error: zero rise at index 1\nerror: empty line\n"
+            "error: not a member of the family: expected 4 steps, got 3\n"), "")
+        assert calls == {"_family_from_args": 1}
+
+    @pytest.mark.parametrize("command, kind, k, calls", [
+        ("invert", "k", (2, 1, 3), 2), ("invert", "kminus", (2, 1, 3), 2),
+        ("invert", "kplus", (2, 1, 3), 3), ("sweep", "k", (2, 1, 3), 1),
+    ])
+    def test_validate_calls_per_line(self, capsys, monkeypatch, command, kind, k, calls):
+        # invert checks its input once and its output once (a kplus path also
+        # once more as it is unscaled); the command line adds no check of its own
+        family = FamilySpec(kind, k=k)
+        path = enumerate_family(family, permute_k=True).paths[-1]
+        line = ",".join(map(str, path))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+        counted = Counter()
+        counting(monkeypatch, counted, (paths, "validate"), (walking, "validate"),
+                 (cli, "validate"))
+        code, _, _ = run(capsys, command, "--family", kind, "--k", ",".join(map(str, k)))
+        assert code == 0 and counted == {"validate": calls}
+
 
 class TestRender:
     def test_path_ascii(self, capsys):
@@ -524,6 +573,28 @@ class TestFilesAndUsage:
         # an empty --k is malformed too; it used to be dropped and the rises inferred
         code, out, err = run(capsys, "sweep", "--steps", "2,-1,-1", "--family", "k", "--k", "")
         assert (code, out, err) == (1, "", "error: malformed rise vector ''\n")
+
+    @pytest.mark.parametrize("k", ["1_0", "2.0"])
+    def test_k_entries_follow_the_step_token_rule(self, capsys, k):
+        # int() read "1_0" as 10, where --steps refuses the token
+        code, out, err = run(capsys, "invert", "--family", "k", "--k", k,
+                             "--steps", "10" + ",-1" * 10)
+        assert (code, out, err) == (1, "", f"error: malformed rise vector {k!r}\n")
+
+    def test_k_entries_take_the_whitespace_steps_do(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "k", "--k", " 2 ,\x1c1",
+                           "--steps", "2,1,-1,-1,-1")
+        assert (code, out) == (0, "2,-1,-1,1,-1\n")
+
+    def test_parser_is_built_once_per_process(self):
+        # built at the first main() call, not at import, and shared after it
+        code = ("from sweepmap import cli; "
+                "print(cli.build_parser.cache_info().currsize); "
+                "cli.main(['sweep', '--steps', '1,-1']); cli.main(['sweep', '--steps', '1,-1']); "
+                "print(cli.build_parser.cache_info().misses)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+        assert done.stdout.split() == ["0", "1,-1", "1,-1", "1"], done.stderr
 
 
 def _console():

@@ -390,6 +390,16 @@ class TestWords:
         assert w == SWWord(letters) and w.letters == letters
         assert hash(w) == hash(SWWord(letters))
 
+    @pytest.mark.parametrize("bad", [2.5, 1.9, "2", None])
+    def test_letter_sizes_must_be_integers(self, bad):
+        # int() would truncate 2.5 to 2 and read "2"; None raised TypeError
+        with pytest.raises(PathError, match="^letter sizes must be integers$"):
+            SWWord((("S", bad), ("W", 1)))
+
+    def test_letter_size_bool_is_its_int(self):
+        w = SWWord((("S", True), ("W", 1)))
+        assert w.letters == (("S", 1), ("W", 1)) and type(w.letters[0][1]) is int
+
 
 def token_scan(text):
     """parse_steps as a scan token by token: the steps, or the first error."""
@@ -401,6 +411,44 @@ def token_scan(text):
             return f"zero rise at index {j}"
         values.append(int(tok))
     return tuple(values)
+
+
+def _outcome(f, text):
+    """f(text), or the text of the ValueError it raised (a PathError, or int's
+    digit limit)."""
+    try:
+        return f(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# step tokens wrapped in whitespace str.strip() takes off (\x1c too, which
+# int() keeps), some of them malformed, zero or past int's digit limit
+SPACED_TOKENS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", " ", "\x1c", "\u2028"]),
+    st.one_of(st.integers(-12, 12).map(str),
+              st.sampled_from(["+2", "x", "", "1_0", "\u0663", "9" * 5000])),
+    st.sampled_from(["", " ", "\x1c", "\t"]),
+)
+
+
+@st.composite
+def step_lines(draw):
+    """Step text from a pool of distinct tokens, with as many tokens as the
+    pool, one fewer or one more than twice the pool, twice it, or five times
+    it, the pool shuffled in, first or last: every side of the rule that
+    converts each distinct token once, and of its count of the first 64."""
+    n = draw(st.sampled_from([1, 2, 3, 8, 20, 40]))
+    pool = draw(st.lists(SPACED_TOKENS, min_size=n, max_size=n, unique=True))
+    size = draw(st.sampled_from([1, 2, 2, 2, 5])) * len(pool) + draw(st.sampled_from([-1, 0, 1]))
+    # repeats of the whole pool, or of two tokens (well-formed ones, as a
+    # path's rises and drops are), which leave the rest new after them
+    repeats = draw(st.sampled_from([pool, pool[:2], ["1", "-1 "]]))
+    extra = draw(st.lists(st.sampled_from(repeats), min_size=max(size - len(pool), 0),
+                          max_size=max(size - len(pool), 0)))
+    tokens = draw(st.sampled_from([pool + extra, extra + pool, None]))
+    return ",".join(tokens or draw(st.permutations(pool + extra)))
 
 
 class TestTextForms:
@@ -422,6 +470,22 @@ class TestTextForms:
         except PathError as exc:
             got = str(exc)
         assert got == token_scan(text)
+
+    @settings(max_examples=400)
+    @given(step_lines())
+    def test_repeated_and_distinct_tokens_match_the_scan(self, text):
+        got = _outcome(lambda t: parse_steps(t).steps, text)
+        assert got == _outcome(token_scan, text)
+        if isinstance(got, tuple):  # emit spells the steps as str() does, and parses back
+            s = parse_steps(text)
+            assert emit_steps(s) == ",".join(map(str, got))
+            assert parse_steps(emit_steps(s)) == s
+
+    @pytest.mark.parametrize("pairs", [1, 100, 30_000])
+    def test_all_distinct_lines(self, pairs):
+        steps = tuple(a for j in range(1, pairs + 1) for a in (j, -j))
+        text = ",".join(map(str, steps))
+        assert parse_steps(text).steps == steps and emit_steps(StepSequence(steps)) == text
 
     def test_json_round_trip(self):
         s = StepSequence((5, -2, 3, -2, -2, -2))
