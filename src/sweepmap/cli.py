@@ -322,14 +322,14 @@ def _cmd_verify(args) -> int:
     _walk_tilt(family)  # a family no walk inverts fails here, not in the round trips
     report = certify_bijection(family, permute_k=True, **_bounds(args))
     out = report.to_json()
-    images, _ = _closure(family, **_bounds(args))
+    _, images, _ = _closure(family, **_bounds(args))  # step tuples, in enumeration order
     for p, image in images.items() if report.bijection else ():
         try:
             back = invert(image, family)
         except _ERRORS as exc:
             kind, found = "round-trip-error", {"error": str(exc)}
         else:
-            if back == p:
+            if back.steps == p:
                 continue
             kind, found = "round-trip-mismatch", {"preimage": emit_steps(back)}
         out.update(bijection=False, counterexample={

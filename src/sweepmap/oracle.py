@@ -1,18 +1,18 @@
 """Exhaustive ground truth for small instances.
 
 Enumerates whole families, of every kind, by depth-first search over their
-rises and drop, and sweeps each permutation closure once into a memo; brute-force
-inversion and the bijection certificate both read that memo.  Everything here is
-independent of the walk-based inversion so the two can check each other.
+rises and drop, and searches and sweeps each permutation closure once into a
+memo that enumeration, brute-force inversion and the bijection certificate
+read.  All of it is independent of the walk-based inversion, so the two can
+check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
-from .paths import FamilySpec, StepSequence, emit_steps
+from .paths import FamilySpec, StepSequence, _unchecked, emit_steps
 from .sweep import sweep
 
 DEFAULT_MAX_N = 5
@@ -57,30 +57,32 @@ def _check_bounds(family: FamilySpec, max_n: int, max_k: int) -> None:
         raise OracleError(f"max k_i={k} exceeds the bound {max_k}")
 
 
-def _paths_for(rises: tuple[int, ...], drop: int, n_down: int):
-    """DFS over interleavings with nonnegative running height.
+def _paths_for(rises: tuple[int, ...], drop: int, n_down: int) -> list[StepSequence]:
+    """Depth-first search over interleavings with nonnegative running height.
 
-    The up branch is explored before the down branch, so paths come out in
-    S-before-W lexicographic order.  Every leaf is valid: once the ups run
-    out the height equals drop times the remaining downs.
+    The stack holds each down branch beneath its up branch, so paths come out
+    in S-before-W lexicographic order.  Once the ups run out the height is
+    drop times the remaining downs, which are appended at once.
     """
     n = len(rises)
-    path: list[int] = []
+    tails = [(-drop,) * j for j in range(n_down + 1)]  # tails[j]: j drops
+    paths: list[StepSequence] = []
+    stack = [((), 0, n_down, 0)]  # prefix, ups placed, downs left, height
+    while stack:
+        prefix, i, left, h = stack.pop()
+        if i == n:
+            paths.append(_unchecked(StepSequence, steps=prefix + tails[left]))
+            continue
+        if left and h >= drop:
+            stack.append((prefix + tails[1], i, left - 1, h - drop))
+        stack.append((prefix + (rises[i],), i + 1, left, h + rises[i]))
+    return paths
 
-    def rec(i_up: int, used_down: int, h: int):
-        if i_up == n and used_down == n_down:
-            yield StepSequence(tuple(path))
-            return
-        if i_up < n:
-            path.append(rises[i_up])
-            yield from rec(i_up + 1, used_down, h + rises[i_up])
-            path.pop()
-        if used_down < n_down and h >= drop:
-            path.append(-drop)
-            yield from rec(i_up, used_down + 1, h - drop)
-            path.pop()
 
-    yield from rec(0, 0, 0)
+def _search(rises: tuple[int, ...], drop: int) -> dict[tuple[int, ...], list[StepSequence]]:
+    """Each distinct ordering of the rises, sorted, with its paths."""
+    n_down = sum(rises) // drop
+    return {o: _paths_for(o, drop, n_down) for o in sorted(set(permutations(rises)))}
 
 
 def enumerate_family(
@@ -92,41 +94,43 @@ def enumerate_family(
     """All valid paths of the family, deterministically ordered.
 
     With permute_k the rise vector ranges over all its distinct orderings
-    (sorted), and the result is their concatenation.
+    (sorted), and the result is their concatenation.  A closure that the
+    oracle memo holds is read from it, not searched again.
     """
     _check_bounds(family, max_n, max_k)
-    if not family.k:  # a rational family has one ordering, keyed by its rises
-        orderings = (family.up_rises,)
-    else:
-        orderings = family.orderings() if permute_k else (family.k,)
-    # drop*k_i + tilt increases with k_i: the sorted orderings of k and of the rises pair up
-    groups = dict(zip(orderings, _by_ordering(family.up_rises, family.down_drop, permute_k)))
+    if family.k and not permute_k:
+        groups = {family.k: _paths_for(family.up_rises, family.down_drop, family.n_down)}
+    else:  # a rational family has one ordering, keyed by its rises
+        key = (tuple(sorted(family.up_rises)), family.down_drop)
+        found = _closures[key][0] if key in _closures else _search(*key)
+        # drop*k_i + tilt increases with k_i: the sorted orderings of k and of the rises pair up
+        groups = dict(zip(family.orderings() if family.k else found, found.values()))
     paths = tuple(p for ps in groups.values() for p in ps)
     return FamilyEnumeration(family, permute_k, paths, {o: len(ps) for o, ps in groups.items()})
 
 
-def _by_ordering(rises: tuple[int, ...], drop: int, permute: bool):
-    """The paths of the rises in their order, or of each distinct ordering, sorted."""
-    n_down = sum(rises) // drop
-    for ordering in sorted(set(permutations(rises))) if permute else (rises,):
-        yield tuple(_paths_for(ordering, drop, n_down))
-
-
-@lru_cache(maxsize=8)
-def _sweep_closure(rises: tuple[int, ...], drop: int):
-    """Path -> image in enumeration order, and image -> preimages, kept for 8 closures
-    of sorted rises and drop, whatever kind names them."""
-    images = {p: sweep(p) for ps in _by_ordering(rises, drop, True) for p in ps}
-    preimages: dict[StepSequence, list[StepSequence]] = {}
-    for p, q in images.items():
-        preimages.setdefault(q, []).append(p)
-    return images, {q: tuple(ps) for q, ps in preimages.items()}
+# (sorted rises, drop) -> a closure, as _closure builds it: 8 kept, least recently used first
+_closures: dict[tuple[tuple[int, ...], int], tuple[dict, dict, dict]] = {}
 
 
 def _closure(family: FamilySpec, max_n: int, max_k: int):
-    """The family's permutation closure, enumerated and swept once per (sorted rises, drop)."""
+    """The family's permutation closure: its paths by ordering, then path -> image in
+    enumeration order and image -> preimages, keyed by step tuples.  Searched and swept
+    once per (sorted rises, drop), whatever kind names them; the last 8 are kept."""
     _check_bounds(family, max_n, max_k)
-    return _sweep_closure(tuple(sorted(family.up_rises)), family.down_drop)
+    key = (tuple(sorted(family.up_rises)), family.down_drop)
+    closure = _closures.pop(key, None)
+    if closure is None:
+        by_ordering = _search(*key)
+        images, index = {}, {}  # path -> image, image -> preimage StepSequences
+        for p in chain.from_iterable(by_ordering.values()):
+            q = images[p.steps] = sweep(p).steps
+            index.setdefault(q, []).append(p)
+        closure = by_ordering, images, index
+    _closures[key] = closure
+    if len(_closures) > 8:
+        del _closures[next(iter(_closures))]
+    return closure
 
 
 def brute_invert(
@@ -138,8 +142,7 @@ def brute_invert(
     """Preimage by lookup in the memoized sweep of the closure; none or several raise."""
     if not isinstance(steps, StepSequence):
         steps = StepSequence(steps)
-    _, index = _closure(family, max_n, max_k)
-    preimages = index.get(steps, ())
+    preimages = _closure(family, max_n, max_k)[2].get(steps.steps, ())
     if not preimages:
         raise OracleError(f"no preimage of {emit_steps(steps)} in the family")
     if len(preimages) > 1:
@@ -178,11 +181,10 @@ def certify_bijection(
     Injectivity plus image-inside-domain over a finite set of equal size is
     a bijection; the first violation of either becomes the counterexample.
     """
-    images, _ = _closure(family, max_n, max_k)
+    by_ordering, images, _ = _closure(family, max_n, max_k)
     if not permute_k:
-        rises = family.up_rises
-        images = {p: q for p, q in images.items() if p.rises == rises}
-    seen: dict[StepSequence, StepSequence] = {}
+        images = {p.steps: images[p.steps] for p in by_ordering[family.up_rises]}
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     counterexample = None
     for p, q in images.items():
         if q not in images:
@@ -201,6 +203,4 @@ def certify_bijection(
             }
             break
         seen[q] = p
-    return BijectionReport(
-        family, permute_k, len(images), counterexample is None, counterexample
-    )
+    return BijectionReport(family, permute_k, len(images), counterexample is None, counterexample)

@@ -292,10 +292,13 @@ class FamilySpec:
             fam = cls.rational(m, n)
         else:  # the constructor refuses an unknown kind
             fam = cls(kind, k=_json_ints(obj, "k"))
-        if "scale" in obj and obj["scale"] != fam.scale:
-            raise PathError(
-                f"scale {obj['scale']} does not match the family (expected {fam.scale})"
-            )
+        if "scale" in obj:
+            if type(obj["scale"]) is not int:  # as in _json_ints: not 1.0, True or "1"
+                raise PathError("'scale' must be an integer")
+            if obj["scale"] != fam.scale:
+                raise PathError(
+                    f"scale {obj['scale']} does not match the family (expected {fam.scale})"
+                )
         return fam
 
 

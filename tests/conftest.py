@@ -22,9 +22,9 @@ from sweepmap.tableau import _top_bounds
 @pytest.fixture
 def cold_oracle():
     """The oracle's closure memo, empty before the test and again after it."""
-    oracle._sweep_closure.cache_clear()
+    oracle._closures.clear()
     yield
-    oracle._sweep_closure.cache_clear()
+    oracle._closures.clear()
 
 
 def counting(monkeypatch, calls, *bindings):

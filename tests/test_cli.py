@@ -391,6 +391,14 @@ class TestBatch:
         assert lines[1].startswith("error:")
         assert lines[2] == "2,-1,-1"
 
+    @pytest.mark.parametrize("scale", ["true", "1.0", '"1"'])
+    def test_non_integer_scale_is_an_error_line(self, capsys, monkeypatch, scale):
+        line = f'{{"steps": [1, -1], "family": {{"kind": "k", "k": [1], "scale": {scale}}}}}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{line}\n1,-1\n"))
+        code, out, _ = run(capsys, "sweep")
+        assert code == 1
+        assert out.splitlines() == ["error: 'scale' must be an integer", "1,-1"]
+
     def test_only_newlines_end_lines(self, capsys, monkeypatch):
         # a form feed is a line break to str.splitlines, not to `wc -l`
         monkeypatch.setattr(sys, "stdin", io.StringIO("1,-1\x0c2,-1,-1\n1,1,-1,-1\n"))
@@ -898,3 +906,51 @@ def test_single_input_fuzz_exits_zero_or_one(tmp_path_factory, command, source, 
     assert code in (0, 1), (argv, err.getvalue())
     if code == 1:  # one error line, from main or from argparse
         assert err.getvalue().splitlines()[-1].startswith(("error:", "sweepmap")), argv
+
+
+# batch stdin: the single-input fuzzer's inputs and JSON, members of small
+# families, and raw bytes, which may not be UTF-8; a "\n" inside a line would
+# start another one
+_BATCH_LINES = st.lists(
+    st.one_of(
+        _INPUTS.map(lambda text: text.encode("utf-8", "surrogatepass")),
+        st.sampled_from([b"1,-1", b"2,-1,-1", b"1,-1,2,-1,-1", b"3,-2,3,-2,-2",
+                         b'{"steps": [2, -1, 1, -1, -1]}']),
+        _JSON.map(str.encode),
+        st.binary(max_size=12),
+    ).map(lambda line: line.replace(b"\n", b" ")),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["sweep", "invert", "fill", "rank", "walk"]),
+    lines=_BATCH_LINES,
+    family=_FAMILIES,
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_batch_fuzz_answers_every_line(command, lines, family, fmt):
+    if command == "invert" and not family:
+        family = ["--family", "k"]  # invert needs one, or argparse answers no line
+    argv = [command, *family, "--format", fmt]
+    # as sys.stdin reads a UTF-8 pipe: strictly decoded, split at "\n" only
+    stdin = io.TextIOWrapper(io.BytesIO(b"".join(line + b"\n" for line in lines)),
+                             encoding="utf-8", newline="\n")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    answers = out.getvalue().split("\n")
+    assert answers.pop() == "" and code in (0, 1), (argv, lines, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    decodable = 0
+    with suppress(UnicodeDecodeError):
+        for line in lines:
+            line.decode("utf-8")
+            decodable += 1
+    if decodable == len(lines):  # one answer per line, and nothing on stderr
+        assert len(answers) == len(lines) and err.getvalue() == "", (argv, lines)
+        assert code == any(a.startswith("error:") for a in answers)
+    else:  # the lines before the undecodable one at most, then one error line
+        assert len(answers) <= decodable and code == 1, (argv, lines)
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error:")

@@ -1,5 +1,6 @@
 """The exhaustive oracle: enumeration order, counts, and certification."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -101,6 +102,39 @@ class TestEnumeration:
         assert set(obj["counts"]) == {"1,2", "2,1"}
 
 
+def brute_force_paths(family, permute_k):
+    """The family's paths by exhaustion: every placement of the downs among each
+    ordering's rises, the Dyck ones, each ordering's sorted up before down."""
+    rises, drop = family.up_rises, family.down_drop
+    n_down = sum(rises) // drop
+    size = len(rises) + n_down
+    whole = permute_k or not family.k  # a rational family is its one closure
+    found = []
+    for ordering in sorted(set(itertools.permutations(rises))) if whole else [rises]:
+        paths = []
+        for downs in map(set, itertools.combinations(range(size), n_down)):
+            ups = iter(ordering)
+            path = tuple(-drop if j in downs else next(ups) for j in range(size))
+            if min(itertools.accumulate(path)) >= 0:
+                paths.append(path)
+        found += sorted(paths, key=lambda path: [a < 0 for a in path])
+    return found
+
+
+@pytest.mark.usefixtures("cold_oracle")
+@pytest.mark.parametrize("family", family_grid(3, 3) + [
+    FamilySpec.rational(3, 2), FamilySpec.rational(5, 3), FamilySpec.rational(7, 5)], ids=str)
+def test_search_matches_brute_force(family):
+    # cold, then read from the memo that certify fills
+    for permute_k in (False, True):
+        assert [p.steps for p in enumerate_family(family, permute_k).paths] == \
+            brute_force_paths(family, permute_k)
+    certify_bijection(family)
+    for permute_k in (False, True):
+        assert [p.steps for p in enumerate_family(family, permute_k).paths] == \
+            brute_force_paths(family, permute_k)
+
+
 class TestBruteInvert:
     def test_round_trips(self):
         for family in family_grid(3, 3):
@@ -142,6 +176,41 @@ class TestBruteInvert:
         assert [brute_invert(q, family) for q in images] == paths
         # one search per ordering of the rises, one sweep per path
         assert calls == {"_paths_for": 6, "sweep": report.count}
+
+    @pytest.mark.usefixtures("cold_oracle")
+    def test_certify_enumerate_brute_invert_search_once(self, monkeypatch):
+        # enumerate reads the closure that certify searched and swept
+        family = FamilySpec.plus((1, 2, 3))
+        calls = Counter()
+        counting(monkeypatch, calls, (oracle, "_paths_for"), (oracle, "sweep"))
+        report = certify_bijection(family)
+        paths = enumerate_family(family, permute_k=True).paths
+        assert [brute_invert(sweep(p), family) for p in paths] == list(paths)
+        assert calls == {"_paths_for": 6, "sweep": report.count}
+
+    @pytest.mark.usefixtures("cold_oracle")
+    def test_cold_enumerate_sweeps_nothing(self, monkeypatch):
+        calls = Counter()
+        counting(monkeypatch, calls, (oracle, "_paths_for"), (oracle, "sweep"))
+        assert enumerate_family(FamilySpec.plus((1, 2, 3)), permute_k=True).count == 72
+        assert calls == {"_paths_for": 6}
+
+    @pytest.mark.usefixtures("cold_oracle")
+    def test_memo_keeps_the_last_eight_closures(self, monkeypatch):
+        calls = Counter()
+        counting(monkeypatch, calls, (oracle, "sweep"))
+        families = [FamilySpec.vector((k,)) for k in range(1, 10)]
+        for family in families:
+            certify_bijection(family, max_k=9)
+        assert len(oracle._closures) == 8 and calls["sweep"] == 9
+        certify_bijection(families[1], max_k=9)  # kept, and now the most recently used
+        assert calls["sweep"] == 9
+        certify_bijection(families[0], max_k=9)  # swept again; families[2] goes
+        assert len(oracle._closures) == 8 and calls["sweep"] == 10
+        certify_bijection(families[1], max_k=9)
+        assert calls["sweep"] == 10
+        certify_bijection(families[2], max_k=9)
+        assert calls["sweep"] == 11
 
     @pytest.mark.usefixtures("cold_oracle")
     def test_one_closure_for_equal_rises_and_drop(self, monkeypatch):

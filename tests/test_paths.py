@@ -504,6 +504,18 @@ class TestTextForms:
                 {"family": {"kind": "kplus", "k": [2, 1], "scale": 3}, "steps": [1, -1]}
             )
 
+    @pytest.mark.parametrize("family", [
+        {"kind": "k", "k": [1], "scale": True},
+        {"kind": "k", "k": [1], "scale": 1.0},
+        {"kind": "kplus", "k": [1, 1], "scale": 2.0},
+        {"kind": "k", "k": [1], "scale": "1"},
+        {"kind": "k", "k": [1], "scale": None},
+        {"kind": "rational", "m": 3, "n": 2, "scale": [1]},
+    ])
+    def test_json_scale_must_be_an_integer(self, family):
+        with pytest.raises(PathError, match="^'scale' must be an integer$"):
+            path_from_json({"family": family, "steps": [1, -1]})
+
     def test_json_rational(self):
         obj = path_to_json(StepSequence((2, -2)), FamilySpec.rational(2, 1))
         _, fam = path_from_json(obj)
