@@ -9,10 +9,9 @@ check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, permutations
 
-from .paths import FamilySpec, StepSequence, _unchecked, emit_steps
+from .paths import FamilySpec, StepSequence, _Record, _unchecked, emit_steps
 from .sweep import sweep
 
 DEFAULT_MAX_N = 5
@@ -23,14 +22,14 @@ class OracleError(ValueError):
     """Raised for exceeded bounds or impossible preimage requests."""
 
 
-@dataclass(frozen=True)
-class FamilyEnumeration:
+class FamilyEnumeration(_Record):
     """Every path of a family (or its permutation closure), in DFS order."""
 
-    family: FamilySpec
-    permuted: bool
-    paths: tuple[StepSequence, ...]
-    counts: dict[tuple[int, ...], int]  # paths per ordering of k (rational: of the rises)
+    __match_args__ = ("family", "permuted", "paths", "counts")  # counts: per ordering of k
+
+    def __init__(self, family: FamilySpec, permuted: bool, paths: tuple[StepSequence, ...],
+                 counts: dict[tuple[int, ...], int]) -> None:
+        self.__dict__.update(family=family, permuted=permuted, paths=paths, counts=counts)
 
     @property
     def count(self) -> int:
@@ -52,7 +51,7 @@ def _check_bounds(family: FamilySpec, max_n: int, max_k: int) -> None:
     if family.n_up > max_n:
         raise OracleError(f"n={family.n_up} exceeds the bound {max_n}")
     # the largest k_i of rise = drop*k_i + tilt; m // n for a rational family with no walk
-    k = (max(family.up_rises) - (family.tilt or 0)) // family.down_drop
+    k = (family.sorted_rises[-1] - (family.tilt or 0)) // family.down_drop
     if k > max_k:
         raise OracleError(f"max k_i={k} exceeds the bound {max_k}")
 
@@ -101,7 +100,7 @@ def enumerate_family(
     if family.k and not permute_k:
         groups = {family.k: _paths_for(family.up_rises, family.down_drop, family.n_down)}
     else:  # a rational family has one ordering, keyed by its rises
-        key = (tuple(sorted(family.up_rises)), family.down_drop)
+        key = (family.sorted_rises, family.down_drop)
         found = _closures[key][0] if key in _closures else _search(*key)
         # drop*k_i + tilt increases with k_i: the sorted orderings of k and of the rises pair up
         groups = dict(zip(family.orderings() if family.k else found, found.values()))
@@ -118,7 +117,7 @@ def _closure(family: FamilySpec, max_n: int, max_k: int):
     enumeration order and image -> preimages, keyed by step tuples.  Searched and swept
     once per (sorted rises, drop), whatever kind names them; the last 8 are kept."""
     _check_bounds(family, max_n, max_k)
-    key = (tuple(sorted(family.up_rises)), family.down_drop)
+    key = (family.sorted_rises, family.down_drop)
     closure = _closures.pop(key, None)
     if closure is None:
         by_ordering = _search(*key)
@@ -150,15 +149,15 @@ def brute_invert(
     return preimages[0]
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(_Record):
     """Result of certifying the sweep map over an enumerated family."""
 
-    family: FamilySpec
-    permuted: bool
-    count: int
-    bijection: bool
-    counterexample: dict | None
+    __match_args__ = ("family", "permuted", "count", "bijection", "counterexample")
+
+    def __init__(self, family: FamilySpec, permuted: bool, count: int, bijection: bool,
+                 counterexample: dict | None) -> None:
+        self.__dict__.update(family=family, permuted=permuted, count=count,
+                             bijection=bijection, counterexample=counterexample)
 
     def to_json(self) -> dict:
         return {

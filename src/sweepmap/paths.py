@@ -13,7 +13,6 @@ from __future__ import annotations
 import operator
 import re
 from contextlib import suppress
-from dataclasses import dataclass, field
 from itertools import accumulate, permutations
 
 KIND_K = "k"
@@ -36,13 +35,47 @@ class PathError(ValueError):
     """Raised for structurally invalid paths, words, families, or text."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class _Record:
+    """Base of the frozen value classes: equality (same class only), hash and
+    repr read the fields in ``__match_args__``, set once by ``__init__``; records
+    made or read in bulk set them with object.__setattr__, outside a larger and
+    slower ``__dict__``.  ``__eq__`` and ``__hash__`` compile at first call, not import."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    @classmethod
+    def _compile(cls) -> type:
+        mine = "".join(f"self.{name}, " for name in cls.__match_args__)
+        exec(f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+             f"  return ({mine}) == ({mine.replace('self.', 'other.')})\n return NotImplemented\n"
+             f"def __hash__(self):\n return hash(({mine}))\n", code := {})
+        cls.__eq__, cls.__hash__ = code["__eq__"], code["__hash__"]
+        return cls
+
+    def __eq__(self, other):
+        return self._compile().__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return self._compile().__hash__(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Diagnostic(_Record):
     """Outcome of a validation check; truthy exactly when the input is valid."""
 
-    ok: bool
-    reason: str = ""
-    index: int | None = None  # 1-based position of the first offense, if any
+    __match_args__ = ("ok", "reason", "index")  # index: 1-based position of the first offense
+
+    def __init__(self, ok: bool, reason: str = "", index: int | None = None) -> None:
+        self.__dict__.update(ok=ok, reason=reason, index=index)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -58,15 +91,14 @@ class Diagnostic:
 VALID = Diagnostic(True)
 
 
-@dataclass(frozen=True)
-class StepSequence:
+class StepSequence(_Record):
     """A path as the tuple of its signed rises, in path order."""
 
-    steps: tuple[int, ...]
+    __match_args__ = ("steps",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: tuple[int, ...]) -> None:
         try:  # ints only: 1.5 would be truncated, and True becomes 1
-            steps = tuple(map(operator.index, self.steps))
+            steps = tuple(map(operator.index, steps))
         except TypeError:
             raise PathError("path steps must be integers") from None
         if not steps:
@@ -91,15 +123,14 @@ class StepSequence:
 
 
 def _unchecked(cls, **fields):
-    """A frozen dataclass built from fields its checks would pass, skipping them."""
+    """A record built from fields its checks would pass, skipping its __init__."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
 
 
-@dataclass(frozen=True)
-class SWWord:
+class SWWord(_Record):
     """Letter view of a path: ("S", rise) for up steps, ("W", drop) for down.
 
     The textual form spells S letters with a mandatory exponent ("S2", "S1")
@@ -107,11 +138,11 @@ class SWWord:
     record, so parsing takes it as an argument.
     """
 
-    letters: tuple[tuple[str, int], ...]
+    __match_args__ = ("letters",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, letters: tuple[tuple[str, int], ...]) -> None:
         try:  # ints only: 2.5 would be truncated, and True becomes 1
-            letters = tuple((kind, operator.index(size)) for kind, size in self.letters)
+            letters = tuple((kind, operator.index(size)) for kind, size in letters)
         except TypeError:
             raise PathError("letter sizes must be integers") from None
         for j, (kind, size) in enumerate(letters, start=1):
@@ -178,8 +209,7 @@ def _json_ints(obj: dict, key: str, error: type = PathError) -> tuple[int, ...]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """Which family a path belongs to.
 
     For the three k-vector kinds, ``k`` lists the defining positive rises;
@@ -190,22 +220,16 @@ class FamilySpec:
     picks the walk); a rational (kn + t, n) has tilt t, other residues None.
     """
 
-    kind: str
-    k: tuple[int, ...] = ()
-    m: int = 0
-    n: int = 0
-    up_rises: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    down_drop: int = field(init=False, repr=False, compare=False)
-    tilt: int | None = field(init=False, repr=False, compare=False)
+    __match_args__ = ("kind", "k", "m", "n")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _ALL_KINDS:
-            raise PathError(f"unknown family kind {self.kind!r}")
-        if self.kind == KIND_RATIONAL:
-            if self.k:
+    def __init__(self, kind: str, k: tuple[int, ...] = (), m: int = 0, n: int = 0) -> None:
+        if kind not in _ALL_KINDS:
+            raise PathError(f"unknown family kind {kind!r}")
+        if kind == KIND_RATIONAL:
+            if k:
                 raise PathError("rational families take (m, n), not a rise vector")
             try:  # ints only: 7.5 would make float rises, and True becomes 1
-                m, n = operator.index(self.m), operator.index(self.n)
+                m, n = operator.index(m), operator.index(n)
             except TypeError:
                 raise PathError("rational family needs integer m and n") from None
             if m <= 0 or n <= 0:
@@ -213,30 +237,34 @@ class FamilySpec:
             # at n = 2 the residues +1 and -1 agree: plus, unless its k would be 0
             r = m % n
             tilt = 0 if r == 0 else 1 if r == 1 and m > n else -1 if r == n - 1 else None
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "n", n)
             rises, drop = (m,) * n, n
         else:
             try:  # ints only: 2.5 would be truncated, and True becomes 1
-                k = tuple(map(operator.index, self.k))
+                k = tuple(map(operator.index, k))
             except TypeError:
                 raise PathError("rise vector entries must be integers") from None
             if not k:
                 raise PathError("family needs a nonempty rise vector")
             if any(v <= 0 for v in k):
                 raise PathError("rise vector entries must be positive")
-            if self.kind == KIND_KMINUS and any(len(k) * v < 2 for v in k):
+            if kind == KIND_KMINUS and any(len(k) * v < 2 for v in k):
                 # a scaled rise of n*k_i - 1 = 0 would be a zero-length step
                 raise PathError(
                     "minus family needs n*k_i >= 2 for every entry"
                 )
-            object.__setattr__(self, "k", k)
-            tilt = _TILT.get(self.kind, 0)
+            tilt = _TILT.get(kind, 0)
             drop = len(k) if tilt else 1
             rises = tuple(_tilt(k, drop, tilt)) if tilt else k
-        object.__setattr__(self, "up_rises", rises)
-        object.__setattr__(self, "down_drop", drop)
-        object.__setattr__(self, "tilt", tilt)
+        for name, value in zip(("kind", "k", "m", "n", "up_rises", "down_drop", "tilt"),
+                               (kind, k, m, n, rises, drop, tilt)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def sorted_rises(self) -> tuple[int, ...]:
+        """``up_rises`` sorted at the first read, then kept: one key for all their orderings."""
+        if (rises := getattr(self, "_sorted_rises", None)) is None:
+            object.__setattr__(self, "_sorted_rises", rises := tuple(sorted(self.up_rises)))
+        return rises
 
     @classmethod
     def vector(cls, k) -> "FamilySpec":
@@ -342,7 +370,7 @@ def validate(steps: StepSequence, family: FamilySpec, permute_k: bool = False) -
     if len(ups) != len(expected):
         return Diagnostic(False, f"expected {len(expected)} up steps, got {len(ups)}")
     if permute_k:
-        if sorted(ups) != sorted(expected):
+        if tuple(sorted(ups)) != family.sorted_rises:
             return Diagnostic(False, "up rises do not permute the family's rises")
     elif ups != list(expected):
         at = [j for j, a in enumerate(s, start=1) if a >= 0]

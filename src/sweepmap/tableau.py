@@ -16,25 +16,23 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .paths import SWWord, _is_ints, _json_ints, _unchecked
+from .paths import SWWord, _is_ints, _json_ints, _Record, _unchecked
 
 
 class TableauError(ValueError):
     """Raised for malformed tableaux or words that cannot be filled."""
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Record):
     """Columns of strictly increasing indices; column i holds k_i+1 entries."""
 
-    columns: tuple[tuple[int, ...], ...]
+    __match_args__ = ("columns",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, columns: tuple[tuple[int, ...], ...]) -> None:
         try:  # ints only: 2.7 would be truncated, and True becomes 1
-            cols = tuple(tuple(map(operator.index, col)) for col in self.columns)
+            cols = tuple(tuple(map(operator.index, col)) for col in columns)
         except TypeError:
             raise TableauError("tableau columns must hold integers") from None
         if not cols:

@@ -184,7 +184,7 @@ def sigma_to_preimage(sigma: tuple[int, ...], t: Tableau, family: FamilySpec) ->
     """
     tilt = _walk_tilt(family)
     rises = _tilt(t.k, family.down_drop, tilt)  # each column's tilted rise
-    if sorted(rises) != sorted(family.up_rises):
+    if tuple(sorted(rises)) != family.sorted_rises:
         raise WalkError("tableau heights do not permute the family's rise vector")
     expected_len = t.size + tilt  # the write count tells the three walks apart
     if len(sigma) != expected_len:

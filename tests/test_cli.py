@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepmap import FamilySpec, StepSequence, cli, enumerate_family, oracle, paths, walking
+from sweepmap import (FamilySpec, StepSequence, cli, emit_steps, enumerate_family, oracle, paths,
+                      sweep, walking)
 from sweepmap.cli import main
 from conftest import counting
 
@@ -707,6 +708,30 @@ def test_batch_answers_each_line_before_the_next(tmp_path, to_file):
         assert proc.wait(timeout=60) == 1
         assert os.read(fd, 1 << 16) == b""  # stdout holds nothing more
         assert (read(), proc.stderr.read()) == (want, b"")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_batch_peak_memory_stays_flat():
+    # `sweepmap invert` on 1,000 and on 10,000 distinct lines of one family: keeping
+    # as little as 60 bytes per line would add 0.5 MB to the second child's peak.
+    # The peak is VmHWM, which exec starts afresh; ru_maxrss also counts the size
+    # the child had before exec, a copy of this test process.  A first one-line
+    # child writes the bytecode, whose compiling would set the next child's peak
+    lines = [emit_steps(sweep(p)) for p in enumerate_family(FamilySpec.vector((2,) * 8),
+                                                            max_n=8).paths[:10000]]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from sweepmap.cli import main; "
+            "rc = main(sys.argv[2:]); sys.stdout.flush(); "
+            "print(*[s.split()[1] for s in open('/proc/self/status') if s.startswith('VmHWM:')], "
+            "file=sys.stderr); sys.exit(rc)")
+    peak_kb = []
+    for n in (1, 1000, 10000):
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code, str(ROOT / "src"), "invert", "--family", "k",
+             "--k", "2,2,2,2,2,2,2,2"],
+            input="\n".join(lines[:n]) + "\n", capture_output=True, text=True, timeout=120)
+        assert (done.returncode, len(done.stdout.splitlines())) == (0, n), done.stderr
+        peak_kb.append(int(done.stderr))
+    assert peak_kb[2] - peak_kb[1] < 512, peak_kb
 
 
 # every option of every subcommand, in parser order: (flags, dest, choices, default, required)

@@ -5,6 +5,8 @@ import importlib
 import io
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import sweepmap
@@ -45,6 +47,18 @@ def test_traced_names_resolve():
         if len(attrs) == 2:  # a method, looked up on its class
             owner = getattr(owner, attrs[0])
         assert attrs[-1] in vars(owner), name
+
+
+def test_import_loads_no_heavy_modules():
+    # every `sweepmap` command pays for its imports, and dataclasses, with the
+    # inspect, ast and dis it pulls in, was most of the time `import sweepmap` took
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import sweepmap, sweepmap.cli; print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    new = done.stdout.split()
+    assert "sweepmap.cli" in new, done.stderr
+    assert not {"dataclasses", "inspect"} & set(new)
 
 
 def _block(section, lang):
