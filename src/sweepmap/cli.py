@@ -12,8 +12,8 @@ import functools
 import json
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
-from typing import Callable, NamedTuple
 
 from .oracle import (
     DEFAULT_MAX_K,
@@ -58,25 +58,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sweep(args, steps, family):
+def _sweep(steps, _family):
     return sweep(steps)
 
 
-def _invert(args, steps, family):
-    return invert(steps, family)
-
-
-def _fill(args, steps, family):
+def _fill(steps, family):
     return fill(SWWord.from_steps(skeleton(steps, family)))
 
 
-def _rank(args, steps, family):
-    t = _fill(args, steps, family)
+def _rank(steps, family):
+    t = _fill(steps, family)
     return t, rank_tableau(t)
 
 
-def _walk(args, steps, family):
-    return run_walk(_fill(args, steps, family), family.tilt if family else 0)
+def _walk(steps, family):
+    return run_walk(_fill(steps, family), family.tilt if family else 0)
 
 
 def _view_path(steps, family, fmt: str):
@@ -104,18 +100,17 @@ def _view_walk(sigma, _family, fmt: str):
     return sigma if fmt == "json" else ",".join(map(str, sigma))
 
 
-class _Command(NamedTuple):
-    """One subcommand: its parser and, for a path subcommand, its run and view."""
-
-    help: str
-    family_required: bool
-    formats: tuple[str, ...]  # --format choices; the first is the default
-    run: Callable | None = None  # run(args, steps, family) -> result
-    view: Callable | None = None  # view(result, family, format) -> text, or a JSON object
-    reads_path: bool = True  # takes --steps, --sw and --file
-    options: tuple = ()  # (flag, argparse keywords) pairs placed after the family flags
-    default_format: str | None = None  # when it is not the first choice
-    checks_member: bool = False  # run refuses a path outside the family itself
+# One subcommand: its parser and, for a path subcommand, its run and view.
+# formats: the --format choices, the first the default unless default_format
+# names another; run(steps, family) -> result; view(result, family, format) ->
+# text, or a JSON object; reads_path: takes --steps, --sw and --file; options:
+# (flag, argparse keywords) pairs placed after the family flags; checks_member:
+# run refuses a path outside the family itself.
+_Command = namedtuple(
+    "_Command",
+    "help family_required formats run view reads_path options default_format checks_member",
+    defaults=(None, None, True, (), None, False),
+)
 
 
 _TEXT = ("text", "json")
@@ -129,7 +124,7 @@ _PERMUTE = (("--permute", {"action": "store_true",
                            "help": "list every ordering of the rise vector"}),)
 _TABLE = {
     "sweep": _Command("apply the sweep map to a path", False, _TEXT, _sweep, _view_path),
-    "invert": _Command("recover the unique sweep preimage", True, _TEXT, _invert, _view_path,
+    "invert": _Command("recover the unique sweep preimage", True, _TEXT, invert, _view_path,
                        checks_member=True),
     "fill": _Command("fill a path's word into its tableau", False, _PICTURES, _fill,
                      _view_fill),
@@ -201,8 +196,9 @@ def _family_from_args(args, steps: StepSequence | None = None) -> FamilySpec | N
     raise PathError(f"family {kind!r} needs --k")
 
 
-def _family_of(args) -> Callable[[StepSequence], FamilySpec | None]:
-    """The family --family gives an input path, or None without the flag.
+def _family_of(args):
+    """A function from an input path to the family --family gives it, or to
+    None without the flag.
 
     --k or --m/--n name one family for every path of a batch, so it is built
     once; if that fails, each path raises the same error, after its own.
@@ -276,7 +272,7 @@ def _cmd_path(args) -> int:
 
     def show(source, indent=None) -> str:
         steps, family = _member(family_of, *_path(source), not c.checks_member)
-        out = c.view(c.run(args, steps, family), family, args.format)
+        out = c.view(c.run(steps, family), family, args.format)
         return json.dumps(out, indent=indent) if args.format == "json" else out
 
     if args.steps or args.sw or args.file:

@@ -70,7 +70,7 @@ def _paths_for(rises: tuple[int, ...], drop: int, n_down: int) -> list[StepSeque
     while stack:
         prefix, i, left, h = stack.pop()
         if i == n:
-            paths.append(_unchecked(StepSequence, steps=prefix + tails[left]))
+            paths.append(_unchecked(StepSequence, prefix + tails[left]))
             continue
         if left and h >= drop:
             stack.append((prefix + tails[1], i, left - 1, h - drop))

@@ -122,11 +122,10 @@ class StepSequence(_Record):
         return tuple(a for a in self.steps if a > 0)
 
 
-def _unchecked(cls, **fields):
-    """A record built from fields its checks would pass, skipping its __init__."""
+def _unchecked(cls, value):
+    """A one-field record holding a value its checks would pass, skipping its __init__."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    object.__setattr__(obj, cls.__match_args__[0], value)
     return obj
 
 
@@ -159,7 +158,7 @@ class SWWord(_Record):
             steps = StepSequence(steps)
         # and equal steps share one letter tuple
         letter = {a: ("S", a) if a > 0 else ("W", -a) for a in set(steps.steps)}
-        return _unchecked(cls, letters=tuple(map(letter.__getitem__, steps.steps)))
+        return _unchecked(cls, tuple(map(letter.__getitem__, steps.steps)))
 
     def steps(self) -> StepSequence:
         return StepSequence(
@@ -528,7 +527,7 @@ def parse_steps(text: str) -> StepSequence:
     """
     values = _step_ints(text)
     if values is not None and 0 not in values:
-        return _unchecked(StepSequence, steps=values)
+        return _unchecked(StepSequence, values)
     for j, tok in enumerate(map(str.strip, text.split(",")), start=1):
         if not _STEP_TOKEN.fullmatch(tok):
             raise PathError(f"malformed step token {tok!r} at index {j}")

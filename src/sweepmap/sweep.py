@@ -35,4 +35,4 @@ def sweep(steps: StepSequence) -> StepSequence:
         steps = StepSequence(steps)
     s = steps.steps
     # a permutation of a StepSequence's entries needs no re-check
-    return _unchecked(StepSequence, steps=tuple(map(s.__getitem__, _order(s))))
+    return _unchecked(StepSequence, tuple(map(s.__getitem__, _order(s))))

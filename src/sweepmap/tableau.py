@@ -111,7 +111,7 @@ def fill(word: SWWord) -> Tableau:
     if not columns:
         return Tableau(())  # raises: a tableau needs a column
     # SWWord sizes are positive, so every column holds two or more ints
-    return _unchecked(Tableau, columns=tuple([tuple(col[1:]) for col in columns]))
+    return _unchecked(Tableau, tuple([tuple(col[1:]) for col in columns]))
 
 
 def extend_plus(t: Tableau) -> Tableau:
@@ -126,7 +126,7 @@ def extend_plus(t: Tableau) -> Tableau:
         if col[-1] == size:
             cols[i] = col + (size + 1,)
             # only the extended column is new, and t's columns are int tuples already
-            return _unchecked(Tableau, columns=tuple(cols))
+            return _unchecked(Tableau, tuple(cols))
     raise TableauError(f"no column ends with the largest entry {size}")
 
 

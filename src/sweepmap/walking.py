@@ -8,7 +8,8 @@ of the filled path under the sweep map.  The family's tilt picks the walk
 entries.  For tilt 0, invert does fill, rank, plain walk and spelling in one
 pass over the path's ints, and for tilt -1 fill, admissibility, minus walk
 and spelling in another; the staged functions are their oracle.  The plus
-kind runs the stages.
+kind runs the stages.  The plus walk, the minus walk and the tilt -1 pass
+share one loop, _slide_walk, which reads every slide from a table built once.
 """
 
 from __future__ import annotations
@@ -133,37 +134,44 @@ def walk_minus(t: Tableau) -> tuple[int, ...]:
 
 
 def _walk_tilted(cols, bottoms, size: int, sign: int) -> tuple[int, ...]:
-    """The plus (sign +1) or minus (sign -1) walk; see walk_plus."""
-    step = _above(cols, size)  # a top entry's step becomes its bottom + sign
-    is_top = [False] * (size + 1)
-    flagged = [False] * (size + 2)  # indexed 0..size+1, set only inside 1..size
-    for col, b in zip(cols, bottoms):
-        is_top[col[0]] = True
-        step[col[0]] = b + sign
-        flagged[b + sign] = True
-    flagged[0] = flagged[size + 1] = False
-    written = [False] * (size + 1)
-    out = [1]
-    written[1] = True
-    cur = 1
-    for _ in range(size + 1):
-        target = step[cur]
-        if not is_top[cur]:
-            while flagged[target]:
-                target -= sign
-        if target < 1 or target > size:
-            raise WalkError(f"walk left the tableau at entry {target}")
-        if written[target]:
+    """The plus (sign +1) or minus (sign -1) walk; see walk_plus.  Each top
+    writes its bottom + sign, which is flagged.  After _above, entry 1 tops
+    column 1, so every bottom is at least 2, and walk_plus's bottoms are
+    below size: no flag is 1 (plus) or size (minus), so no slide or write
+    leaves the tableau."""
+    above = _above(cols, size)
+    flags = [b + sign for b in bottoms]
+    for col, f in zip(cols, flags):
+        above[col[0]] = ~f
+    return tuple(_slide_walk(above, flags, sign, 1))
+
+
+def _slide_walk(above: list, flags: list[int], sign: int, first: int) -> list[int]:
+    """The tilted walk over entries first..len(above)-1, starting with first.
+
+    above[v] is ~w for a top v that writes w, and for any other v the entry
+    above it, from which the walk slides by -sign to land[], the first entry
+    at or past it that is not flagged.  Slides are read from that table,
+    built once, so each write costs O(1).  The walk stops at an entry already
+    written (marked None in above) and must have written every entry, or,
+    for the minus walk, all but one.
+    """
+    land = list(range(len(above)))
+    for f in sorted(flags, reverse=sign < 0):  # f - sign is settled before f
+        land[f] = land[f - sign]
+    a = ~first
+    out: list[int] = []
+    write = out.append
+    while True:
+        target = ~a if a < 0 else land[a]
+        if (a := above[target]) is None:
             break
-        written[target] = True
-        out.append(target)
-        cur = target
-    else:  # pragma: no cover - the repeat check always fires first
-        raise WalkError("walk failed to terminate")
-    expected = size if sign > 0 else size - 1  # the minus walk skips one entry
+        above[target] = None
+        write(target)
+    expected = len(above) - first - (sign < 0)
     if len(out) != expected:
         raise WalkError(f"walk wrote {len(out)} of the expected {expected} entries")
-    return tuple(out)
+    return out
 
 
 def run_walk(t: Tableau, tilt: int) -> tuple[int, ...]:
@@ -207,7 +215,7 @@ def _preimage(steps: tuple[int, ...], family: FamilySpec) -> StepSequence:
     """The spelled steps as a path, guarded: it must be a member of the
     family's closure.  Walks spell the family's drop and rises, nonzero ints,
     so no step needs the StepSequence re-check."""
-    out = _unchecked(StepSequence, steps=steps)
+    out = _unchecked(StepSequence, steps)
     d = validate(out, family, permute_k=True)
     if not d:
         raise WalkError(f"reconstruction is not a valid family member: {d}")
@@ -278,9 +286,8 @@ def _invert_minus(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
     a drop goes under the bottom at the head of a FIFO of the columns with
     room.  Each top must lie strictly before the total height of the columns
     left of it (is_minus_admissible).  above[v] holds the entry above v, or,
-    on a top, its column's bottom b negated: the top writes b - 1, and any
-    other entry slides from the one above it to land[], the first entry at or
-    after it that is not one less than a bottom.  So no write leaves the
+    on a top, ~(b - 1) for its column's bottom b: the top writes b - 1, which
+    is flagged, and _slide_walk walks the table.  No write leaves the
     tableau: b - 1 is at least the top, and no slide passes the last entry,
     as no bottom follows it.  Entry j spells s[j].
     """
@@ -312,29 +319,14 @@ def _invert_minus(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
                 add_room(r)
                 add_top(t)
             else:
-                above[t] = -j
+                above[t] = ~(j - 1)
                 flags.append(j - 1)
     except IndexError:  # the FIFO is empty
         raise WalkError(f"no column has room for the drop at entry {j + 1}") from None
     if head != len(at):
         raise WalkError(f"path ends while the column topped by entry {top[head] + 1} is unfilled")
     del at, room, top
-    land = list(range(size))
-    for f in reversed(flags):
-        land[f] = land[f + 1]
-    del flags
-    a = above[0]
-    above[0] = None  # written
-    out = [0]
-    write = out.append
-    while True:
-        target = ~a if a < 0 else land[a]
-        if (a := above[target]) is None:
-            break
-        above[target] = None
-        write(target)
-    if len(out) != size - 1:  # the minus walk skips one entry
-        raise WalkError(f"walk wrote {len(out)} of the expected {size - 1} entries")
+    out = _slide_walk(above, flags, -1, 0)
     if above[size - 1] is None:
         raise WalkError(f"written entries must lie in 1..{size - 1}")
     return tuple(map(s.__getitem__, out))

@@ -145,6 +145,37 @@ def digraph_walk(t, r):
     return tuple(sigma), balanced
 
 
+def flag_slide_walk(t, sign):
+    """The plus walk (sign +1, on extend_plus's tableau) or the minus walk
+    (sign -1) in the paper's words, sliding one entry at a time.
+
+    A column's designated bottom is its last entry, except that on the plus
+    side the column ending at the largest entry takes the entry above it.
+    Entries b + sign for a designated bottom b are flagged.  Write 1.  From a
+    top, write its column's b + sign, flagged or not; from any other entry
+    step up one box, and while the entry there is flagged, move on to the
+    entry sign less.  Stop when the next write would repeat an entry.
+    """
+    size = t.size
+    jump = {col[0]: (col[-2] if sign > 0 and col[-1] == size else col[-1]) + sign
+            for col in t.columns}
+    flagged = set(jump.values())
+    up = {v: a for col in t.columns for a, v in zip(col, col[1:])}
+    sigma, written = [1], {1}
+    while True:
+        cur = sigma[-1]
+        if cur in jump:
+            nxt = jump[cur]
+        else:
+            nxt = up[cur]
+            while nxt in flagged:
+                nxt -= sign
+        if nxt in written:
+            return tuple(sigma)
+        sigma.append(nxt)
+        written.add(nxt)
+
+
 def _good_rotation(seq, c, rng):
     """seq (total -c, drops of 1) rotated uniformly to one of its c rotations
     whose proper prefix sums all stay above -c (the cycle lemma).

@@ -54,11 +54,14 @@ def test_import_loads_no_heavy_modules():
     # inspect, ast and dis it pulls in, was most of the time `import sweepmap` took
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import sweepmap, sweepmap.cli; print(*sorted(set(sys.modules) - before))")
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
-                          capture_output=True, text=True, timeout=60)
-    new = done.stdout.split()
-    assert "sweepmap.cli" in new, done.stderr
-    assert not {"dataclasses", "inspect"} & set(new)
+    for flags in (["-I"], ["-I", "-S"]):
+        done = subprocess.run([sys.executable, *flags, "-c", code, str(ROOT / "src")],
+                              capture_output=True, text=True, timeout=60)
+        new = set(done.stdout.split())
+        assert "sweepmap.cli" in new, done.stderr
+        assert not {"dataclasses", "inspect"} & new
+    # site may import typing before sweepmap does; without site (-S) nothing has
+    assert "typing" not in new
 
 
 def _block(section, lang):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -33,13 +34,21 @@ from sweepmap import (
 from sweepmap import walking
 from sweepmap.paths import skeleton
 from sweepmap.walking import run_walk
-from conftest import counting, digraph_walk, family_grid, k_multisets, uniform_member
+from conftest import (
+    counting,
+    digraph_walk,
+    family_grid,
+    flag_slide_walk,
+    k_multisets,
+    uniform_member,
+)
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
 RUN_COLUMNS = ((1, 3, 5, 7, 9), (2, 4, 6), (8, 11, 13, 15, 17, 18), (10, 12, 14, 16))
 RUN_SIGMA = (2, 6, 4, 1, 11, 8, 18, 17, 15, 13, 10, 16, 14, 12, 9, 7, 5, 3)
 RUN_SIGMA_PLUS = (1, 10, 17, 15, 13, 11, 8, 19, 18, 16, 14, 12, 9, 6, 4, 2, 7, 5, 3)
+RUN_SIGMA_MINUS = (1, 8, 17, 16, 14, 12, 10, 15, 13, 11, 9, 7, 6, 4, 2, 5, 3)
 
 
 def run_tableau():
@@ -169,6 +178,71 @@ BAD_WALKS = {
 def test_bad_tableau_raises_walk_error(case):
     with pytest.raises(WalkError):
         BAD_WALKS[case]()
+
+
+def assert_tilted_walks_follow_the_slides(t):
+    """walk_plus on extend_plus(t), and walk_minus on t when it is admissible,
+    write what flag_slide_walk writes one slide step at a time."""
+    tp = extend_plus(t)
+    assert walk_plus(tp) == flag_slide_walk(tp, 1)
+    if is_minus_admissible(t):
+        assert walk_minus(t) == flag_slide_walk(t, -1)
+
+
+class TestSlideWalkReference:
+    """The plus and minus walks read every slide from one precomputed table;
+    the conftest reference slides one entry at a time, as the paper words it."""
+
+    def test_running_example(self):
+        t = run_tableau()
+        assert flag_slide_walk(extend_plus(t), 1) == RUN_SIGMA_PLUS
+        assert walk_minus(t) == flag_slide_walk(t, -1) == RUN_SIGMA_MINUS
+        assert_tilted_walks_follow_the_slides(t)
+
+    def test_every_fill_in_the_grid(self):
+        # the skeleton's fill of every path and every image of the small grid
+        seen = set()
+        for family in family_grid(3, 3):
+            for path in enumerate_family(family, permute_k=True).paths:
+                for p in (path, sweep(path)):
+                    seen.add(fill(SWWord.from_steps(skeleton(p, family))))
+        assert len(seen) == 363  # distinct tableaux
+        for t in seen:
+            assert_tilted_walks_follow_the_slides(t)
+
+    @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_members(self, kind, n, seed):
+        # up to about 2*10^3 steps, where slides run longer than in the grid
+        rng = random.Random(seed)
+        family = FamilySpec(kind, tuple(rng.randint(1, 10) for _ in range(n)))
+        p = uniform_member(family, rng)
+        for path in (p, sweep(p)):
+            assert_tilted_walks_follow_the_slides(fill(SWWord.from_steps(skeleton(path, family))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_malformed_tableaux_raise_only_walk_error(data):
+    """Columns of ints in -1..size+1, or 1 and then a shuffle of 2..size, so
+    that many reach the walk itself: every walk returns or raises WalkError,
+    never another exception."""
+    heights = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+    size = sum(heights)
+    if data.draw(st.booleans()):
+        entries = [1, *data.draw(st.permutations(range(2, size + 1)))]
+    else:
+        entries = data.draw(st.lists(st.integers(-1, size + 1), min_size=size, max_size=size))
+    ends = list(accumulate(heights, initial=0))
+    t = Tableau(tuple(tuple(entries[a:b]) for a, b in zip(ends, ends[1:])))
+    ranks_by_entry = tuple(data.draw(st.lists(st.integers(0, size), min_size=size,
+                                              max_size=size)))
+    for run in (lambda: walk(t, ranks_by_entry), lambda: walk_plus(t), lambda: walk_minus(t)):
+        try:
+            run()
+        except WalkError:
+            pass
 
 
 class TestWalkGraph:
