@@ -5,10 +5,11 @@ the family's letters along that sequence -- an S letter on every top-row
 index, a W on every other index -- gives the SW-word of the unique preimage
 of the filled path under the sweep map.  The family's tilt picks the walk
 (plain, plus or minus), and all three run in time linear in the number of
-entries.  For tilt 0, invert does fill, rank, plain walk and spelling in one
-pass over the path's ints, and for tilt -1 fill, admissibility, minus walk
-and spelling in another; the staged functions are their oracle.  The plus
-kind runs the stages.  The plus walk, the minus walk and the tilt -1 pass
+entries.  invert runs one pass over the path's ints per tilt: fill, rank,
+plain walk and spelling for tilt 0, fill, extend_plus, plus walk and
+spelling for tilt +1, and fill, admissibility, minus walk and spelling for
+tilt -1.  The staged functions serve the fill, rank and walk pictures and
+are the passes' oracle.  The plus and minus walks and both tilted passes
 share one loop, _slide_walk, which reads every slide from a table built once.
 """
 
@@ -17,19 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 
-from .paths import (
-    FamilySpec,
-    PathError,
-    StepSequence,
-    SWWord,
-    _tilt,
-    _unchecked,
-    _walk_tilt,
-    skeleton,
-    validate,
-)
+from .paths import FamilySpec, PathError, StepSequence, _tilt, _unchecked, _walk_tilt, validate
 from .ranking import rank_tableau
-from .tableau import Tableau, extend_plus, fill, is_minus_admissible
+from .tableau import Tableau, extend_plus, is_minus_admissible
 
 
 class WalkError(ValueError):
@@ -332,6 +323,57 @@ def _invert_minus(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
     return tuple(map(s.__getitem__, out))
 
 
+def _invert_plus(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
+    """The preimage of a validated tilt +1 path s (rises drop*k_i + 1, drops
+    -drop): fill, extend_plus, plus walk and spelling in one pass over 0-based
+    entries, without unscaling s; the mirror of _invert_minus.
+
+    Entry j < len(s) - 1 is step j of the skeleton.  A rise of s opens a column
+    with room for (rise - 1) // drop entries below its top, and a drop goes
+    under the bottom at the head of a FIFO of the columns with room.  A column
+    completed at bottom j has its top write j + 1, which is flagged.  The last
+    step of s is extend_plus's extra entry, directly under the last skeleton
+    entry, and the designated bottom of its column is the bottom it had before,
+    so every column's is the entry where it completed.  _slide_walk walks the
+    table with sign +1, and entry j spells s[j].
+    """
+    last = len(s) - 1  # extend_plus's entry
+    above: list = [0] * len(s)
+    flags: list[int] = []  # the entries one more than a bottom, ascending
+    at: list[int] = []  # the FIFO's bottoms, from index head,
+    room: list[int] = []  # their columns' entries still to come,
+    top: list[int] = []  # and their columns' tops
+    add_at, add_room, add_top = at.append, room.append, top.append
+    head = 0
+    try:
+        for j, a in enumerate(s[:-1]):
+            if a > 0:
+                add_at(j)
+                add_room((a - 1) // drop)
+                add_top(j)
+                continue
+            above[j] = at[head]
+            r = room[head] - 1
+            t = top[head]
+            head += 1
+            if r:
+                add_at(j)
+                add_room(r)
+                add_top(t)
+            else:
+                above[t] = ~(j + 1)
+                flags.append(j + 1)
+    except IndexError:  # the FIFO is empty
+        raise WalkError(f"no column has room for the drop at entry {j + 1}") from None
+    if head != len(at):
+        raise WalkError(f"path ends while the column topped by entry {top[head] + 1} is unfilled")
+    if not flags:
+        raise WalkError("path has no column to extend")
+    del at, room, top
+    above[last] = last - 1
+    return tuple(map(s.__getitem__, _slide_walk(above, flags, 1, 0)))
+
+
 def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     """The unique sweep preimage of a path, by fill, rank, and walk.
 
@@ -339,20 +381,16 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     tilt picks the walk; minus inversion additionally needs the filled
     tableau to be minus-admissible, which holds exactly when the skeleton
     returns to level zero only once.  Rational (m, n) paths invert when
-    m mod n is 0, 1 or n - 1, as plain, plus or minus paths.  A tilt-0
-    family takes the one flat pass of _invert_flat and a tilt -1 family
-    that of _invert_minus, both on the path's own ints.  A tilt +1 path is
-    unscaled to its plain skeleton and runs the public stages, which are
-    also the passes' oracle.
+    m mod n is 0, 1 or n - 1, as plain, plus or minus paths.  Each tilt
+    takes one pass over the path's own ints, _invert_flat, _invert_plus or
+    _invert_minus, between the input check and the output guard; the
+    public stages are the passes' oracle.
     """
     if not isinstance(steps, StepSequence):
         steps = StepSequence(steps)
     d = validate(steps, family, permute_k=True)
     if not d:
         raise PathError(f"not a member of the family: {d}")
-    if family.tilt in (0, -1):
-        one_pass = _invert_flat if family.tilt == 0 else _invert_minus
-        return _preimage(one_pass(steps.steps, family.down_drop), family)
-    t = fill(SWWord.from_steps(skeleton(steps, family)))
-    sigma = run_walk(t, family.tilt)
-    return sigma_to_preimage(sigma, t, family)
+    tilt = _walk_tilt(family)
+    one_pass = _invert_flat if tilt == 0 else _invert_plus if tilt > 0 else _invert_minus
+    return _preimage(one_pass(steps.steps, family.down_drop), family)

@@ -31,7 +31,7 @@ from sweepmap import (
     walk_minus,
     walk_plus,
 )
-from sweepmap import walking
+from sweepmap import paths, tableau, walking
 from sweepmap.paths import skeleton
 from sweepmap.walking import run_walk
 from conftest import (
@@ -457,9 +457,16 @@ def test_uniform_members_differential(kind, n, seed):
 
 def staged_invert(image, family):
     """invert's stages run one by one, with the walk of the family's tilt: the
-    oracle of its one-pass tilt-0 and tilt -1 routes."""
+    oracle of its one-pass routes."""
     t = fill(SWWord.from_steps(skeleton(image, family)))
     return sigma_to_preimage(run_walk(t, family.tilt), t, family)
+
+
+# every stage of the staged route, counted where it is defined, or, for
+# validate and what only walking calls, through walking's binding
+STAGES = ((walking, "validate"), (paths, "skeleton"), (paths, "from_plus"),
+          (paths, "from_minus"), (SWWord, "from_steps"), (tableau, "fill"),
+          (walking, "extend_plus"), (walking, "run_walk"), (walking, "sigma_to_preimage"))
 
 
 class TestFlatInvert:
@@ -468,8 +475,7 @@ class TestFlatInvert:
 
     def test_runs_no_stage_and_validates_twice(self, monkeypatch):
         calls = Counter()
-        stages = ("validate", "skeleton", "fill", "run_walk", "sigma_to_preimage")
-        counting(monkeypatch, calls, *((walking, name) for name in stages))
+        counting(monkeypatch, calls, *STAGES)
         assert invert(StepSequence(IMAGE), FamilySpec.vector((2, 4, 5, 3))).steps == PREIMAGE
         p = StepSequence((4, -2, -2, 4, -2, -2))
         assert invert(sweep(p), FamilySpec.rational(4, 2)) == p
@@ -544,8 +550,7 @@ class TestMinusFlatInvert:
 
     def test_runs_no_stage_and_validates_twice(self, monkeypatch):
         calls = Counter()
-        stages = ("validate", "skeleton", "fill", "run_walk", "sigma_to_preimage")
-        counting(monkeypatch, calls, *((walking, name) for name in stages))
+        counting(monkeypatch, calls, *STAGES)
         assert invert(StepSequence((3, 1, -2, -2)), FamilySpec.minus((2, 1))).steps == (
             3, -2, 1, -2)
         p = StepSequence((5, -3, 5, -3, -3, 5, -3, -3))
@@ -615,6 +620,80 @@ class TestMinusFlatInvert:
         assert not validate(StepSequence(steps), FamilySpec.minus((1,) * drop), permute_k=True)
         with pytest.raises(WalkError) as exc:
             walking._invert_minus(steps, drop)
+        assert str(exc.value) == error
+
+
+# every rational (m, n) with m = 1 (mod n) and m > n in the oracle's default bounds
+PLUS_RATIONALS = [(k * n + 1, n) for n in range(2, 6) for k in range(1, 5)]
+
+
+class TestPlusFlatInvert:
+    """invert on a tilt +1 family (the kplus kind, rational (m, n) with
+    m = 1 mod n and m > n) runs one pass over the tilted ints; it must write
+    what the public stages write."""
+
+    def test_runs_no_stage_and_validates_twice(self, monkeypatch):
+        calls = Counter()
+        counting(monkeypatch, calls, *STAGES)
+        assert invert(StepSequence((5, -2, -2, 3, -2, -2)), FamilySpec.plus((2, 1))).steps == (
+            5, 3, -2, -2, -2, -2)
+        p = StepSequence((7, -3, 7, -3, -3, 7, -3, -3, -3, -3))
+        assert invert(sweep(p), FamilySpec.rational(7, 3)) == p
+        assert calls == Counter(validate=4)
+
+    @pytest.mark.parametrize("k", k_multisets(4, 4), ids=str)
+    def test_every_plus_closure_in_the_oracle_bounds(self, k):
+        family = FamilySpec.plus(k)
+        for p in enumerate_family(family, permute_k=True).paths:
+            image = sweep(p)
+            assert invert(image, family) == staged_invert(image, family) == p
+
+    @pytest.mark.parametrize("m, n", PLUS_RATIONALS)
+    def test_every_rational_closure_in_the_oracle_bounds(self, m, n):
+        family = FamilySpec.rational(m, n)
+        assert family.tilt == 1  # at n = 2 as well, where m is also -1 mod n
+        for p in enumerate_family(family, permute_k=True).paths:
+            image = sweep(p)
+            assert invert(image, family) == staged_invert(image, family) == p
+
+    @pytest.mark.parametrize("k", [(1,), (1,) * 2000], ids=["k=1", "k=1x2000"])
+    def test_ups_first(self, k):
+        family = FamilySpec.plus(k)
+        p = to_plus(StepSequence(k + (-1,) * sum(k)), k)
+        for path in (p, sweep(p)):
+            assert invert(path, family) == staged_invert(path, family)
+        assert invert(sweep(p), family) == p
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_members(self, n, seed):
+        # up to about 2*10^3 steps: a kplus member, and a rational (kn + 1, n)
+        # member, a kplus member with constant k step for step
+        rng = random.Random(seed)
+        family = FamilySpec.plus(tuple(rng.randint(1, 10) for _ in range(n)))
+        k = rng.randint(1, 10)
+        members = [(family, uniform_member(family, rng))]
+        if n > 1:  # (k + 1, 1) has tilt 0
+            members.append((FamilySpec.rational(k * n + 1, n),
+                            uniform_member(FamilySpec.plus((k,) * n), rng)))
+        for fam, p in members:
+            for path in (p, sweep(p)):
+                assert invert(path, fam) == staged_invert(path, fam)
+            assert invert(sweep(p), fam) == p
+
+    @pytest.mark.parametrize("steps, drop, error", [
+        # not Dyck: a first drop, and a drop past the columns' room
+        ((-2, 3, -2, -2, 3), 2, "no column has room for the drop at entry 1"),
+        ((3, -2, -2, 3, -2, -2), 2, "no column has room for the drop at entry 3"),
+        # a rise of k = 2 that one drop leaves unfilled: the last step is the extra entry
+        ((5, -2, -2), 2, "path ends while the column topped by entry 1 is unfilled"),
+        # no column for extend_plus's entry to go under
+        ((-2,), 2, "path has no column to extend"),
+    ])
+    def test_pass_refuses_what_validate_refuses(self, steps, drop, error):
+        assert not validate(StepSequence(steps), FamilySpec.plus((1,) * drop), permute_k=True)
+        with pytest.raises(WalkError) as exc:
+            walking._invert_plus(steps, drop)
         assert str(exc.value) == error
 
 
