@@ -97,10 +97,7 @@ class StepSequence(_Record):
     __match_args__ = ("steps",)
 
     def __init__(self, steps: tuple[int, ...]) -> None:
-        try:  # ints only: 1.5 would be truncated, and True becomes 1
-            steps = tuple(map(operator.index, steps))
-        except TypeError:
-            raise PathError("path steps must be integers") from None
+        steps = _ints(steps)
         if not steps:
             raise PathError("empty path")
         if 0 in steps:
@@ -120,6 +117,17 @@ class StepSequence(_Record):
     def rises(self) -> tuple[int, ...]:
         """The up-step rises, in path order."""
         return tuple(a for a in self.steps if a > 0)
+
+
+def _ints(steps) -> tuple[int, ...]:
+    """A StepSequence's steps, or a raw sequence's read once as ints;
+    PathError on any other entry (1.5 would be truncated, and True becomes 1)."""
+    if isinstance(steps, StepSequence):
+        return steps.steps
+    try:
+        return tuple(map(operator.index, steps))
+    except TypeError:
+        raise PathError("path steps must be integers") from None
 
 
 def _unchecked(cls, value):
@@ -343,7 +351,7 @@ def _levels(steps) -> tuple[list[int], Diagnostic]:
 
 def dyck_diagnostic(steps: StepSequence) -> Diagnostic:
     """Check the nonnegative-prefix and zero-total conditions."""
-    return _levels(steps)[1]
+    return _levels(_ints(steps))[1]
 
 
 def validate(steps: StepSequence, family: FamilySpec, permute_k: bool = False) -> Diagnostic:
@@ -354,7 +362,7 @@ def validate(steps: StepSequence, family: FamilySpec, permute_k: bool = False) -
     exactly in family order.  Each check is a whole-sequence pass; a step
     scan runs only to find the index of a failure.
     """
-    s = steps.steps if isinstance(steps, StepSequence) else tuple(steps)
+    s = _ints(steps)
     d = _levels(s)[1]
     if not d:
         return d
@@ -380,7 +388,7 @@ def validate(steps: StepSequence, family: FamilySpec, permute_k: bool = False) -
 
 def ranks(steps: StepSequence) -> tuple[int, ...]:
     """Starting level of each step (the partial sums of the rises)."""
-    levels, d = _levels(steps)
+    levels, d = _levels(_ints(steps))
     if d.index is not None:  # a negative prefix sum; the total may be nonzero
         raise PathError(str(d))
     return tuple(levels[:-1])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .paths import StepSequence
-from .tableau import Tableau
+from .tableau import Tableau, TableauError
 
 
 def path_ascii(steps: StepSequence) -> str:
@@ -52,8 +52,16 @@ def path_svg(steps: StepSequence, unit: int = 20, pad: int = 10) -> str:
     return "\n".join(lines)
 
 
+def _check_ranks(t: Tableau, ranks: tuple[int, ...]) -> None:
+    """Refuse an overlay that does not give one rank per entry."""
+    if len(ranks) != t.size:
+        raise TableauError(f"expected {t.size} ranks, one per entry, got {len(ranks)}")
+
+
 def _labels(t: Tableau, ranks: tuple[int, ...] | None) -> list[list[str]]:
     """Each box's label, column by column: its entry, or entry:rank with ranks."""
+    if ranks is not None:
+        _check_ranks(t, ranks)
     return [
         [str(v) if ranks is None else f"{v}:{ranks[v - 1]}" for v in col] for col in t.columns
     ]
@@ -75,6 +83,7 @@ def tableau_ascii(t: Tableau, ranks: tuple[int, ...] | None = None) -> str:
 
 def rank_ascii(t: Tableau, ranks: tuple[int, ...]) -> str:
     """The tableau's shape with each box showing its entry's rank."""
+    _check_ranks(t, ranks)
     return _grid([[str(ranks[v - 1]) for v in col] for col in t.columns])
 
 

@@ -13,7 +13,7 @@ whose levels are scaled by n, cost the same per step.
 
 from __future__ import annotations
 
-from .paths import PathError, StepSequence, _levels, _unchecked
+from .paths import PathError, StepSequence, _ints, _levels, _unchecked
 
 
 def _order(s: tuple[int, ...]) -> list[int]:
@@ -26,7 +26,7 @@ def _order(s: tuple[int, ...]) -> list[int]:
 
 def sweep_order(steps: StepSequence) -> tuple[int, ...]:
     """1-based positions sorted by starting level, later positions first within a level."""
-    return tuple([i + 1 for i in _order(tuple(steps))])
+    return tuple([i + 1 for i in _order(_ints(steps))])
 
 
 def sweep(steps: StepSequence) -> StepSequence:

@@ -5,12 +5,12 @@ the family's letters along that sequence -- an S letter on every top-row
 index, a W on every other index -- gives the SW-word of the unique preimage
 of the filled path under the sweep map.  The family's tilt picks the walk
 (plain, plus or minus), and all three run in time linear in the number of
-entries.  invert runs one pass over the path's ints per tilt: fill, rank,
-plain walk and spelling for tilt 0, fill, extend_plus, plus walk and
-spelling for tilt +1, and fill, admissibility, minus walk and spelling for
-tilt -1.  The staged functions serve the fill, rank and walk pictures and
-are the passes' oracle.  The plus and minus walks and both tilted passes
-share one loop, _slide_walk, which reads every slide from a table built once.
+entries.  invert runs one pass over the path's ints: _invert_flat fills,
+ranks, walks and spells for tilt 0, and _invert_tilted fills, walks and
+spells for tilt +1 and -1, placing extend_plus's extra entry for +1.  The
+staged functions serve the fill, rank and walk pictures and are the passes'
+oracle.  The plus and minus walks and the tilted pass share one loop,
+_slide_walk, which reads every slide from a table built once.
 """
 
 from __future__ import annotations
@@ -63,14 +63,17 @@ def walk(t: Tableau, ranks: tuple[int, ...]) -> tuple[int, ...]:
     size = t.size
     if len(ranks) != size:
         raise WalkError(f"expected {size} ranks, one per entry, got {len(ranks)}")
-    if min(ranks) < 0:
-        raise WalkError("ranks must be nonnegative")
     rank = (0, *ranks)  # rank[v] of entry v
     # ascending entries per rank; popping the back yields the largest
     # unwritten entry of that rank
-    stacks: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
-    for v in range(1, size + 1):
-        stacks[rank[v]].append(v)
+    try:  # a non-int rank fails the comparison, the range or the list index
+        if min(ranks) < 0:
+            raise WalkError("ranks must be nonnegative")
+        stacks: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+        for v in range(1, size + 1):
+            stacks[rank[v]].append(v)
+    except TypeError:
+        raise WalkError("ranks must be integers") from None
     # after writing v, the walk pops the stack of the rank read above v
     after = [stacks[rank[a]] for a in _above(cols, size)]
     bucket = stacks[0]
@@ -267,89 +270,43 @@ def _invert_flat(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
     return tuple(map(s.__getitem__, out))
 
 
-def _invert_minus(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
-    """The preimage of a validated tilt -1 path s (rises drop*k_i - 1, drops
-    -drop): fill, admissibility, minus walk and spelling in one pass over
-    0-based entries, without unscaling s.
+def _invert_tilted(s: tuple[int, ...], drop: int, sign: int) -> tuple[int, ...]:
+    """The preimage of a validated tilt-sign path s (rises drop*k_i + sign,
+    drops -drop): fill, plus or minus walk and spelling in one pass over
+    0-based entries, without unscaling s; entry j spells s[j].
 
-    Entry j < len(s) is step j, and entry len(s) the restored final drop of the
-    skeleton.  A rise of s opens a column of height (rise + 1) // drop + 1, and
-    a drop goes under the bottom at the head of a FIFO of the columns with
-    room.  Each top must lie strictly before the total height of the columns
-    left of it (is_minus_admissible).  above[v] holds the entry above v, or,
-    on a top, ~(b - 1) for its column's bottom b: the top writes b - 1, which
-    is flagged, and _slide_walk walks the table.  No write leaves the
-    tableau: b - 1 is at least the top, and no slide passes the last entry,
-    as no bottom follows it.  Entry j spells s[j].
+    The skeleton's entries are s[:-1] for sign +1, whose last step is
+    extend_plus's extra entry, and s with its final drop restored for -1.
+    A rise a opens a column with room for (a - sign) // drop entries below
+    its top, and a drop goes under the bottom at the head of a FIFO of the
+    columns with room.  A column completed at bottom j has its top write
+    j + sign, which is flagged, and _slide_walk walks the table.  The plus
+    extra entry goes under the last skeleton entry and leaves its column's
+    designated bottom where it was.
+
+    Sign -1 needs no top-row bound check (is_minus_admissible): a top at
+    entry j meets the bound -- the rises k_i of the columns before it, plus
+    one each -- only at plain level 0.  On a validated member with n ups and
+    drop n, the plain level h after u >= 1 ups has tilted level n*h - u >= 0,
+    so h >= 1 until the restored final drop: the skeleton returns to level
+    0 only once.
     """
-    size = len(s) + 1
+    if sign > 0:
+        steps, size = s[:-1], len(s)
+    else:
+        steps, size = chain(s, (-drop,)), len(s) + 1
     above: list = [0] * size
-    flags: list[int] = []  # the entries one less than a bottom, ascending
-    at: list[int] = []  # the FIFO's bottoms, from index head,
-    room: list[int] = []  # their columns' entries still to come,
-    top: list[int] = []  # and their columns' tops
-    add_at, add_room, add_top = at.append, room.append, top.append
-    head = bound = 0  # bound: the heights of the columns opened so far
-    try:
-        for j, a in enumerate(chain(s, (-drop,))):
-            if a > 0:
-                if j >= bound and j:  # the first top is unbounded
-                    raise WalkError("tableau violates the strict top-row bounds")
-                k = (a + 1) // drop
-                bound += k + 1
-                add_at(j)
-                add_room(k)
-                add_top(j)
-                continue
-            above[j] = at[head]
-            r = room[head] - 1
-            t = top[head]
-            head += 1
-            if r:
-                add_at(j)
-                add_room(r)
-                add_top(t)
-            else:
-                above[t] = ~(j - 1)
-                flags.append(j - 1)
-    except IndexError:  # the FIFO is empty
-        raise WalkError(f"no column has room for the drop at entry {j + 1}") from None
-    if head != len(at):
-        raise WalkError(f"path ends while the column topped by entry {top[head] + 1} is unfilled")
-    del at, room, top
-    out = _slide_walk(above, flags, -1, 0)
-    if above[size - 1] is None:
-        raise WalkError(f"written entries must lie in 1..{size - 1}")
-    return tuple(map(s.__getitem__, out))
-
-
-def _invert_plus(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
-    """The preimage of a validated tilt +1 path s (rises drop*k_i + 1, drops
-    -drop): fill, extend_plus, plus walk and spelling in one pass over 0-based
-    entries, without unscaling s; the mirror of _invert_minus.
-
-    Entry j < len(s) - 1 is step j of the skeleton.  A rise of s opens a column
-    with room for (rise - 1) // drop entries below its top, and a drop goes
-    under the bottom at the head of a FIFO of the columns with room.  A column
-    completed at bottom j has its top write j + 1, which is flagged.  The last
-    step of s is extend_plus's extra entry, directly under the last skeleton
-    entry, and the designated bottom of its column is the bottom it had before,
-    so every column's is the entry where it completed.  _slide_walk walks the
-    table with sign +1, and entry j spells s[j].
-    """
-    last = len(s) - 1  # extend_plus's entry
-    above: list = [0] * len(s)
-    flags: list[int] = []  # the entries one more than a bottom, ascending
+    flags: list[int] = []  # the entries bottom + sign, ascending
     at: list[int] = []  # the FIFO's bottoms, from index head,
     room: list[int] = []  # their columns' entries still to come,
     top: list[int] = []  # and their columns' tops
     add_at, add_room, add_top = at.append, room.append, top.append
     head = 0
     try:
-        for j, a in enumerate(s[:-1]):
+        for j, a in enumerate(steps):
             if a > 0:
                 add_at(j)
-                add_room((a - 1) // drop)
+                add_room((a - sign) // drop)
                 add_top(j)
                 continue
             above[j] = at[head]
@@ -361,30 +318,33 @@ def _invert_plus(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
                 add_room(r)
                 add_top(t)
             else:
-                above[t] = ~(j + 1)
-                flags.append(j + 1)
+                above[t] = ~(j + sign)
+                flags.append(j + sign)
     except IndexError:  # the FIFO is empty
         raise WalkError(f"no column has room for the drop at entry {j + 1}") from None
     if head != len(at):
         raise WalkError(f"path ends while the column topped by entry {top[head] + 1} is unfilled")
-    if not flags:
-        raise WalkError("path has no column to extend")
     del at, room, top
-    above[last] = last - 1
-    return tuple(map(s.__getitem__, _slide_walk(above, flags, 1, 0)))
+    if sign > 0:
+        if not flags:
+            raise WalkError("path has no column to extend")
+        above[size - 1] = size - 2
+    out = _slide_walk(above, flags, sign, 0)
+    if sign < 0 and above[size - 1] is None:  # the restored drop spells no step of s
+        raise WalkError(f"written entries must lie in 1..{size - 1}")
+    return tuple(map(s.__getitem__, out))
 
 
 def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     """The unique sweep preimage of a path, by fill, rank, and walk.
 
     Accepts any member of the permutation-closed family, and the family's
-    tilt picks the walk; minus inversion additionally needs the filled
-    tableau to be minus-admissible, which holds exactly when the skeleton
-    returns to level zero only once.  Rational (m, n) paths invert when
-    m mod n is 0, 1 or n - 1, as plain, plus or minus paths.  Each tilt
-    takes one pass over the path's own ints, _invert_flat, _invert_plus or
-    _invert_minus, between the input check and the output guard; the
-    public stages are the passes' oracle.
+    tilt picks the walk.  Membership already makes a minus path's tableau
+    minus-admissible: its skeleton returns to level zero only once.
+    Rational (m, n) paths invert when m mod n is 0, 1 or n - 1, as plain,
+    plus or minus paths.  Each tilt takes one pass over the path's own
+    ints, _invert_flat or _invert_tilted, between the input check and the
+    output guard; the public stages are the passes' oracle.
     """
     if not isinstance(steps, StepSequence):
         steps = StepSequence(steps)
@@ -392,5 +352,5 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     if not d:
         raise PathError(f"not a member of the family: {d}")
     tilt = _walk_tilt(family)
-    one_pass = _invert_flat if tilt == 0 else _invert_plus if tilt > 0 else _invert_minus
-    return _preimage(one_pass(steps.steps, family.down_drop), family)
+    s, drop = steps.steps, family.down_drop
+    return _preimage(_invert_tilted(s, drop, tilt) if tilt else _invert_flat(s, drop), family)

@@ -26,6 +26,7 @@ from sweepmap import (
     path_to_json,
     ranks,
     sweep,
+    sweep_order,
     to_minus,
     to_plus,
     validate,
@@ -56,7 +57,9 @@ class TestStepSequence:
 
     @pytest.mark.parametrize("build", [
         StepSequence, sweep, lambda s: invert(s, FamilySpec.vector((2,))),
-    ], ids=["StepSequence", "sweep", "invert"])
+        lambda s: validate(s, FamilySpec.vector((2,))), dyck_diagnostic, ranks, sweep_order,
+    ], ids=["StepSequence", "sweep", "invert", "validate", "dyck_diagnostic", "ranks",
+            "sweep_order"])
     @pytest.mark.parametrize("bad", [1.5, 2.0, "2", None])
     def test_entries_must_be_integers(self, build, bad):
         # int() would truncate 1.5 to 1 and read "2"

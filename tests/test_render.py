@@ -7,6 +7,7 @@ import pytest
 from sweepmap import (
     StepSequence,
     Tableau,
+    TableauError,
     path_ascii,
     path_svg,
     rank_ascii,
@@ -101,3 +102,10 @@ class TestTableauSvg:
         svg = tableau_svg(t, rank_tableau(t))
         for label in (">1:0<", ">3:1<", ">2:0<", ">4:1<"):
             assert label in svg
+
+
+@pytest.mark.parametrize("render", [tableau_ascii, rank_ascii, tableau_svg])
+@pytest.mark.parametrize("ranks", [(0, 0, 1), (0, 0, 1, 1, 2)], ids=["short", "long"])
+def test_rank_overlay_needs_one_rank_per_entry(render, ranks):
+    with pytest.raises(TableauError, match=rf"^expected 4 ranks, one per entry, got {len(ranks)}$"):
+        render(Tableau(((1, 3), (2, 4))), ranks)

@@ -163,6 +163,9 @@ BAD_WALKS = {
     "plain-repeat": lambda: walk(Tableau(((1, 3), (3, 4))), _UNIT_RANKS),
     "plain-off-top": lambda: walk(Tableau(((2, 3), (1, 4))), _UNIT_RANKS),
     "plain-zero": lambda: walk(Tableau(((0, 2), (1, 3))), _UNIT_RANKS),
+    "plain-float-rank": lambda: walk(Tableau(((1, 2),)), (0, 0.5)),
+    "plain-none-rank": lambda: walk(Tableau(((1, 2),)), (0, None)),
+    "plain-str-rank": lambda: walk(Tableau(((1, 2),)), (0, "a")),
     "plus-range": lambda: walk_plus(Tableau(((1, 9), (2, 4, 5)))),
     "plus-repeat": lambda: walk_plus(Tableau(((1, 2), (2, 4, 5)))),
     "plus-off-top": lambda: walk_plus(Tableau(((2, 3), (1, 4, 5)))),
@@ -607,9 +610,9 @@ class TestMinusFlatInvert:
         assert str(exc.value) == error
 
     @pytest.mark.parametrize("steps, drop, error", [
-        # the skeleton 1,-1,1,-1 returns to level 0 twice: its second top is
-        # entry 3, not below the first column's height 2
-        ((1, -2, 1), 2, "tableau violates the strict top-row bounds"),
+        # the skeleton 1,-1,1,-1 returns to level 0 twice, which validate
+        # refuses: its first top writes itself and the walk stops there
+        ((1, -2, 1), 2, "walk wrote 1 of the expected 3 entries"),
         # not Dyck: a first drop, and a drop past the columns' room
         ((-2, 3, -2), 2, "no column has room for the drop at entry 1"),
         ((1, -2, -2, 3, -2), 2, "no column has room for the drop at entry 3"),
@@ -619,7 +622,7 @@ class TestMinusFlatInvert:
     def test_pass_refuses_what_validate_refuses(self, steps, drop, error):
         assert not validate(StepSequence(steps), FamilySpec.minus((1,) * drop), permute_k=True)
         with pytest.raises(WalkError) as exc:
-            walking._invert_minus(steps, drop)
+            walking._invert_tilted(steps, drop, -1)
         assert str(exc.value) == error
 
 
@@ -693,7 +696,7 @@ class TestPlusFlatInvert:
     def test_pass_refuses_what_validate_refuses(self, steps, drop, error):
         assert not validate(StepSequence(steps), FamilySpec.plus((1,) * drop), permute_k=True)
         with pytest.raises(WalkError) as exc:
-            walking._invert_plus(steps, drop)
+            walking._invert_tilted(steps, drop, 1)
         assert str(exc.value) == error
 
 
