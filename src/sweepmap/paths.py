@@ -4,8 +4,8 @@ A generalized Dyck path is stored as the sequence of its signed rises:
 positive entries are up steps, negative entries are down steps, every prefix
 sum stays nonnegative, and the total is zero.  Fractional rises of the
 plus/minus families are kept exact by scaling everything by the number of
-up steps, so all arithmetic stays integral.  Indices in public data are
-1-based throughout.
+up steps, so all arithmetic stays integral; skeleton is the only untilt.
+Indices in public data are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -398,38 +398,21 @@ def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
     """Tilt a plain path with the family's rises into the plus or minus family.
 
     Tilting n rises by t/n moves the end of the path by t, so the plus kind
-    appends one drop and the minus kind removes the final one.
+    appends one drop and the minus kind removes the final one.  The result is
+    a member by skeleton's argument read backwards, so it needs no check.
     """
     k, n, t = family.k, family.down_drop, family.tilt
-    d = validate(steps, FamilySpec.vector(k))
+    s = _ints(steps)
+    d = validate(s, FamilySpec.vector(k))
     if not d:
         raise PathError(f"not a valid path for rises {k}: {d}")
     if t < 0:  # the minus kind needs a single zero among the starting levels
-        starts = _levels(steps)[0][:-1]
+        starts = _levels(s)[0][:-1]
         if starts.count(0) > 1:
             j = starts.index(0, 1) + 1
             raise PathError(f"rank 0 reappears at index {j}; need a single zero rank")
-    out = _tilt(steps, n, t)
-    result = StepSequence(tuple(out + [-n] if t > 0 else out[:-1]))
-    d = validate(result, family)
-    if not d:  # pragma: no cover - guarded by the checks above
-        raise PathError(f"tilting produced an invalid path: {d}")
-    return result
-
-
-def _unlift(steps: StepSequence, kind: str) -> StepSequence:
-    """Inverse of _lift: the plain path under a plus or minus path."""
-    family = infer_family(steps, kind)
-    d = validate(steps, family)
-    if not d:
-        raise PathError(f"not a valid {kind}-family path: {d}")
-    # that check makes the plain path valid too: where the plain path is at
-    # height h after u ups, the tilted path is at n*h + t*u >= 0.  Plus: h >= -1,
-    # and h = -1 means u = n at height 0 with a drop still to come.  Minus:
-    # u >= 1, so h >= 1 after the first step, and rank 0 occurs once.
-    t = family.tilt
-    out = _untilt(steps, family.down_drop, t)
-    return StepSequence(tuple(out[:-1] if t > 0 else out + [-1]))
+    out = _tilt(s, n, t)
+    return StepSequence(tuple(out + [-n] if t > 0 else out[:-1]))
 
 
 def to_plus(steps: StepSequence, k) -> StepSequence:
@@ -442,8 +425,9 @@ def to_plus(steps: StepSequence, k) -> StepSequence:
 
 
 def from_plus(steps: StepSequence) -> StepSequence:
-    """Inverse of to_plus: unscale the rises and drop the final down step."""
-    return _unlift(steps, KIND_KPLUS)
+    """Inverse of to_plus: the skeleton of the path in the plus family of its rises."""
+    s = _ints(steps)
+    return skeleton(s, infer_family(s, KIND_KPLUS))
 
 
 def to_minus(steps: StepSequence, k) -> StepSequence:
@@ -457,8 +441,9 @@ def to_minus(steps: StepSequence, k) -> StepSequence:
 
 
 def from_minus(steps: StepSequence) -> StepSequence:
-    """Inverse of to_minus: unscale the rises and restore the final down step."""
-    return _unlift(steps, KIND_KMINUS)
+    """Inverse of to_minus: the skeleton of the path in the minus family of its rises."""
+    s = _ints(steps)
+    return skeleton(s, infer_family(s, KIND_KMINUS))
 
 
 def _walk_tilt(family: FamilySpec) -> int:
@@ -471,20 +456,32 @@ def _walk_tilt(family: FamilySpec) -> int:
 
 
 def skeleton(steps: StepSequence, family: FamilySpec | None) -> StepSequence:
-    """The plain path whose word gets filled: the unlifted path for a tilt of
-    +/-1, the path divided by its drop otherwise (itself for a drop of 1)."""
+    """The plain path whose word gets filled, the only untilt: each rise a of
+    a family with tilt t and drop n becomes (a - t) / n and each drop -1; the
+    plus kind's final drop goes and the minus kind's is restored.
+
+    A tilt of +/-1 first needs a member of the family, and that makes the
+    plain path valid too: where it is at height h after u ups, the path is at
+    n*h + t*u >= 0.  Plus: h >= -1, and h = -1 means u = n at height 0 with a
+    drop still to come.  Minus: u >= 1, so h >= 1 after the first step, and
+    rank 0 occurs once.
+    """
     if family is None:
         return steps
     t = _walk_tilt(family)
-    if t:
-        return from_plus(steps) if t > 0 else from_minus(steps)
-    d = family.down_drop
-    return steps if d == 1 else StepSequence(tuple(_untilt(steps, d, 0)))
+    s = _ints(steps)
+    if t and not (d := validate(s, family, permute_k=True)):
+        raise PathError(f"not a valid {family.kind}-family path: {d}")
+    plain = _untilt(s, family.down_drop, t)
+    if t:  # the plus kind's final drop goes, the minus kind's comes back
+        plain = plain[:-1] if t > 0 else plain + [-1]
+    return StepSequence(tuple(plain))
 
 
 def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
     """Read a family descriptor off a path's own rises."""
-    rises = steps.rises
+    s = _ints(steps)
+    rises = tuple(a for a in s if a > 0)
     n = len(rises)
     if n == 0:
         raise PathError("path has no up steps")
@@ -496,7 +493,7 @@ def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
         raise PathError(f"rises are not of the form n*k{t:+d} for n={n}")
     if kind == KIND_RATIONAL:
         m = rises[0]
-        drops = {-a for a in steps if a < 0}
+        drops = {-a for a in s if a < 0}
         if len(set(rises)) != 1 or len(drops) != 1:
             raise PathError("rational paths need constant rises and drops")
         return FamilySpec.rational(m, drops.pop())
@@ -548,21 +545,20 @@ def emit_steps(steps: StepSequence) -> str:
     """Comma-separated rises, the text parse_steps reads back.
 
     As in _step_ints, a path whose distinct steps are at most half of its
-    steps spells each distinct one once; a StepSequence holds only ints, so
-    equal steps spell alike.
+    steps spells each distinct one once; _ints reads only ints, so equal
+    steps spell alike.
     """
-    if isinstance(steps, StepSequence):
-        s = steps.steps
-        if 2 * len(distinct := set(s)) <= len(s):
-            text = {a: str(a) for a in distinct}
-            return ",".join(map(text.__getitem__, s))
-    return ",".join([str(a) for a in steps])
+    s = _ints(steps)
+    if 2 * len(distinct := set(s)) <= len(s):
+        text = {a: str(a) for a in distinct}
+        return ",".join(map(text.__getitem__, s))
+    return ",".join([str(a) for a in s])
 
 
 def path_to_json(steps: StepSequence, family: FamilySpec | None = None) -> dict:
     return {
         "family": family.to_json() if family is not None else None,
-        "steps": list(steps),
+        "steps": list(_ints(steps)),
     }
 
 

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .paths import StepSequence
+from .paths import StepSequence, _ints
 from .tableau import Tableau, TableauError
 
 
 def path_ascii(steps: StepSequence) -> str:
-    heights = list(accumulate(steps, initial=0))
+    s = _ints(steps)
+    heights = list(accumulate(s, initial=0))
     top = max(heights)
-    width = len(steps)
+    width = len(s)
     grid = [[" "] * width for _ in range(max(top, 1))]
-    for j, a in enumerate(steps):
+    for j, a in enumerate(s):
         h = heights[j]
         if a > 0:
             for y in range(h, h + a):
@@ -32,9 +33,10 @@ def path_ascii(steps: StepSequence) -> str:
 
 
 def path_svg(steps: StepSequence, unit: int = 20, pad: int = 10) -> str:
-    heights = list(accumulate(steps, initial=0))
+    s = _ints(steps)
+    heights = list(accumulate(s, initial=0))
     top = max(heights)
-    width = len(steps) * unit + 2 * pad
+    width = len(s) * unit + 2 * pad
     height = max(top, 1) * unit + 2 * pad
     y0 = pad + top * unit  # svg y of level zero
     points = " ".join(

@@ -583,6 +583,13 @@ class TestFilesAndUsage:
         code, out, err = run(capsys, "sweep", "--steps", "2,-1,-1", "--family", "k", "--k", "")
         assert (code, out, err) == (1, "", "error: malformed rise vector ''\n")
 
+    @pytest.mark.parametrize("argv, error", [
+        (["enumerate", "--family", "k"], "family 'k' needs --k"),
+        (["verify", "--family", "rational"], "rational family needs --m and --n"),
+    ])
+    def test_family_without_its_flags(self, capsys, argv, error):
+        assert run(capsys, *argv) == (1, "", f"error: {error}\n")
+
     @pytest.mark.parametrize("k", ["1_0", "2.0"])
     def test_k_entries_follow_the_step_token_rule(self, capsys, k):
         # int() read "1_0" as 10, where --steps refuses the token

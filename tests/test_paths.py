@@ -254,6 +254,11 @@ class TestLifts:
         with pytest.raises(PathError, match="index 3"):
             to_minus(StepSequence((1, -1, 1, -1)), (1, 1))
 
+    def test_to_plus_rejects_a_non_member_of_the_plain_family(self):
+        with pytest.raises(PathError) as exc:
+            to_plus((1, -1), (2,))
+        assert str(exc.value) == "not a valid path for rises (2,): expected 3 steps, got 2"
+
     def test_to_minus_rejects_degenerate_rises(self):
         with pytest.raises(PathError):
             to_minus(StepSequence((1, -1)), (1,))

@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sweepmap
+from sweepmap import FamilySpec, PathError, StepSequence
 from sweepmap.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -31,6 +34,63 @@ PUBLIC_NAMES = [
 def test_public_api_is_pinned():
     assert sweepmap.__all__ == PUBLIC_NAMES
     assert all(hasattr(sweepmap, name) for name in PUBLIC_NAMES)
+
+
+K21 = FamilySpec.vector((2, 1))
+PLAIN = (2, -1, 1, -1, -1)  # a member of K21
+# every public name that takes steps: a call on them alone, and a valid input
+STEP_TAKERS = {
+    "StepSequence": (StepSequence, PLAIN),
+    "brute_invert": (lambda s: sweepmap.brute_invert(s, K21), PLAIN),
+    "dyck_diagnostic": (sweepmap.dyck_diagnostic, PLAIN),
+    "emit_steps": (sweepmap.emit_steps, PLAIN),
+    "from_minus": (sweepmap.from_minus, (3, 1, -2, -2)),
+    "from_plus": (sweepmap.from_plus, (5, -2, 3, -2, -2, -2)),
+    "infer_family": (lambda s: sweepmap.infer_family(s, "k"), PLAIN),
+    "invert": (lambda s: sweepmap.invert(s, K21), PLAIN),
+    "path_ascii": (sweepmap.path_ascii, PLAIN),
+    "path_svg": (sweepmap.path_svg, PLAIN),
+    "path_to_json": (lambda s: sweepmap.path_to_json(s, K21), PLAIN),
+    "ranks": (sweepmap.ranks, PLAIN),
+    "sweep": (sweepmap.sweep, PLAIN),
+    "sweep_order": (sweepmap.sweep_order, PLAIN),
+    "to_minus": (lambda s: sweepmap.to_minus(s, (2, 1)), (2, 1, -1, -1, -1)),
+    "to_plus": (lambda s: sweepmap.to_plus(s, (2, 1)), PLAIN),
+    "validate": (lambda s: sweepmap.validate(s, K21), PLAIN),
+}
+# the public callables that take no steps: tableaux, words, text, JSON, families
+TAKES_NO_STEPS = {
+    "BijectionReport", "Diagnostic", "FamilyEnumeration", "FamilySpec", "OracleError",
+    "PathError", "SWWord", "Tableau", "TableauError", "WalkError", "certify_bijection",
+    "enumerate_family", "extend_plus", "fill", "is_minus_admissible", "parse_steps",
+    "path_from_json", "rank_ascii", "rank_tableau", "sigma_to_preimage", "tableau_ascii",
+    "tableau_svg", "walk", "walk_minus", "walk_plus",
+}
+RAW = {"list": list, "tuple": tuple, "iterator": iter, "generator": lambda s: (a for a in s)}
+BAD = {"floats": lambda s: [float(a) for a in s], "none": lambda s: None,
+       "str": lambda s: ",".join(map(str, s)), "nested": lambda s: [[a] for a in s],
+       "int": lambda s: s[0]}
+
+
+def test_every_public_callable_declares_whether_it_takes_steps():
+    public = {name for name in sweepmap.__all__ if callable(getattr(sweepmap, name))}
+    assert public == set(STEP_TAKERS) | TAKES_NO_STEPS
+    assert not set(STEP_TAKERS) & TAKES_NO_STEPS
+
+
+@pytest.mark.parametrize("form", RAW)
+@pytest.mark.parametrize("name", STEP_TAKERS)
+def test_raw_steps_read_as_a_step_sequence(name, form):
+    call, steps = STEP_TAKERS[name]
+    assert call(RAW[form](steps)) == call(StepSequence(steps))
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", STEP_TAKERS)
+def test_bad_steps_raise_path_error(name, bad):
+    call, steps = STEP_TAKERS[name]
+    with pytest.raises(PathError):
+        call(BAD[bad](steps))
 
 
 def test_traced_names_resolve():

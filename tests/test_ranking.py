@@ -67,14 +67,16 @@ class TestInvariants:
                 r = rank_tableau(t)
                 assert sorted(r) == sorted(ranks(path))
 
-    def test_unrankable_top(self):
-        # column 2 tops at 4 but index 3 is ranked in the same pass later
-        with pytest.raises(TableauError, match="not ranked yet"):
-            rank_tableau(Tableau(((1, 2), (4, 5), (3, 6))))
-
-    def test_duplicate_entry(self):
-        with pytest.raises(TableauError, match="twice"):
-            rank_tableau(Tableau(((1, 2), (2, 3))))
+    @pytest.mark.parametrize("columns, error", [
+        # column 2 tops at 4, but index 3 is ranked later, in column 3
+        (((1, 2), (4, 5), (3, 6)), "cannot rank column 2: index 3 is not ranked yet"),
+        (((1, 2), (2, 3)), "entry 2 appears twice"),
+        (((1, 2), (3, 9)), "entry 9 out of range 1..4"),
+    ], ids=["unrankable-top", "duplicate-entry", "out-of-range"])
+    def test_refusals(self, columns, error):
+        with pytest.raises(TableauError) as exc:
+            rank_tableau(Tableau(columns))
+        assert str(exc.value) == error
 
 
 class TestRankCounts:

@@ -78,6 +78,10 @@ class TestWalk:
         with pytest.raises(WalkError, match="expected 4 ranks"):
             walk(t, other)
 
+    def test_negative_rank(self):
+        with pytest.raises(WalkError, match="^ranks must be nonnegative$"):
+            walk(Tableau(((1, 2, 3),)), (0, -1, 1))
+
     def test_final_write_is_smallest_rank_one(self):
         # once every other entry is written the walk closes at rank 1
         for family in family_grid(3, 3):
@@ -295,6 +299,10 @@ class TestSigmaToPreimage:
         with pytest.raises(WalkError, match="integers"):
             sigma_to_preimage((bad,) + sigma[1:], t, FamilySpec.vector((4, 2, 5, 3)))
 
+    def test_entries_must_lie_in_range(self):
+        with pytest.raises(WalkError, match=r"^written entries must lie in 1\.\.3$"):
+            sigma_to_preimage((1, 2, 7), Tableau(((1, 2, 3),)), FamilySpec.vector((2,)))
+
     def test_k_must_match(self):
         t = run_tableau()
         sigma = walk(t, rank_tableau(t))
@@ -470,234 +478,146 @@ def staged_invert(image, family):
 STAGES = ((walking, "validate"), (paths, "skeleton"), (paths, "from_plus"),
           (paths, "from_minus"), (SWWord, "from_steps"), (tableau, "fill"),
           (walking, "extend_plus"), (walking, "run_walk"), (walking, "sigma_to_preimage"))
+TILTS = (0, -1, 1)
+KINDS = {0: "k", -1: "kminus", 1: "kplus"}
 
 
-class TestFlatInvert:
-    """invert on a tilt-0 family (the k kind, rational (kn, n)) runs one pass
-    over the path's ints; it must write what the public stages write."""
+def rationals(tilt):
+    """Every rational (kn + tilt, n) of that tilt in the oracle bounds (n <= 5,
+    k <= 4); at n = 2 only (1, 2) takes the minus walk, the other odd m the plus."""
+    fams = (FamilySpec.rational(k * n + tilt, n) for n in range(1, 6) for k in range(1, 5)
+            if k * n + tilt > 0)
+    return [f for f in fams if f.tilt == tilt]
 
-    def test_runs_no_stage_and_validates_twice(self, monkeypatch):
+
+# per tilt: two preimages that invert with no stage run, the kind's and a rational's
+NO_STAGE = {
+    0: ((FamilySpec.vector((2, 4, 5, 3)), PREIMAGE),
+        (FamilySpec.rational(4, 2), (4, -2, -2, 4, -2, -2))),
+    -1: ((FamilySpec.minus((2, 1)), (3, -2, 1, -2)),
+         (FamilySpec.rational(5, 3), (5, -3, 5, -3, -3, 5, -3, -3))),
+    1: ((FamilySpec.plus((2, 1)), (5, 3, -2, -2, -2, -2)),
+        (FamilySpec.rational(7, 3), (7, -3, 7, -3, -3, 7, -3, -3, -3, -3))),
+}
+# every kplus and kminus closure in the oracle bounds, and every rational one of each tilt
+CLOSURES = [
+    *((-1, FamilySpec.minus(k)) for k in k_multisets(4, 4) if all(len(k) * v >= 2 for v in k)),
+    *((1, FamilySpec.plus(k)) for k in k_multisets(4, 4)),
+    *((t, f) for t in TILTS for f in rationals(t)),
+]
+MEMBER = "not a member of the family: "
+UPS_FIRST = {"k-1": (0, (1,)), "k-1x2000": (0, (1,) * 2000), "kminus-1,1": (-1, (1, 1)),
+             "kminus-1x2000": (-1, (1,) * 2000), "kplus-1": (1, (1,)),
+             "kplus-1x2000": (1, (1,) * 2000)}
+
+
+class TestOnePassInvert:
+    """invert on a family of tilt t -- the k, kminus or kplus kind, rational
+    (kn + t, n) -- runs one pass over the path's own ints, _invert_flat or
+    _invert_tilted; it must write what the public stages write."""
+
+    @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
+    def test_runs_no_stage_and_validates_twice(self, monkeypatch, tilt):
         calls = Counter()
         counting(monkeypatch, calls, *STAGES)
-        assert invert(StepSequence(IMAGE), FamilySpec.vector((2, 4, 5, 3))).steps == PREIMAGE
-        p = StepSequence((4, -2, -2, 4, -2, -2))
-        assert invert(sweep(p), FamilySpec.rational(4, 2)) == p
+        for family, p in NO_STAGE[tilt]:
+            assert invert(sweep(p), family).steps == p
         assert calls == Counter(validate=4)
 
-    @pytest.mark.parametrize("n", range(1, 6))
-    @pytest.mark.parametrize("k", range(1, 5))
-    def test_every_rational_closure_in_the_oracle_bounds(self, k, n):
-        family = FamilySpec.rational(k * n, n)
-        assert family.tilt == 0
+    @pytest.mark.parametrize("tilt, family", CLOSURES,
+                             ids=[f"{f.kind}{f.k or (f.m, f.n)}" for _, f in CLOSURES])
+    def test_every_closure_in_the_oracle_bounds(self, tilt, family):
+        assert family.tilt == tilt
         for p in enumerate_family(family, permute_k=True).paths:
             image = sweep(p)
             assert invert(image, family) == staged_invert(image, family) == p
 
-    @pytest.mark.parametrize("k", [(1,), (1,) * 2000], ids=["k=1", "k=1x2000"])
-    def test_ups_first(self, k):
-        family = FamilySpec.vector(k)
-        p = StepSequence(k + (-1,) * sum(k))
+    @pytest.mark.parametrize("tilt, k", UPS_FIRST.values(), ids=UPS_FIRST)
+    def test_ups_first(self, tilt, k):
+        family = FamilySpec(KINDS[tilt], k)
+        plain = StepSequence(k + (-1,) * sum(k))
+        p = to_plus(plain, k) if tilt > 0 else to_minus(plain, k) if tilt else plain
         for path in (p, sweep(p)):
             assert invert(path, family) == staged_invert(path, family)
         assert invert(sweep(p), family) == p
 
+    @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
-    def test_uniform_members(self, n, seed):
-        # up to about 2*10^3 steps: a k member, and a rational (kn, n) member,
-        # a plain one with constant rises scaled by n
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_members(self, tilt, data, seed):
+        # up to about 2*10^3 steps: a member of the tilt's kind, and of rational
+        # (kn + tilt, n), a member of the kind with constant k (scaled by n for tilt 0)
+        n = data.draw(st.integers(2 if tilt < 0 else 1, 200), label="n")  # n*k_i >= 2
         rng = random.Random(seed)
-        family = FamilySpec.vector(tuple(rng.randint(1, 10) for _ in range(n)))
-        k = rng.randint(1, 10)
-        rational = FamilySpec.rational(k * n, n)
-        scaled = uniform_member(FamilySpec.vector((k,) * n), rng)
-        for fam, p in ((family, uniform_member(family, rng)),
-                       (rational, StepSequence(tuple(n * a for a in scaled)))):
-            for path in (p, sweep(p)):
-                assert invert(path, fam) == staged_invert(path, fam)
-
-    @pytest.mark.parametrize("steps, family, error", [
-        ((1, -1), FamilySpec.vector((2,)), "not a member of the family: expected 3 steps, got 2"),
-        # the membership check runs before the refusal of a residue no walk handles
-        ((1, -1), FamilySpec.rational(7, 5),
-         "not a member of the family: expected 12 steps, got 2"),
-        ((7,) * 5 + (-5,) * 7, FamilySpec.rational(7, 5),
-         "rational (7, 5) paths have no walk: m mod n is 2, "
-         "and the walks need 0, 4, or 1 with m > n"),
-        ((2, -2, -2, 2), FamilySpec.rational(2, 2),
-         "not a member of the family: prefix sum -2 is negative (index 3)"),
-    ])
-    def test_refusals(self, steps, family, error):
-        with pytest.raises(PathError) as exc:
-            invert(StepSequence(steps), family)
-        assert str(exc.value) == error
-
-    def test_walk_that_stops_short_is_an_error(self):
-        # not a path (its total is 2), so invert refuses it; the pass alone
-        # fills it and its walk ends after three writes
-        with pytest.raises(WalkError, match=r"^walk stopped after 3 of 4 writes$"):
-            walking._invert_flat((1, 1, 1, -1), 1)
-
-
-MINUS_CLOSURES = [k for k in k_multisets(4, 4) if all(len(k) * v >= 2 for v in k)]
-# every rational (m, n) with m = -1 (mod n) in the oracle's default bounds;
-# at n = 2 only (1, 2) takes the minus walk, the other odd m the plus walk
-MINUS_RATIONALS = [(k * n - 1, n) for n in range(2, 6) for k in range(1, 5)
-                   if FamilySpec.rational(k * n - 1, n).tilt == -1]
-
-
-class TestMinusFlatInvert:
-    """invert on a tilt -1 family (the kminus kind, rational (m, n) with
-    m = -1 mod n) runs one pass over the tilted ints; it must write what the
-    public stages write."""
-
-    def test_runs_no_stage_and_validates_twice(self, monkeypatch):
-        calls = Counter()
-        counting(monkeypatch, calls, *STAGES)
-        assert invert(StepSequence((3, 1, -2, -2)), FamilySpec.minus((2, 1))).steps == (
-            3, -2, 1, -2)
-        p = StepSequence((5, -3, 5, -3, -3, 5, -3, -3))
-        assert invert(sweep(p), FamilySpec.rational(5, 3)) == p
-        assert calls == Counter(validate=4)
-
-    @pytest.mark.parametrize("k", MINUS_CLOSURES, ids=str)
-    def test_every_minus_closure_in_the_oracle_bounds(self, k):
-        family = FamilySpec.minus(k)
-        for p in enumerate_family(family, permute_k=True).paths:
-            image = sweep(p)
-            assert invert(image, family) == staged_invert(image, family) == p
-
-    @pytest.mark.parametrize("m, n", MINUS_RATIONALS)
-    def test_every_rational_closure_in_the_oracle_bounds(self, m, n):
-        family = FamilySpec.rational(m, n)
-        for p in enumerate_family(family, permute_k=True).paths:
-            image = sweep(p)
-            assert invert(image, family) == staged_invert(image, family) == p
-
-    @pytest.mark.parametrize("k", [(1, 1), (1,) * 2000], ids=["k=1,1", "k=1x2000"])
-    def test_ups_first(self, k):
-        family = FamilySpec.minus(k)
-        n = len(k)
-        p = StepSequence(tuple(n * v - 1 for v in k) + (-n,) * (sum(k) - 1))
-        for path in (p, sweep(p)):
-            assert invert(path, family) == staged_invert(path, family)
-        assert invert(sweep(p), family) == p
-
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
-    def test_uniform_members(self, n, seed):
-        # up to about 2*10^3 steps
-        rng = random.Random(seed)
-        family = FamilySpec.minus(tuple(rng.randint(1, 10) for _ in range(n)))
-        p = uniform_member(family, rng)
-        for path in (p, sweep(p)):
-            assert invert(path, family) == staged_invert(path, family)
-        assert invert(sweep(p), family) == p
-
-    @pytest.mark.parametrize("steps, family, error", [
-        ((3, -1, 1, -3), FamilySpec.minus((2, 1)),
-         "not a member of the family: down step drops 1, expected 2 (index 2)"),
-        ((3, 1, -2), FamilySpec.minus((2, 1)), "not a member of the family: total rise is 2, not 0"),
-        ((5, -3, -3, 5, -3, 5, -3, -3), FamilySpec.rational(5, 3),
-         "not a member of the family: prefix sum -1 is negative (index 3)"),
-        # (7, 5) has no walk, but the membership check runs first
-        ((7,) * 5 + (-5,) * 6 + (5,), FamilySpec.rational(7, 5),
-         "not a member of the family: total rise is 10, not 0"),
-    ])
-    def test_refusals(self, steps, family, error):
-        with pytest.raises(PathError) as exc:
-            invert(StepSequence(steps), family)
-        assert str(exc.value) == error
-
-    @pytest.mark.parametrize("steps, drop, error", [
-        # the skeleton 1,-1,1,-1 returns to level 0 twice, which validate
-        # refuses: its first top writes itself and the walk stops there
-        ((1, -2, 1), 2, "walk wrote 1 of the expected 3 entries"),
-        # not Dyck: a first drop, and a drop past the columns' room
-        ((-2, 3, -2), 2, "no column has room for the drop at entry 1"),
-        ((1, -2, -2, 3, -2), 2, "no column has room for the drop at entry 3"),
-        # a rise of k = 3 that two drops leave unfilled
-        ((5, -2), 2, "path ends while the column topped by entry 1 is unfilled"),
-    ])
-    def test_pass_refuses_what_validate_refuses(self, steps, drop, error):
-        assert not validate(StepSequence(steps), FamilySpec.minus((1,) * drop), permute_k=True)
-        with pytest.raises(WalkError) as exc:
-            walking._invert_tilted(steps, drop, -1)
-        assert str(exc.value) == error
-
-
-# every rational (m, n) with m = 1 (mod n) and m > n in the oracle's default bounds
-PLUS_RATIONALS = [(k * n + 1, n) for n in range(2, 6) for k in range(1, 5)]
-
-
-class TestPlusFlatInvert:
-    """invert on a tilt +1 family (the kplus kind, rational (m, n) with
-    m = 1 mod n and m > n) runs one pass over the tilted ints; it must write
-    what the public stages write."""
-
-    def test_runs_no_stage_and_validates_twice(self, monkeypatch):
-        calls = Counter()
-        counting(monkeypatch, calls, *STAGES)
-        assert invert(StepSequence((5, -2, -2, 3, -2, -2)), FamilySpec.plus((2, 1))).steps == (
-            5, 3, -2, -2, -2, -2)
-        p = StepSequence((7, -3, 7, -3, -3, 7, -3, -3, -3, -3))
-        assert invert(sweep(p), FamilySpec.rational(7, 3)) == p
-        assert calls == Counter(validate=4)
-
-    @pytest.mark.parametrize("k", k_multisets(4, 4), ids=str)
-    def test_every_plus_closure_in_the_oracle_bounds(self, k):
-        family = FamilySpec.plus(k)
-        for p in enumerate_family(family, permute_k=True).paths:
-            image = sweep(p)
-            assert invert(image, family) == staged_invert(image, family) == p
-
-    @pytest.mark.parametrize("m, n", PLUS_RATIONALS)
-    def test_every_rational_closure_in_the_oracle_bounds(self, m, n):
-        family = FamilySpec.rational(m, n)
-        assert family.tilt == 1  # at n = 2 as well, where m is also -1 mod n
-        for p in enumerate_family(family, permute_k=True).paths:
-            image = sweep(p)
-            assert invert(image, family) == staged_invert(image, family) == p
-
-    @pytest.mark.parametrize("k", [(1,), (1,) * 2000], ids=["k=1", "k=1x2000"])
-    def test_ups_first(self, k):
-        family = FamilySpec.plus(k)
-        p = to_plus(StepSequence(k + (-1,) * sum(k)), k)
-        for path in (p, sweep(p)):
-            assert invert(path, family) == staged_invert(path, family)
-        assert invert(sweep(p), family) == p
-
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
-    def test_uniform_members(self, n, seed):
-        # up to about 2*10^3 steps: a kplus member, and a rational (kn + 1, n)
-        # member, a kplus member with constant k step for step
-        rng = random.Random(seed)
-        family = FamilySpec.plus(tuple(rng.randint(1, 10) for _ in range(n)))
+        kind = KINDS[tilt]
+        family = FamilySpec(kind, tuple(rng.randint(1, 10) for _ in range(n)))
         k = rng.randint(1, 10)
         members = [(family, uniform_member(family, rng))]
-        if n > 1:  # (k + 1, 1) has tilt 0
-            members.append((FamilySpec.rational(k * n + 1, n),
-                            uniform_member(FamilySpec.plus((k,) * n), rng)))
+        rational = FamilySpec.rational(k * n + tilt, n)
+        if rational.tilt == tilt:  # not (k + 1, 1), nor (2k - 1, 2) for k > 1
+            twin = uniform_member(FamilySpec(kind, (k,) * n), rng)
+            members.append((rational, twin if tilt else StepSequence([n * a for a in twin])))
         for fam, p in members:
             for path in (p, sweep(p)):
                 assert invert(path, fam) == staged_invert(path, fam)
             assert invert(sweep(p), fam) == p
 
-    @pytest.mark.parametrize("steps, drop, error", [
-        # not Dyck: a first drop, and a drop past the columns' room
-        ((-2, 3, -2, -2, 3), 2, "no column has room for the drop at entry 1"),
-        ((3, -2, -2, 3, -2, -2), 2, "no column has room for the drop at entry 3"),
-        # a rise of k = 2 that one drop leaves unfilled: the last step is the extra entry
-        ((5, -2, -2), 2, "path ends while the column topped by entry 1 is unfilled"),
-        # no column for extend_plus's entry to go under
-        ((-2,), 2, "path has no column to extend"),
+    @pytest.mark.parametrize("steps, family, error", [
+        ((1, -1), FamilySpec.vector((2,)), MEMBER + "expected 3 steps, got 2"),
+        # the membership check runs before the refusal of a residue no walk handles
+        ((1, -1), FamilySpec.rational(7, 5), MEMBER + "expected 12 steps, got 2"),
+        ((7,) * 5 + (-5,) * 7, FamilySpec.rational(7, 5),
+         "rational (7, 5) paths have no walk: m mod n is 2, "
+         "and the walks need 0, 4, or 1 with m > n"),
+        ((2, -2, -2, 2), FamilySpec.rational(2, 2), MEMBER + "prefix sum -2 is negative (index 3)"),
+        ((3, -1, 1, -3), FamilySpec.minus((2, 1)),
+         MEMBER + "down step drops 1, expected 2 (index 2)"),
+        ((3, 1, -2), FamilySpec.minus((2, 1)), MEMBER + "total rise is 2, not 0"),
+        ((5, -3, -3, 5, -3, 5, -3, -3), FamilySpec.rational(5, 3),
+         MEMBER + "prefix sum -1 is negative (index 3)"),
+        ((7,) * 5 + (-5,) * 6 + (5,), FamilySpec.rational(7, 5), MEMBER + "total rise is 10, not 0"),
     ])
-    def test_pass_refuses_what_validate_refuses(self, steps, drop, error):
-        assert not validate(StepSequence(steps), FamilySpec.plus((1,) * drop), permute_k=True)
-        with pytest.raises(WalkError) as exc:
-            walking._invert_tilted(steps, drop, 1)
+    def test_refusals(self, steps, family, error):
+        with pytest.raises(PathError) as exc:
+            invert(StepSequence(steps), family)
         assert str(exc.value) == error
+
+    @pytest.mark.parametrize("tilt, steps, drop, error", [
+        # not a path (its total is 2): the walk ends after three writes
+        (0, (1, 1, 1, -1), 1, "walk stopped after 3 of 4 writes"),
+        # the skeleton 1,-1,1,-1 returns to level 0 twice, which validate
+        # refuses: its first top writes itself and the walk stops there
+        (-1, (1, -2, 1), 2, "walk wrote 1 of the expected 3 entries"),
+        # not Dyck: a first drop, and a drop past the columns' room
+        (-1, (-2, 3, -2), 2, "no column has room for the drop at entry 1"),
+        (-1, (1, -2, -2, 3, -2), 2, "no column has room for the drop at entry 3"),
+        (1, (-2, 3, -2, -2, 3), 2, "no column has room for the drop at entry 1"),
+        (1, (3, -2, -2, 3, -2, -2), 2, "no column has room for the drop at entry 3"),
+        # a rise of k = 3 that two drops leave unfilled
+        (-1, (5, -2), 2, "path ends while the column topped by entry 1 is unfilled"),
+        # a rise of k = 2 that one drop leaves unfilled: the last step is the extra entry
+        (1, (5, -2, -2), 2, "path ends while the column topped by entry 1 is unfilled"),
+        # no column for extend_plus's entry to go under
+        (1, (-2,), 2, "path has no column to extend"),
+    ])
+    def test_pass_refuses_what_validate_refuses(self, tilt, steps, drop, error):
+        family = FamilySpec(KINDS[tilt], (1,) * drop)
+        assert not validate(StepSequence(steps), family, permute_k=True)
+        with pytest.raises(WalkError) as exc:
+            walking._invert_tilted(steps, drop, tilt) if tilt else walking._invert_flat(steps, drop)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
+    def test_guard_refuses_what_the_pass_misspells(self, monkeypatch, tilt):
+        # a pass that writes the drops first: only _preimage's membership guard
+        # sees it, on a family of drop 1
+        monkeypatch.setattr(walking, "_invert_tilted" if tilt else "_invert_flat",
+                            lambda s, *_: tuple(sorted(s)))
+        family = FamilySpec(KINDS[tilt], (2,) if tilt < 0 else (1,))
+        with pytest.raises(WalkError) as exc:
+            invert(enumerate_family(family).paths[0], family)
+        assert str(exc.value) == ("reconstruction is not a valid family member: "
+                                  "prefix sum -1 is negative (index 1)")
 
 
 class TestWrittenOrderLaw:
