@@ -460,17 +460,17 @@ def skeleton(steps: StepSequence, family: FamilySpec | None) -> StepSequence:
     a family with tilt t and drop n becomes (a - t) / n and each drop -1; the
     plus kind's final drop goes and the minus kind's is restored.
 
-    A tilt of +/-1 first needs a member of the family, and that makes the
-    plain path valid too: where it is at height h after u ups, the path is at
-    n*h + t*u >= 0.  Plus: h >= -1, and h = -1 means u = n at height 0 with a
-    drop still to come.  Minus: u >= 1, so h >= 1 after the first step, and
-    rank 0 occurs once.
+    The steps must be a member of the family, at every tilt, and that makes
+    the plain path valid too: where it is at height h after u ups, the path
+    is at n*h + t*u >= 0.  Tilt 0: h >= 0.  Plus: h >= -1, and h = -1 means
+    u = n at height 0 with a drop still to come.  Minus: u >= 1, so h >= 1
+    after the first step, and rank 0 occurs once.
     """
     if family is None:
         return steps
     t = _walk_tilt(family)
     s = _ints(steps)
-    if t and not (d := validate(s, family, permute_k=True)):
+    if not (d := validate(s, family, permute_k=True)):
         raise PathError(f"not a valid {family.kind}-family path: {d}")
     plain = _untilt(s, family.down_drop, t)
     if t:  # the plus kind's final drop goes, the minus kind's comes back

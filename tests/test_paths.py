@@ -31,6 +31,7 @@ from sweepmap import (
     to_plus,
     validate,
 )
+from sweepmap.paths import skeleton
 
 from conftest import random_path, uniform_member
 
@@ -296,6 +297,22 @@ class TestLifts:
     def test_from_plus_rejects_plain_paths(self):
         with pytest.raises(PathError):
             from_plus(StepSequence((1, -1, 1, -1)))
+
+    @pytest.mark.parametrize("steps, family, error", [
+        # a raw 0 step, and drops of the wrong size, which the untilt would
+        # turn into -1 if skeleton took a tilt-0 non-member
+        ((2, -1, 0), FamilySpec.vector((2,)), "k-family path: total rise is 1, not 0"),
+        ((1, 1, -2, 0), FamilySpec.vector((1, 1)),
+         "k-family path: down step drops 2, expected 1 (index 3)"),
+        ((4, -2, 4, -4, -2, 0), FamilySpec.rational(4, 2),
+         "rational-family path: down step drops 4, expected 2 (index 4)"),
+        ((5, -3, -3, 5, -3, 5, -3, -3), FamilySpec.rational(5, 3),
+         "rational-family path: prefix sum -1 is negative (index 3)"),
+    ])
+    def test_skeleton_refuses_a_non_member_at_every_tilt(self, steps, family, error):
+        with pytest.raises(PathError) as exc:
+            skeleton(steps, family)
+        assert str(exc.value) == "not a valid " + error
 
 
 class TestFamilySpec:
