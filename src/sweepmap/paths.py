@@ -386,12 +386,18 @@ def validate(steps: StepSequence, family: FamilySpec, permute_k: bool = False) -
     return VALID
 
 
+def _heights(s: tuple[int, ...]) -> list[int]:
+    """The levels 0, s_1, s_1+s_2, ... of steps that never go below level 0;
+    PathError at a negative prefix sum (the total may be nonzero)."""
+    levels, d = _levels(s)
+    if d.index is not None:
+        raise PathError(str(d))
+    return levels
+
+
 def ranks(steps: StepSequence) -> tuple[int, ...]:
     """Starting level of each step (the partial sums of the rises)."""
-    levels, d = _levels(_ints(steps))
-    if d.index is not None:  # a negative prefix sum; the total may be nonzero
-        raise PathError(str(d))
-    return tuple(levels[:-1])
+    return tuple(_heights(_ints(steps))[:-1])
 
 
 def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
@@ -541,6 +547,15 @@ def parse_steps(text: str) -> StepSequence:
     raise PathError("no bad token found")  # pragma: no cover - the scan names every refusal
 
 
+def _emitted(steps) -> tuple[int, ...]:
+    """_ints, refusing a raw 0 step as StepSequence does, so that what is
+    written out reads back; a StepSequence holds none."""
+    s = _ints(steps)
+    if not isinstance(steps, StepSequence) and 0 in s:
+        raise PathError(f"zero rise at index {s.index(0) + 1}")
+    return s
+
+
 def emit_steps(steps: StepSequence) -> str:
     """Comma-separated rises, the text parse_steps reads back.
 
@@ -548,7 +563,7 @@ def emit_steps(steps: StepSequence) -> str:
     steps spells each distinct one once; _ints reads only ints, so equal
     steps spell alike.
     """
-    s = _ints(steps)
+    s = _emitted(steps)
     if 2 * len(distinct := set(s)) <= len(s):
         text = {a: str(a) for a in distinct}
         return ",".join(map(text.__getitem__, s))
@@ -558,7 +573,7 @@ def emit_steps(steps: StepSequence) -> str:
 def path_to_json(steps: StepSequence, family: FamilySpec | None = None) -> dict:
     return {
         "family": family.to_json() if family is not None else None,
-        "steps": list(_ints(steps)),
+        "steps": list(_emitted(steps)),
     }
 
 

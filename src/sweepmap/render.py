@@ -3,20 +3,19 @@
 Paths render with one character column per step: an up step of rise a
 stacks a '/' cells, a down step of drop d stacks d '\\' cells.  SVG paths
 are polylines through the lattice points of the rank sequence, all
-coordinates integral so output is byte-stable.
+coordinates integral so output is byte-stable.  A path that goes below
+level 0 is refused, as ranks refuses it.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-
-from .paths import StepSequence, _ints
+from .paths import StepSequence, _heights, _ints
 from .tableau import Tableau, TableauError
 
 
 def path_ascii(steps: StepSequence) -> str:
     s = _ints(steps)
-    heights = list(accumulate(s, initial=0))
+    heights = _heights(s)
     top = max(heights)
     width = len(s)
     grid = [[" "] * width for _ in range(max(top, 1))]
@@ -34,7 +33,7 @@ def path_ascii(steps: StepSequence) -> str:
 
 def path_svg(steps: StepSequence, unit: int = 20, pad: int = 10) -> str:
     s = _ints(steps)
-    heights = list(accumulate(s, initial=0))
+    heights = _heights(s)
     top = max(heights)
     width = len(s) * unit + 2 * pad
     height = max(top, 1) * unit + 2 * pad

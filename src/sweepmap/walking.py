@@ -7,16 +7,18 @@ of the filled path under the sweep map.  The family's tilt picks the walk
 (plain, plus or minus), and all three run in time linear in the number of
 entries.  invert runs one pass over the path's ints: _invert_flat fills,
 ranks, walks and spells for tilt 0, and _invert_tilted fills, walks and
-spells for tilt +1 and -1, placing extend_plus's extra entry for +1.  The
-staged functions serve the fill, rank and walk pictures and are the passes'
-oracle.  The plus and minus walks and the tilted pass share one loop,
-_slide_walk, which reads every slide from a table built once.
+spells for tilt +1 and -1, placing extend_plus's extra entry for +1.  It
+validates its input once: each pass writes distinct entries and spells the
+input's own steps, so the answer only needs its length and running minimum
+checked.  The staged functions serve the fill, rank and walk pictures and
+are the passes' oracle.  The plus and minus walks and the tilted pass share
+one loop, _slide_walk, which reads every slide from a table built once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain
 
 from .paths import FamilySpec, PathError, StepSequence, _tilt, _unchecked, _walk_tilt, validate
 from .ranking import rank_tableau
@@ -345,6 +347,16 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     plus or minus paths.  Each tilt takes one pass over the path's own
     ints, _invert_flat or _invert_tilted, between the input check and the
     output guard; the public stages are the passes' oracle.
+
+    The input is validated once, and the answer is guarded by its length
+    and running minimum alone.  Each pass spells s's own steps in the order
+    it writes entries, and writes no entry twice: _invert_flat's counter
+    per rank counts down inside that rank's run of entries, and the runs
+    are disjoint; _slide_walk marks each written entry None and stops at
+    the first repeat.  A full-length answer is therefore a permutation of
+    the member s -- the family's rises and drops, with total 0 -- so only
+    a negative prefix sum can make it a non-member.  An answer that fails
+    the guard gets the full check, which names what is wrong with it.
     """
     if not isinstance(steps, StepSequence):
         steps = StepSequence(steps)
@@ -353,4 +365,7 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
         raise PathError(f"not a member of the family: {d}")
     tilt = _walk_tilt(family)
     s, drop = steps.steps, family.down_drop
-    return _preimage(_invert_tilted(s, drop, tilt) if tilt else _invert_flat(s, drop), family)
+    out = _invert_tilted(s, drop, tilt) if tilt else _invert_flat(s, drop)
+    if len(out) == len(s) and min(accumulate(out)) >= 0:
+        return _unchecked(StepSequence, out)
+    return _preimage(out, family)  # a non-member: refused with validate's diagnostic

@@ -463,12 +463,12 @@ class TestBatch:
         assert calls == {"_family_from_args": 1}
 
     @pytest.mark.parametrize("command, kind, k, calls", [
-        ("invert", "k", (2, 1, 3), 2), ("invert", "kminus", (2, 1, 3), 2),
-        ("invert", "kplus", (2, 1, 3), 2), ("sweep", "k", (2, 1, 3), 1),
+        ("invert", "k", (2, 1, 3), 1), ("invert", "kminus", (2, 1, 3), 1),
+        ("invert", "kplus", (2, 1, 3), 1), ("sweep", "k", (2, 1, 3), 1),
     ])
     def test_validate_calls_per_line(self, capsys, monkeypatch, command, kind, k, calls):
-        # invert checks its input once and its output once, on every kind;
-        # the command line adds no check of its own
+        # invert checks its input once, on every kind, and guards its output
+        # without validate; the command line adds no check of its own
         family = FamilySpec(kind, k=k)
         path = enumerate_family(family, permute_k=True).paths[-1]
         line = ",".join(map(str, path))
@@ -504,6 +504,11 @@ class TestRender:
         f.write_text(bad)
         code, _, err = run(capsys, "render", "--file", str(f))
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    def test_path_below_level_zero(self, capsys, fmt):
+        assert run(capsys, "render", "--steps=-1,1", "--format", fmt) == (
+            1, "", "error: prefix sum -1 is negative (index 1)\n")
 
     def test_ranks_need_a_tableau(self, capsys):
         code, _, err = run(capsys, "render", "--steps", "1,-1", "--ranks")

@@ -93,6 +93,20 @@ def test_bad_steps_raise_path_error(name, bad):
         call(BAD[bad](steps))
 
 
+# the step takers that refuse a 0 step by name; validate and the tilt layer
+# refuse the path's length, and dyck_diagnostic, ranks, sweep_order,
+# infer_family and the pictures read a 0 as a level step
+REFUSE_ZERO = ["StepSequence", "brute_invert", "emit_steps", "invert", "path_to_json", "sweep"]
+
+
+@pytest.mark.parametrize("form", RAW)
+@pytest.mark.parametrize("name", REFUSE_ZERO)
+def test_zero_step_raises_path_error(name, form):
+    call, steps = STEP_TAKERS[name]
+    with pytest.raises(PathError, match=r"^zero rise at index 2$"):
+        call(RAW[form]((steps[0], 0, *steps[1:])))
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer wraps each LAYER_OF name ("module.function" or
     # "module.Class.method"); read without importing, so nothing is written there

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from sweepmap import (
+    PathError,
     StepSequence,
     Tableau,
     TableauError,
@@ -70,6 +71,18 @@ class TestPathSvg:
         svg = path_svg(s)
         points = svg.split('points="')[1].split('"')[0].split()
         assert len(points) == len(s) + 1
+
+
+@pytest.mark.parametrize("draw", [path_ascii, path_svg])
+@pytest.mark.parametrize("steps, error", [
+    ((1, -2, 1), "prefix sum -1 is negative (index 2)"),
+    ((-1, 1), "prefix sum -1 is negative (index 1)"),
+])
+def test_path_below_level_zero_is_refused(draw, steps, error):
+    # the error ranks raises
+    with pytest.raises(PathError) as exc:
+        draw(steps)
+    assert str(exc.value) == error
 
 
 class TestTableauAscii:

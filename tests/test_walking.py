@@ -516,12 +516,12 @@ class TestOnePassInvert:
     _invert_tilted; it must write what the public stages write."""
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
-    def test_runs_no_stage_and_validates_twice(self, monkeypatch, tilt):
+    def test_runs_no_stage_and_validates_once(self, monkeypatch, tilt):
         calls = Counter()
         counting(monkeypatch, calls, *STAGES)
         for family, p in NO_STAGE[tilt]:
             assert invert(sweep(p), family).steps == p
-        assert calls == Counter(validate=4)
+        assert calls == Counter(validate=2)
 
     @pytest.mark.parametrize("tilt, family", CLOSURES,
                              ids=[f"{f.kind}{f.k or (f.m, f.n)}" for _, f in CLOSURES])
@@ -618,6 +618,31 @@ class TestOnePassInvert:
             invert(enumerate_family(family).paths[0], family)
         assert str(exc.value) == ("reconstruction is not a valid family member: "
                                   "prefix sum -1 is negative (index 1)")
+
+    @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
+    def test_guard_refuses_a_short_answer(self, monkeypatch, tilt):
+        # a pass that leaves out the last drop: every prefix sum stays >= 0,
+        # so only the length check sees it, and validate names the total
+        monkeypatch.setattr(walking, "_invert_tilted" if tilt else "_invert_flat",
+                            lambda s, *_: s[:-1])
+        family, p = NO_STAGE[tilt][0]
+        with pytest.raises(WalkError) as exc:
+            invert(sweep(p), family)
+        assert str(exc.value) == ("reconstruction is not a valid family member: "
+                                  f"total rise is {family.down_drop}, not 0")
+
+    @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_pass_permutes_its_input(self, tilt, data, seed):
+        # what invert's guard rests on: each pass spells every step of s once
+        n = data.draw(st.integers(2 if tilt < 0 else 1, 60), label="n")  # n*k_i >= 2
+        rng = random.Random(seed)
+        family = FamilySpec(KINDS[tilt], tuple(rng.randint(1, 10) for _ in range(n)))
+        p, drop = uniform_member(family, rng), family.down_drop
+        for s in (p.steps, sweep(p).steps):
+            out = walking._invert_tilted(s, drop, tilt) if tilt else walking._invert_flat(s, drop)
+            assert sorted(out) == sorted(s)
 
 
 class TestWrittenOrderLaw:
