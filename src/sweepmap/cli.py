@@ -29,6 +29,7 @@ from .paths import (
     PathError,
     StepSequence,
     SWWord,
+    _member,
     _step_ints,
     _walk_tilt,
     emit_steps,
@@ -37,7 +38,6 @@ from .paths import (
     path_from_json,
     path_to_json,
     skeleton,
-    validate,
 )
 from .ranking import rank_tableau
 from .render import path_ascii, path_svg, rank_ascii, tableau_ascii, tableau_svg
@@ -58,8 +58,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sweep(steps, _family):
-    return sweep(steps)
+def _sweep(steps, family):
+    return sweep(steps if family is None else _member(steps, family))
 
 
 def _fill(steps, family):
@@ -104,12 +104,13 @@ def _view_walk(sigma, _family, fmt: str):
 # formats: the --format choices, the first the default unless default_format
 # names another; run(steps, family) -> result; view(result, family, format) ->
 # text, or a JSON object; reads_path: takes --steps, --sw and --file; options:
-# (flag, argparse keywords) pairs placed after the family flags; checks_member:
-# run refuses a path outside the family itself.
+# (flag, argparse keywords) pairs placed after the family flags.  Every run
+# refuses a path outside the family it is given, through paths._member: sweep
+# directly, invert itself, and fill, rank and walk in skeleton.
 _Command = namedtuple(
     "_Command",
-    "help family_required formats run view reads_path options default_format checks_member",
-    defaults=(None, None, True, (), None, False),
+    "help family_required formats run view reads_path options default_format",
+    defaults=(None, None, True, (), None),
 )
 
 
@@ -124,8 +125,7 @@ _PERMUTE = (("--permute", {"action": "store_true",
                            "help": "list every ordering of the rise vector"}),)
 _TABLE = {
     "sweep": _Command("apply the sweep map to a path", False, _TEXT, _sweep, _view_path),
-    "invert": _Command("recover the unique sweep preimage", True, _TEXT, invert, _view_path,
-                       checks_member=True),
+    "invert": _Command("recover the unique sweep preimage", True, _TEXT, invert, _view_path),
     "fill": _Command("fill a path's word into its tableau", False, _PICTURES, _fill,
                      _view_fill),
     "rank": _Command("rank the tableau of a path", False, _PICTURES, _rank, _view_rank),
@@ -246,17 +246,6 @@ def _path(source) -> tuple[StepSequence, FamilySpec | None]:
     return (source, None) if isinstance(source, StepSequence) else path_from_json(source)
 
 
-def _member(family_of, steps: StepSequence, family: FamilySpec | None, check: bool = True):
-    """The path's family, --family's (from family_of) winning over the input's;
-    the path must belong, which check=False leaves to the caller."""
-    family = family_of(steps) or family
-    if check and family is not None:
-        d = validate(steps, family, permute_k=True)
-        if not d:
-            raise PathError(f"not a member of the family: {d}")
-    return steps, family
-
-
 def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -271,7 +260,8 @@ def _cmd_path(args) -> int:
     family_of = _family_of(args)
 
     def show(source, indent=None) -> str:
-        steps, family = _member(family_of, *_path(source), not c.checks_member)
+        steps, family = _path(source)
+        family = family_of(steps) or family  # --family wins over the input's
         out = c.view(c.run(steps, family), family, args.format)
         return json.dumps(out, indent=indent) if args.format == "json" else out
 
@@ -316,7 +306,7 @@ def _cmd_verify(args) -> int:
     """Certify the sweep on the family's permutation closure, then round-trip each path."""
     family = _family_from_args(args)
     _walk_tilt(family)  # a family no walk inverts fails here, not in the round trips
-    report = certify_bijection(family, permute_k=True, **_bounds(args))
+    report = certify_bijection(family, **_bounds(args))
     out = report.to_json()
     _, images, _ = _closure(family, **_bounds(args))  # step tuples, in enumeration order
     for p, image in images.items() if report.bijection else ():
@@ -358,7 +348,8 @@ def _cmd_render(args) -> int:
     steps, family = _path(source)
     if args.ranks:
         raise PathError("--ranks overlays apply to tableaux, not paths")
-    _member(_family_of(args), steps, family)
+    if family := _family_of(args)(steps) or family:
+        _member(steps, family)
     _write(path_ascii(steps) if args.format == "ascii" else path_svg(steps), args)
     return 0
 

@@ -152,12 +152,12 @@ def brute_invert(
 class BijectionReport(_Record):
     """Result of certifying the sweep map over an enumerated family."""
 
-    __match_args__ = ("family", "permuted", "count", "bijection", "counterexample")
+    __match_args__ = ("family", "count", "bijection", "counterexample")
 
-    def __init__(self, family: FamilySpec, permuted: bool, count: int, bijection: bool,
+    def __init__(self, family: FamilySpec, count: int, bijection: bool,
                  counterexample: dict | None) -> None:
-        self.__dict__.update(family=family, permuted=permuted, count=count,
-                             bijection=bijection, counterexample=counterexample)
+        self.__dict__.update(family=family, count=count, bijection=bijection,
+                             counterexample=counterexample)
 
     def to_json(self) -> dict:
         return {
@@ -169,20 +169,15 @@ class BijectionReport(_Record):
 
 
 def certify_bijection(
-    family: FamilySpec,
-    permute_k: bool = True,
-    max_n: int = DEFAULT_MAX_N,
-    max_k: int = DEFAULT_MAX_K,
+    family: FamilySpec, max_n: int = DEFAULT_MAX_N, max_k: int = DEFAULT_MAX_K
 ) -> BijectionReport:
-    """Check that the memoized sweep maps the family bijectively onto itself.
+    """Check that the memoized sweep maps the family's permutation closure
+    bijectively onto itself.
 
-    Without permute_k the domain is the paths of the family's own ordering.
     Injectivity plus image-inside-domain over a finite set of equal size is
     a bijection; the first violation of either becomes the counterexample.
     """
-    by_ordering, images, _ = _closure(family, max_n, max_k)
-    if not permute_k:
-        images = {p.steps: images[p.steps] for p in by_ordering[family.up_rises]}
+    images = _closure(family, max_n, max_k)[1]
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     counterexample = None
     for p, q in images.items():
@@ -202,4 +197,4 @@ def certify_bijection(
             }
             break
         seen[q] = p
-    return BijectionReport(family, permute_k, len(images), counterexample is None, counterexample)
+    return BijectionReport(family, len(images), counterexample is None, counterexample)

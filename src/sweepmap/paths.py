@@ -6,6 +6,10 @@ sum stays nonnegative, and the total is zero.  Fractional rises of the
 plus/minus families are kept exact by scaling everything by the number of
 up steps, so all arithmetic stays integral; skeleton is the only untilt.
 Indices in public data are 1-based throughout.
+
+Two private helpers decide every input: _ints reads raw steps once, as ints
+with no 0 step, and _member refuses a path outside a family's permutation
+closure with one text, for invert, skeleton and the command line alike.
 """
 
 from __future__ import annotations
@@ -100,8 +104,6 @@ class StepSequence(_Record):
         steps = _ints(steps)
         if not steps:
             raise PathError("empty path")
-        if 0 in steps:
-            raise PathError(f"zero rise at index {steps.index(0) + 1}")
         object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
@@ -120,14 +122,18 @@ class StepSequence(_Record):
 
 
 def _ints(steps) -> tuple[int, ...]:
-    """A StepSequence's steps, or a raw sequence's read once as ints;
-    PathError on any other entry (1.5 would be truncated, and True becomes 1)."""
+    """A StepSequence's steps, or a raw sequence's read once as ints; PathError
+    on any other entry (1.5 would be truncated, and True becomes 1) and on a 0
+    step, which text could not read back."""
     if isinstance(steps, StepSequence):
         return steps.steps
     try:
-        return tuple(map(operator.index, steps))
+        s = tuple(map(operator.index, steps))
     except TypeError:
         raise PathError("path steps must be integers") from None
+    if 0 in s:
+        raise PathError(f"zero rise at index {s.index(0) + 1}")
+    return s
 
 
 def _unchecked(cls, value):
@@ -386,6 +392,17 @@ def validate(steps: StepSequence, family: FamilySpec, permute_k: bool = False) -
     return VALID
 
 
+def _member(steps, family: FamilySpec) -> StepSequence:
+    """The steps as a StepSequence, refused unless they are a member of the
+    family's permutation closure; validate gets the StepSequence, so its
+    steps are not read again."""
+    if not isinstance(steps, StepSequence):
+        steps = StepSequence(steps)
+    if not (d := validate(steps, family, permute_k=True)):
+        raise PathError(f"not a member of the family: {d}")
+    return steps
+
+
 def _heights(s: tuple[int, ...]) -> list[int]:
     """The levels 0, s_1, s_1+s_2, ... of steps that never go below level 0;
     PathError at a negative prefix sum (the total may be nonzero)."""
@@ -408,8 +425,8 @@ def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
     a member by skeleton's argument read backwards, so it needs no check.
     """
     k, n, t = family.k, family.down_drop, family.tilt
-    s = _ints(steps)
-    d = validate(s, FamilySpec.vector(k))
+    s = _ints(steps)  # read once: validate takes the StepSequence as it is
+    d = validate(_unchecked(StepSequence, s), FamilySpec.vector(k))
     if not d:
         raise PathError(f"not a valid path for rises {k}: {d}")
     if t < 0:  # the minus kind needs a single zero among the starting levels
@@ -432,8 +449,8 @@ def to_plus(steps: StepSequence, k) -> StepSequence:
 
 def from_plus(steps: StepSequence) -> StepSequence:
     """Inverse of to_plus: the skeleton of the path in the plus family of its rises."""
-    s = _ints(steps)
-    return skeleton(s, infer_family(s, KIND_KPLUS))
+    steps = _unchecked(StepSequence, _ints(steps))  # read once, for both
+    return skeleton(steps, infer_family(steps, KIND_KPLUS))
 
 
 def to_minus(steps: StepSequence, k) -> StepSequence:
@@ -448,8 +465,8 @@ def to_minus(steps: StepSequence, k) -> StepSequence:
 
 def from_minus(steps: StepSequence) -> StepSequence:
     """Inverse of to_minus: the skeleton of the path in the minus family of its rises."""
-    s = _ints(steps)
-    return skeleton(s, infer_family(s, KIND_KMINUS))
+    steps = _unchecked(StepSequence, _ints(steps))  # read once, for both
+    return skeleton(steps, infer_family(steps, KIND_KMINUS))
 
 
 def _walk_tilt(family: FamilySpec) -> int:
@@ -474,14 +491,12 @@ def skeleton(steps: StepSequence, family: FamilySpec | None) -> StepSequence:
     """
     if family is None:
         return steps
+    s = _member(steps, family).steps  # before the tilt, as invert checks it
     t = _walk_tilt(family)
-    s = _ints(steps)
-    if not (d := validate(s, family, permute_k=True)):
-        raise PathError(f"not a valid {family.kind}-family path: {d}")
     plain = _untilt(s, family.down_drop, t)
     if t:  # the plus kind's final drop goes, the minus kind's comes back
         plain = plain[:-1] if t > 0 else plain + [-1]
-    return StepSequence(tuple(plain))
+    return _unchecked(StepSequence, tuple(plain))  # a member's rises untilt to k_i >= 1
 
 
 def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
@@ -547,15 +562,6 @@ def parse_steps(text: str) -> StepSequence:
     raise PathError("no bad token found")  # pragma: no cover - the scan names every refusal
 
 
-def _emitted(steps) -> tuple[int, ...]:
-    """_ints, refusing a raw 0 step as StepSequence does, so that what is
-    written out reads back; a StepSequence holds none."""
-    s = _ints(steps)
-    if not isinstance(steps, StepSequence) and 0 in s:
-        raise PathError(f"zero rise at index {s.index(0) + 1}")
-    return s
-
-
 def emit_steps(steps: StepSequence) -> str:
     """Comma-separated rises, the text parse_steps reads back.
 
@@ -563,7 +569,7 @@ def emit_steps(steps: StepSequence) -> str:
     steps spells each distinct one once; _ints reads only ints, so equal
     steps spell alike.
     """
-    s = _emitted(steps)
+    s = _ints(steps)
     if 2 * len(distinct := set(s)) <= len(s):
         text = {a: str(a) for a in distinct}
         return ",".join(map(text.__getitem__, s))
@@ -573,7 +579,7 @@ def emit_steps(steps: StepSequence) -> str:
 def path_to_json(steps: StepSequence, family: FamilySpec | None = None) -> dict:
     return {
         "family": family.to_json() if family is not None else None,
-        "steps": list(_emitted(steps)),
+        "steps": list(_ints(steps)),
     }
 
 

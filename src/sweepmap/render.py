@@ -12,6 +12,10 @@ from __future__ import annotations
 from .paths import StepSequence, _heights, _ints
 from .tableau import Tableau, TableauError
 
+_UNIT = 20  # the side of a path's lattice square, in SVG pixels
+_CELL = 34  # the side of a tableau box
+_PAD = 10  # the margin around either picture
+
 
 def path_ascii(steps: StepSequence) -> str:
     s = _ints(steps)
@@ -31,20 +35,20 @@ def path_ascii(steps: StepSequence) -> str:
     return "\n".join(rows)
 
 
-def path_svg(steps: StepSequence, unit: int = 20, pad: int = 10) -> str:
+def path_svg(steps: StepSequence) -> str:
     s = _ints(steps)
     heights = _heights(s)
     top = max(heights)
-    width = len(s) * unit + 2 * pad
-    height = max(top, 1) * unit + 2 * pad
-    y0 = pad + top * unit  # svg y of level zero
+    width = len(s) * _UNIT + 2 * _PAD
+    height = max(top, 1) * _UNIT + 2 * _PAD
+    y0 = _PAD + top * _UNIT  # svg y of level zero
     points = " ".join(
-        f"{pad + i * unit},{y0 - h * unit}" for i, h in enumerate(heights)
+        f"{_PAD + i * _UNIT},{y0 - h * _UNIT}" for i, h in enumerate(heights)
     )
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'  <line x1="{pad}" y1="{y0}" x2="{width - pad}" y2="{y0}" '
+        f'  <line x1="{_PAD}" y1="{y0}" x2="{width - _PAD}" y2="{y0}" '
         'stroke="#999" stroke-width="1"/>',
         f'  <polyline points="{points}" fill="none" stroke="#000" '
         'stroke-width="2"/>',
@@ -88,26 +92,24 @@ def rank_ascii(t: Tableau, ranks: tuple[int, ...]) -> str:
     return _grid([[str(ranks[v - 1]) for v in col] for col in t.columns])
 
 
-def tableau_svg(
-    t: Tableau, ranks: tuple[int, ...] | None = None, cell: int = 34, pad: int = 10
-) -> str:
+def tableau_svg(t: Tableau, ranks: tuple[int, ...] | None = None) -> str:
     labels = _labels(t, ranks)
-    width = len(labels) * cell + 2 * pad
-    height = max(map(len, labels)) * cell + 2 * pad
+    width = len(labels) * _CELL + 2 * _PAD
+    height = max(map(len, labels)) * _CELL + 2 * _PAD
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
     for c, col in enumerate(labels):
-        x = pad + c * cell
+        x = _PAD + c * _CELL
         for row, label in enumerate(col):
-            y = pad + row * cell
+            y = _PAD + row * _CELL
             parts.append(
-                f'  <rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'  <rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
                 'fill="none" stroke="#000"/>'
             )
             parts.append(
-                f'  <text x="{x + cell // 2}" y="{y + cell // 2 + 5}" '
+                f'  <text x="{x + _CELL // 2}" y="{y + _CELL // 2 + 5}" '
                 f'text-anchor="middle" font-size="12">{label}</text>'
             )
     parts.append("</svg>")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, chain
 
-from .paths import FamilySpec, PathError, StepSequence, _tilt, _unchecked, _walk_tilt, validate
+from .paths import FamilySpec, StepSequence, _member, _tilt, _unchecked, _walk_tilt, validate
 from .ranking import rank_tableau
 from .tableau import Tableau, extend_plus, is_minus_admissible
 
@@ -348,8 +348,10 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     ints, _invert_flat or _invert_tilted, between the input check and the
     output guard; the public stages are the passes' oracle.
 
-    The input is validated once, and the answer is guarded by its length
-    and running minimum alone.  Each pass spells s's own steps in the order
+    The input is validated once, by the membership check skeleton and the
+    command line share (a raw 0 step or a non-member is refused there with
+    their text), and the answer is guarded by its length and running
+    minimum alone.  Each pass spells s's own steps in the order
     it writes entries, and writes no entry twice: _invert_flat's counter
     per rank counts down inside that rank's run of entries, and the runs
     are disjoint; _slide_walk marks each written entry None and stops at
@@ -358,11 +360,7 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     a negative prefix sum can make it a non-member.  An answer that fails
     the guard gets the full check, which names what is wrong with it.
     """
-    if not isinstance(steps, StepSequence):
-        steps = StepSequence(steps)
-    d = validate(steps, family, permute_k=True)
-    if not d:
-        raise PathError(f"not a member of the family: {d}")
+    steps = _member(steps, family)
     tilt = _walk_tilt(family)
     s, drop = steps.steps, family.down_drop
     out = _invert_tilted(s, drop, tilt) if tilt else _invert_flat(s, drop)

@@ -306,10 +306,8 @@ class TestVerify:
         import sweepmap.cli as cli
         from sweepmap import BijectionReport
 
-        def fake_certify(family, permute_k=True, max_n=5, max_k=4):
-            return BijectionReport(
-                family, permute_k, 0, False, {"kind": "collision"}
-            )
+        def fake_certify(family, max_n=5, max_k=4):
+            return BijectionReport(family, 0, False, {"kind": "collision"})
 
         monkeypatch.setattr(cli, "certify_bijection", fake_certify)
         code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1,1")
@@ -343,9 +341,9 @@ class TestVerify:
         import sweepmap.cli as cli
         from sweepmap import BijectionReport
 
-        def fake_certify(family, permute_k=True, max_n=5, max_k=4):
+        def fake_certify(family, max_n=5, max_k=4):
             found = {"kind": "collision", "first": "1,-1", "second": "1,-1", "image": "1,-1"}
-            return BijectionReport(family, permute_k, 7, False, found)
+            return BijectionReport(family, 7, False, found)
 
         monkeypatch.setattr(cli, "certify_bijection", fake_certify)
         code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1", "--format", "text")
@@ -465,17 +463,19 @@ class TestBatch:
     @pytest.mark.parametrize("command, kind, k, calls", [
         ("invert", "k", (2, 1, 3), 1), ("invert", "kminus", (2, 1, 3), 1),
         ("invert", "kplus", (2, 1, 3), 1), ("sweep", "k", (2, 1, 3), 1),
+        ("fill", "kplus", (2, 1, 3), 1), ("rank", "kminus", (2, 1, 3), 1),
+        ("walk", "k", (2, 1, 3), 1),
     ])
     def test_validate_calls_per_line(self, capsys, monkeypatch, command, kind, k, calls):
         # invert checks its input once, on every kind, and guards its output
-        # without validate; the command line adds no check of its own
+        # without validate; sweep checks membership once, and fill, rank and
+        # walk once in skeleton; the command line adds no check of its own
         family = FamilySpec(kind, k=k)
         path = enumerate_family(family, permute_k=True).paths[-1]
         line = ",".join(map(str, path))
         monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
         counted = Counter()
-        counting(monkeypatch, counted, (paths, "validate"), (walking, "validate"),
-                 (cli, "validate"))
+        counting(monkeypatch, counted, (paths, "validate"), (walking, "validate"))
         code, _, _ = run(capsys, command, "--family", kind, "--k", ",".join(map(str, k)))
         assert code == 0 and counted == {"validate": calls}
 

@@ -67,9 +67,14 @@ TAKES_NO_STEPS = {
     "tableau_svg", "walk", "walk_minus", "walk_plus",
 }
 RAW = {"list": list, "tuple": tuple, "iterator": iter, "generator": lambda s: (a for a in s)}
-BAD = {"floats": lambda s: [float(a) for a in s], "none": lambda s: None,
-       "str": lambda s: ",".join(map(str, s)), "nested": lambda s: [[a] for a in s],
-       "int": lambda s: s[0]}
+# bad steps, and the one refusal every step taker gives them
+NOT_INTS = "^path steps must be integers$"
+BAD = {"floats": (lambda s: [float(a) for a in s], NOT_INTS),
+       "none": (lambda s: None, NOT_INTS),
+       "str": (lambda s: ",".join(map(str, s)), NOT_INTS),
+       "nested": (lambda s: [[a] for a in s], NOT_INTS),
+       "int": (lambda s: s[0], NOT_INTS),
+       "zero": (lambda s: (s[0], 0, *s[1:]), "^zero rise at index 2$")}
 
 
 def test_every_public_callable_declares_whether_it_takes_steps():
@@ -89,22 +94,9 @@ def test_raw_steps_read_as_a_step_sequence(name, form):
 @pytest.mark.parametrize("name", STEP_TAKERS)
 def test_bad_steps_raise_path_error(name, bad):
     call, steps = STEP_TAKERS[name]
-    with pytest.raises(PathError):
-        call(BAD[bad](steps))
-
-
-# the step takers that refuse a 0 step by name; validate and the tilt layer
-# refuse the path's length, and dyck_diagnostic, ranks, sweep_order,
-# infer_family and the pictures read a 0 as a level step
-REFUSE_ZERO = ["StepSequence", "brute_invert", "emit_steps", "invert", "path_to_json", "sweep"]
-
-
-@pytest.mark.parametrize("form", RAW)
-@pytest.mark.parametrize("name", REFUSE_ZERO)
-def test_zero_step_raises_path_error(name, form):
-    call, steps = STEP_TAKERS[name]
-    with pytest.raises(PathError, match=r"^zero rise at index 2$"):
-        call(RAW[form]((steps[0], 0, *steps[1:])))
+    make, error = BAD[bad]
+    with pytest.raises(PathError, match=error):
+        call(make(steps))
 
 
 def test_traced_names_resolve():

@@ -41,8 +41,8 @@ RECORDS = {
                           f"FamilyEnumeration(family={K11}, permuted=False, paths={K11_PATHS}, "
                           "counts={(1, 1): 2})"),
     "BijectionReport": (lambda: certify_bijection(FamilySpec.vector((1, 1))),
-                        certify_bijection(FamilySpec.vector((1, 1)), permute_k=False),
-                        f"BijectionReport(family={K11}, permuted=True, count=2, bijection=True, "
+                        certify_bijection(FamilySpec.vector((2,))),
+                        f"BijectionReport(family={K11}, count=2, bijection=True, "
                         "counterexample=None)"),
 }
 HASHABLE = [name for name in RECORDS if name != "FamilyEnumeration"]
@@ -144,7 +144,7 @@ def test_match_binds_fields_in_order(name):
         "FamilySpec": ("kind", "k", "m", "n"),
         "Tableau": ("columns",),
         "FamilyEnumeration": ("family", "permuted", "paths", "counts"),
-        "BijectionReport": ("family", "permuted", "count", "bijection", "counterexample"),
+        "BijectionReport": ("family", "count", "bijection", "counterexample"),
     }[name]
 
 

@@ -474,10 +474,12 @@ def staged_invert(image, family):
 
 
 # every stage of the staged route, counted where it is defined, or, for
-# validate and what only walking calls, through walking's binding
-STAGES = ((walking, "validate"), (paths, "skeleton"), (paths, "from_plus"),
-          (paths, "from_minus"), (SWWord, "from_steps"), (tableau, "fill"),
-          (walking, "extend_plus"), (walking, "run_walk"), (walking, "sigma_to_preimage"))
+# what only walking calls, through walking's binding; validate is counted
+# through both, the input check's in paths and the output guard's in walking
+STAGES = ((paths, "validate"), (walking, "validate"), (paths, "skeleton"),
+          (paths, "from_plus"), (paths, "from_minus"), (SWWord, "from_steps"),
+          (tableau, "fill"), (walking, "extend_plus"), (walking, "run_walk"),
+          (walking, "sigma_to_preimage"))
 TILTS = (0, -1, 1)
 KINDS = {0: "k", -1: "kminus", 1: "kplus"}
 
