@@ -74,6 +74,10 @@ BAD = {"floats": (lambda s: [float(a) for a in s], NOT_INTS),
        "str": (lambda s: ",".join(map(str, s)), NOT_INTS),
        "nested": (lambda s: [[a] for a in s], NOT_INTS),
        "int": (lambda s: s[0], NOT_INTS),
+       # one bad entry among ints: int() would truncate 1.5 and read "2"
+       "half": (lambda s: (s[0] + 0.5, *s[1:]), NOT_INTS),
+       "digit": (lambda s: (str(s[0]), *s[1:]), NOT_INTS),
+       "none_entry": (lambda s: (None, *s[1:]), NOT_INTS),
        "zero": (lambda s: (s[0], 0, *s[1:]), "^zero rise at index 2$")}
 
 
