@@ -30,8 +30,8 @@ _ALL_KINDS = _K_KINDS + (KIND_RATIONAL,)
 _TILT = {KIND_KPLUS: 1, KIND_KMINUS: -1}
 
 _STEP_TOKEN = re.compile(r"[+-]?\d+")
-# comma-separated step tokens, each with the whitespace str.strip() would take off
-_STEPS_TEXT = re.compile(r"\s*[+-]?\d+\s*(?:,\s*[+-]?\d+\s*)*")
+# a step token with the whitespace str.strip() would take off
+_SPACED_TOKEN = re.compile(r"\s*[+-]?\d+\s*")
 _S_TOKEN = re.compile(r"S(\d+)")
 
 
@@ -195,8 +195,17 @@ class SWWord(_Record):
             m = _S_TOKEN.fullmatch(tok)
             if m is None:
                 raise PathError(f"malformed token {tok!r} at index {j}")
-            letters.append(("S", int(m.group(1))))
+            letters.append(("S", _int_token(m.group(1), f"token at index {j}")))
         return cls(tuple(letters))  # raises on a zero exponent
+
+
+def _int_token(digits: str, where: str) -> int:
+    """int(digits), or PathError naming where the token is when it is past
+    int's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PathError(f"{where} has too many digits") from None
 
 
 def _tilt(steps, n: int, t: int) -> list[int]:
@@ -525,23 +534,16 @@ def _step_ints(text: str) -> tuple[int, ...] | None:
     """The ints of comma-separated step tokens, or None if one is malformed or
     past int's digit limit.
 
-    A family member repeats a few values, so when the distinct tokens are at
-    most half of the tokens each is checked and converted once and the rest
-    are looked up; otherwise one match checks the text and one map converts it.
-    The first 64 tokens are counted first: when they are mostly distinct, as in
-    a long line of distinct tokens, counting all of them would not pay.
+    A family member repeats a few values, so each distinct token is checked
+    and converted once and the rest are looked up.
     """
     tokens = text.split(",")
-    head = set(tokens[:64])
-    with suppress(ValueError):  # a token past int's digit limit
-        if (2 * len(head) <= min(len(tokens), 64)
-                and 2 * len(distinct := head.union(tokens)) <= len(tokens)):
-            if all(map(_STEPS_TEXT.fullmatch, distinct)):  # a token holds no comma
-                value = {tok: int(tok.strip()) for tok in distinct}
-                return tuple(map(value.__getitem__, tokens))
-        elif _STEPS_TEXT.fullmatch(text):
+    distinct = set(tokens)
+    if all(map(_SPACED_TOKEN.fullmatch, distinct)):
+        with suppress(ValueError):  # a token past int's digit limit
             # int() would not take off the separators \x1c-\x1f that strip() does
-            return tuple(map(int, map(str.strip, tokens)))
+            value = {tok: int(tok.strip()) for tok in distinct}
+            return tuple(map(value.__getitem__, tokens))
     return None
 
 
@@ -557,7 +559,7 @@ def parse_steps(text: str) -> StepSequence:
     for j, tok in enumerate(map(str.strip, text.split(",")), start=1):
         if not _STEP_TOKEN.fullmatch(tok):
             raise PathError(f"malformed step token {tok!r} at index {j}")
-        if int(tok) == 0:
+        if _int_token(tok, f"step token at index {j}") == 0:
             raise PathError(f"zero rise at index {j}")
     raise PathError("no bad token found")  # pragma: no cover - the scan names every refusal
 
@@ -565,15 +567,12 @@ def parse_steps(text: str) -> StepSequence:
 def emit_steps(steps: StepSequence) -> str:
     """Comma-separated rises, the text parse_steps reads back.
 
-    As in _step_ints, a path whose distinct steps are at most half of its
-    steps spells each distinct one once; _ints reads only ints, so equal
-    steps spell alike.
+    As in _step_ints, each distinct step is spelled once; _ints reads only
+    ints, so equal steps spell alike.
     """
     s = _ints(steps)
-    if 2 * len(distinct := set(s)) <= len(s):
-        text = {a: str(a) for a in distinct}
-        return ",".join(map(text.__getitem__, s))
-    return ",".join([str(a) for a in s])
+    text = {a: str(a) for a in set(s)}
+    return ",".join(map(text.__getitem__, s))
 
 
 def path_to_json(steps: StepSequence, family: FamilySpec | None = None) -> dict:

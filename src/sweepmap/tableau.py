@@ -7,8 +7,8 @@ below the smallest *active* entry -- the bottom of a column that has not
 reached full height yet.  The resulting tableaux drive the sweep-inversion
 walks in walking.py.  They are exactly characterized by their top rows and
 by a strip condition; the tests restate both facts as checks of fill.
-Every walk reads a plain Tableau: the plus walk's is the filled one with
-index size+1 appended below its largest entry (extend_plus), so the three
+Every walk takes the filled Tableau alone: the plus walk extends it itself,
+appending index size+1 below its largest entry (extend_plus), so the three
 walks differ only in the length of one column.
 """
 
@@ -117,8 +117,8 @@ def fill(word: SWWord) -> Tableau:
 def extend_plus(t: Tableau) -> Tableau:
     """Append index size+1 directly below the largest entry.
 
-    This is the plus walk's tableau: walk_plus keeps the extended column's
-    designated bottom at its (k_i+1)-st entry, the one above size+1.
+    walk_plus walks this tableau, keeping the extended column's designated
+    bottom at its (k_i+1)-st entry, the one above size+1.
     """
     size = t.size
     cols = list(t.columns)

@@ -11,8 +11,11 @@ spells for tilt +1 and -1, placing extend_plus's extra entry for +1.  It
 validates its input once: each pass writes distinct entries and spells the
 input's own steps, so the answer only needs its length and running minimum
 checked.  The staged functions serve the fill, rank and walk pictures and
-are the passes' oracle.  The plus and minus walks and the tilted pass share
-one loop, _slide_walk, which reads every slide from a table built once.
+are the passes' oracle.  Each walk takes the filled tableau alone, which
+fixes both the ranks and the plus walk's extra entry: walk ranks it with
+rank_tableau, and walk_plus extends it with extend_plus.  The plus and
+minus walks and the tilted pass share one loop, _slide_walk, which reads
+every slide from a table built once.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ def _above(columns, size: int) -> list[int]:
     return above
 
 
-def walk(t: Tableau, ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """Plain walk, on the tableau and its ranks by entry (rank_tableau's).
+def walk(t: Tableau) -> tuple[int, ...]:
+    """Plain walk on a filled tableau, ranked by rank_tableau.
 
     Start by writing the largest rank-0 entry.  From a first-row box move
     to the bottom of its column, from any other box move up one box; read
@@ -61,32 +64,19 @@ def walk(t: Tableau, ranks: tuple[int, ...]) -> tuple[int, ...]:
     rank.  Stop when no such entry remains; a complete run writes every
     entry exactly once.
     """
-    cols = t.columns
     size = t.size
-    if len(ranks) != size:
-        raise WalkError(f"expected {size} ranks, one per entry, got {len(ranks)}")
-    rank = (0, *ranks)  # rank[v] of entry v
+    above = _above(t.columns, size)
+    rank = (0, *rank_tableau(t))  # rank[v] of entry v; entry 1 has rank 0
     # ascending entries per rank; popping the back yields the largest
     # unwritten entry of that rank
-    try:  # a non-int rank fails the comparison, the range or the list index
-        if min(ranks) < 0:
-            raise WalkError("ranks must be nonnegative")
-        stacks: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
-        for v in range(1, size + 1):
-            stacks[rank[v]].append(v)
-    except TypeError:
-        raise WalkError("ranks must be integers") from None
+    stacks: list[list[int]] = [[] for _ in range(max(rank) + 1)]
+    for v in range(1, size + 1):
+        stacks[rank[v]].append(v)
     # after writing v, the walk pops the stack of the rank read above v
-    after = [stacks[rank[a]] for a in _above(cols, size)]
-    bucket = stacks[0]
-    if not bucket:
-        raise WalkError("no rank-0 entry to start from")
-    cur = bucket.pop()
+    after = [stacks[rank[a]] for a in above]
+    cur = stacks[0].pop()
     out = [cur]
-    while True:
-        bucket = after[cur]
-        if not bucket:
-            break
+    while bucket := after[cur]:
         cur = bucket.pop()
         out.append(cur)
     if len(out) != size:
@@ -95,25 +85,21 @@ def walk(t: Tableau, ranks: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def walk_plus(t: Tableau) -> tuple[int, ...]:
-    """Walk for the plus family, on extend_plus's tableau.
+    """Walk for the plus family, on a filled tableau that extend_plus extends.
 
-    Its largest entry sits directly under the second largest, in a column of
-    three or more entries.  That column's designated bottom is the entry
-    above the largest; every other column's is its last entry.  Entries one
-    more than a designated bottom are flagged.  Start by writing 1.  From a
-    first-row box read the designated bottom b of the column and write
-    entry b+1 -- written even when b+1 is flagged.  From any other box step
-    up one box; a normal entry there is written, a flagged entry r slides
-    down to r-1, r-2, ... until a normal entry appears, and that one is
-    written.  The walk stops when its next write would repeat an index,
-    having written every entry exactly once.
+    Index size+1 goes directly under the largest entry.  Each column's
+    designated bottom is its last entry in t, so the extended column's is
+    the entry above size+1.  Entries one more than a designated bottom are
+    flagged.  Start by writing 1.  From a first-row box read the designated
+    bottom b of the column and write entry b+1 -- written even when b+1 is
+    flagged.  From any other box step up one box; a normal entry there is
+    written, a flagged entry r slides down to r-1, r-2, ... until a normal
+    entry appears, and that one is written.  The walk stops when its next
+    write would repeat an index, having written every index 1..size+1
+    exactly once.
     """
-    cols, size = t.columns, t.size
-    foot = next((col for col in cols if col[-1] == size), ())
-    if len(foot) < 3 or foot[-2] != size - 1:
-        raise WalkError(f"entry {size} must sit under {size - 1} in a column of 3+ entries")
-    bottoms = [col[-2] if col[-1] == size else col[-1] for col in cols]
-    return _walk_tilted(cols, bottoms, size, 1)
+    ext = extend_plus(t)
+    return _walk_tilted(ext.columns, t.bottom_row, ext.size, 1)
 
 
 def walk_minus(t: Tableau) -> tuple[int, ...]:
@@ -171,12 +157,9 @@ def _slide_walk(above: list, flags: list[int], sign: int, first: int) -> list[in
 
 
 def run_walk(t: Tableau, tilt: int) -> tuple[int, ...]:
-    """The walk of a family's tilt, run on the tableau of a path's skeleton."""
-    if tilt > 0:
-        return walk_plus(extend_plus(t))
-    if tilt < 0:
-        return walk_minus(t)
-    return walk(t, rank_tableau(t))
+    """The walk of a family's tilt on the filled tableau of a path's skeleton:
+    walk for 0, walk_plus for +1 and walk_minus for -1 (indexed from the end)."""
+    return (walk, walk_plus, walk_minus)[tilt](t)
 
 
 def sigma_to_preimage(sigma: tuple[int, ...], t: Tableau, family: FamilySpec) -> StepSequence:

@@ -18,7 +18,6 @@ from sweepmap import (
     brute_invert,
     certify_bijection,
     enumerate_family,
-    extend_plus,
     fill,
     invert,
     is_minus_admissible,
@@ -71,8 +70,7 @@ def test_criterion_1_golden_running_example():
         t = fill(SWWord.from_steps(IMAGE))
         assert t.top_row == (1, 2, 8, 10)
         assert t.bottom_row == (9, 6, 18, 16)
-        r = rank_tableau(t)
-        assert walk(t, r) == SIGMA
+        assert walk(t) == SIGMA
         assert ranks(PREIMAGE) == (
             0, 2, 1, 0, 4, 3, 8, 7, 6, 5, 4, 7, 6, 5, 4, 3, 2, 1
         )
@@ -82,14 +80,17 @@ def test_criterion_1_golden_running_example():
 
 def test_criterion_2_golden_plus_example():
     with criterion(2, "plus walk golden and column-removal consistency"):
-        tp = extend_plus(fill(SWWord.from_steps(IMAGE)))
-        assert walk_plus(tp) == SIGMA_PLUS
+        t = fill(SWWord.from_steps(IMAGE))
+        assert walk_plus(t) == SIGMA_PLUS
 
-        removed = set(tp.columns[1])
-        kept_cols = (tp.columns[0], *tp.columns[2:])
+        # the dropped column does not end with the largest entry, so the
+        # plus walk's extra entry goes under the same entry in both tableaux
+        removed = set(t.columns[1])
+        kept_cols = (t.columns[0], *t.columns[2:])
         kept = sorted(v for col in kept_cols for v in col)
         relabel = {v: i for i, v in enumerate(kept, start=1)}
         smaller = Tableau(tuple(tuple(relabel[v] for v in col) for col in kept_cols))
+        kept.append(t.size + 1)
         back = tuple(kept[i - 1] for i in walk_plus(smaller))
         assert back == tuple(v for v in SIGMA_PLUS if v not in removed)
 
@@ -155,9 +156,9 @@ def test_criterion_6_invariant_suite():
                 assert sorted(r) == sorted(ranks(p))
 
                 # walk lengths: size / size+1 / size-1
-                sigma = walk(t, r)
+                sigma = walk(t)
                 assert len(sigma) == size
-                assert len(walk_plus(extend_plus(t))) == size + 1
+                assert len(walk_plus(t)) == size + 1
                 if is_minus_admissible(t):
                     assert len(walk_minus(t)) == size - 1
 

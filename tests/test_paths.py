@@ -410,18 +410,21 @@ def token_scan(text):
     for j, tok in enumerate((t.strip() for t in text.split(",")), start=1):
         if not re.fullmatch(r"[+-]?\d+", tok):
             return f"malformed step token {tok!r} at index {j}"
-        if int(tok) == 0:
+        try:
+            value = int(tok)
+        except ValueError:  # past int's digit limit
+            return f"step token at index {j} has too many digits"
+        if value == 0:
             return f"zero rise at index {j}"
-        values.append(int(tok))
+        values.append(value)
     return tuple(values)
 
 
 def _outcome(f, text):
-    """f(text), or the text of the ValueError it raised (a PathError, or int's
-    digit limit)."""
+    """f(text), or the text of the PathError it raised."""
     try:
         return f(text)
-    except ValueError as exc:
+    except PathError as exc:
         return str(exc)
 
 
@@ -440,8 +443,8 @@ SPACED_TOKENS = st.builds(
 def step_lines(draw):
     """Step text from a pool of distinct tokens, with as many tokens as the
     pool, one fewer or one more than twice the pool, twice it, or five times
-    it, the pool shuffled in, first or last: every side of the rule that
-    converts each distinct token once, and of its count of the first 64."""
+    it, the pool shuffled in, first or last: lines of mostly distinct tokens
+    and of a few repeated ones, each distinct token converted once."""
     n = draw(st.sampled_from([1, 2, 3, 8, 20, 40]))
     pool = draw(st.lists(SPACED_TOKENS, min_size=n, max_size=n, unique=True))
     size = draw(st.sampled_from([1, 2, 2, 2, 5])) * len(pool) + draw(st.sampled_from([-1, 0, 1]))
@@ -464,6 +467,16 @@ class TestTextForms:
     def test_parse_rejects(self, bad):
         with pytest.raises(PathError, match=re.escape(token_scan(bad))):
             parse_steps(bad)
+
+    @pytest.mark.parametrize("read, text, error", [
+        (parse_steps, "9" * 5000, "step token at index 1"),
+        (parse_steps, "1, -1," + "9" * 5000, "step token at index 3"),
+        (SWWord.from_text, "S" + "9" * 5000 + " W", "token at index 1"),
+    ], ids=["steps", "steps-third", "sw"])
+    def test_token_past_the_digit_limit(self, read, text, error):
+        # int() refuses more than 4,300 digits with a bare ValueError
+        with pytest.raises(PathError, match=f"^{error} has too many digits$"):
+            read(text)
 
     @settings(max_examples=300)
     @given(st.text(alphabet="0123-+, x\x1c\u2028", max_size=12))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sweepmap
-from sweepmap import FamilySpec, PathError, StepSequence
+from sweepmap import FamilySpec, PathError, StepSequence, SWWord, Tableau, TableauError
 from sweepmap.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -101,6 +101,44 @@ def test_bad_steps_raise_path_error(name, bad):
     make, error = BAD[bad]
     with pytest.raises(PathError, match=error):
         call(make(steps))
+
+
+# refusals of families, words, inference and tableaux, each with its error and text
+REFUSALS = {
+    "family-empty-k": (lambda: FamilySpec("k", k=()), PathError,
+                       "family needs a nonempty rise vector"),
+    "family-zero-k": (lambda: FamilySpec.vector((2, 0)), PathError,
+                      "rise vector entries must be positive"),
+    "family-kind": (lambda: FamilySpec("x"), PathError, "unknown family kind 'x'"),
+    "family-rational-k": (lambda: FamilySpec("rational", k=(1,), m=3, n=2), PathError,
+                          r"rational families take \(m, n\), not a rise vector"),
+    "family-json": (lambda: FamilySpec.from_json({}), PathError,
+                    "family object needs a 'kind' key"),
+    "word-kind": (lambda: SWWord((("X", 1),)), PathError, "bad letter kind 'X' at index 1"),
+    "word-down": (lambda: SWWord.from_text("S1 W", down=0), PathError,
+                  "down drop must be positive, got 0"),
+    "word-empty": (lambda: SWWord.from_text("  "), PathError, "empty word"),
+    "infer-no-ups": (lambda: sweepmap.infer_family((-1,), "k"), PathError,
+                     "path has no up steps"),
+    "infer-rational": (lambda: sweepmap.infer_family((2, -1, 3, -1, -1, -1, -1), "rational"),
+                       PathError, "rational paths need constant rises and drops"),
+    "infer-kind": (lambda: sweepmap.infer_family((1, -1), "x"), PathError,
+                   "unknown family kind 'x'"),
+    "tableau-empty": (lambda: Tableau(()), TableauError, "tableau needs at least one column"),
+    "tableau-json": (lambda: Tableau.from_json({}), TableauError,
+                     "tableau object needs a 'columns' key"),
+    "fill-empty": (lambda: sweepmap.fill(SWWord(())), TableauError,
+                   "tableau needs at least one column"),
+    "rank-first-top": (lambda: sweepmap.rank_tableau(Tableau(((2, 3), (1, 4)))), TableauError,
+                       "top index 1 of column 2 has no predecessor"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_texts(case):
+    call, error, text = REFUSALS[case]
+    with pytest.raises(error, match=f"^{text}$"):
+        call()
 
 
 def test_traced_names_resolve():

@@ -1,6 +1,7 @@
 """The three inversion walks, checked against the digraph restatement, and invert itself."""
 
 import random
+import re
 from collections import Counter
 from itertools import accumulate
 
@@ -14,6 +15,7 @@ from sweepmap import (
     StepSequence,
     SWWord,
     Tableau,
+    TableauError,
     WalkError,
     enumerate_family,
     extend_plus,
@@ -58,29 +60,24 @@ def run_tableau():
 class TestWalk:
     def test_running_example(self):
         t = run_tableau()
-        assert walk(t, rank_tableau(t)) == RUN_SIGMA
+        assert walk(t) == RUN_SIGMA
 
     def test_smallest(self):
         t = Tableau(((1, 2),))
-        assert walk(t, rank_tableau(t)) == (1, 2)
+        assert walk(t) == (1, 2)
 
     def test_two_columns(self):
         t = Tableau(((1, 3), (2, 4)))
-        assert walk(t, rank_tableau(t)) == (2, 4, 1, 3)
+        assert walk(t) == (2, 4, 1, 3)
 
     def test_single_wide_column(self):
         t = Tableau(((1, 2, 3),))
-        assert walk(t, rank_tableau(t)) == (1, 3, 2)
+        assert walk(t) == (1, 3, 2)
 
-    def test_shape_mismatch(self):
-        t = Tableau(((1, 3), (2, 4)))
-        other = rank_tableau(Tableau(((1, 2, 3),)))
-        with pytest.raises(WalkError, match="expected 4 ranks"):
-            walk(t, other)
-
-    def test_negative_rank(self):
-        with pytest.raises(WalkError, match="^ranks must be nonnegative$"):
-            walk(Tableau(((1, 2, 3),)), (0, -1, 1))
+    def test_unrankable_tableau(self):
+        # column 2's top follows entry 2, which only column 3 holds
+        with pytest.raises(TableauError, match="^cannot rank column 2: index 2 is not ranked yet$"):
+            walk(Tableau(((1, 4), (3, 5), (2, 6))))
 
     def test_final_write_is_smallest_rank_one(self):
         # once every other entry is written the walk closes at rank 1
@@ -90,7 +87,7 @@ class TestWalk:
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(sweep(path)))
                 r = rank_tableau(t)
-                sigma = walk(t, r)
+                sigma = walk(t)
                 smallest_rank_one = min(
                     v for v in range(1, t.size + 1) if r[v - 1] == 1
                 )
@@ -99,34 +96,30 @@ class TestWalk:
 
 class TestWalkPlus:
     def test_tiny(self):
-        tp = extend_plus(Tableau(((1, 2),)))
-        assert tp.columns == ((1, 2, 3),)
-        assert walk_plus(tp) == (1, 3, 2)
+        # extend_plus's entry 3 goes under 2
+        assert walk_plus(Tableau(((1, 2),))) == (1, 3, 2)
 
     def test_running_example(self):
-        assert walk_plus(extend_plus(run_tableau())) == RUN_SIGMA_PLUS
+        assert walk_plus(run_tableau()) == RUN_SIGMA_PLUS
 
     def test_column_removal_consistency(self):
         # dropping a whole column and relabeling contiguously drops exactly
-        # that column's indices from the walk order
-        tp = extend_plus(run_tableau())
-        removed = set(tp.columns[1])
-        kept_cols = (tp.columns[0], *tp.columns[2:])
+        # that column's indices from the walk order; the dropped column does
+        # not end with the largest entry, so extend_plus's entry goes under
+        # the same entry in both tableaux
+        t = run_tableau()
+        removed = set(t.columns[1])
+        kept_cols = (t.columns[0], *t.columns[2:])
         kept = sorted(v for col in kept_cols for v in col)
         relabel = {v: i for i, v in enumerate(kept, start=1)}
-        smaller = tuple(tuple(relabel[v] for v in col) for col in kept_cols)
-        small_tp = Tableau(smaller)
-        back = tuple(kept[i - 1] for i in walk_plus(small_tp))
+        smaller = Tableau(tuple(tuple(relabel[v] for v in col) for col in kept_cols))
+        kept.append(t.size + 1)  # extend_plus's entry, last in both tableaux
+        back = tuple(kept[i - 1] for i in walk_plus(smaller))
         assert back == tuple(v for v in RUN_SIGMA_PLUS if v not in removed)
 
-    @pytest.mark.parametrize("columns", [
-        ((1, 5, 3), (2, 4)),  # the largest entry ends no column
-        ((1, 3, 5), (2, 4)),  # the largest entry is not under the second largest
-        ((1, 2, 3), (4, 5)),  # the largest entry's column holds two entries
-    ], ids=["no-foot", "not-under", "short-column"])
-    def test_needs_extend_plus_shape(self, columns):
-        with pytest.raises(WalkError, match="entry 5 must sit under 4"):
-            walk_plus(Tableau(columns))
+    def test_largest_entry_ends_no_column(self):
+        with pytest.raises(TableauError, match="^no column ends with the largest entry 5$"):
+            walk_plus(Tableau(((1, 5, 3), (2, 4))))
 
     def test_stops_exactly_once_per_entry(self):
         for family in family_grid(3, 3):
@@ -134,7 +127,7 @@ class TestWalkPlus:
                 continue
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(sweep(path)))
-                sigma = walk_plus(extend_plus(t))
+                sigma = walk_plus(t)
                 assert sorted(sigma) == list(range(1, t.size + 2))
 
 
@@ -158,40 +151,40 @@ class TestWalkMinus:
                 assert len(set(sigma)) == len(sigma) == t.size - 1
 
 
-# malformed tableaux for each walk: an entry out of range, a repeated
-# entry, entry 1 off the first column's top, and a zero entry; the plus
-# cases keep entry 5 under 4, so each reaches the check it names
-_UNIT_RANKS = (0, 0, 1, 1)
+# malformed tableaux for each walk, and its text: an entry out of range, a
+# repeated entry, entry 1 off the first column's top, and a zero entry; the
+# plus cases end a column with their largest entry 4, so extend_plus places
+# entry 5 and each reaches the check it names
+RANGE4 = r"^tableau entries must lie in 1\.\.4$"
+RANGE5 = r"^tableau entries must lie in 1\.\.5$"
+OFF_TOP = "^entry 1 must top the first column$"
 BAD_WALKS = {
-    "plain-range": lambda: walk(Tableau(((1, 5), (2, 3))), (0, 1, 2, 3)),
-    "plain-repeat": lambda: walk(Tableau(((1, 3), (3, 4))), _UNIT_RANKS),
-    "plain-off-top": lambda: walk(Tableau(((2, 3), (1, 4))), _UNIT_RANKS),
-    "plain-zero": lambda: walk(Tableau(((0, 2), (1, 3))), _UNIT_RANKS),
-    "plain-float-rank": lambda: walk(Tableau(((1, 2),)), (0, 0.5)),
-    "plain-none-rank": lambda: walk(Tableau(((1, 2),)), (0, None)),
-    "plain-str-rank": lambda: walk(Tableau(((1, 2),)), (0, "a")),
-    "plus-range": lambda: walk_plus(Tableau(((1, 9), (2, 4, 5)))),
-    "plus-repeat": lambda: walk_plus(Tableau(((1, 2), (2, 4, 5)))),
-    "plus-off-top": lambda: walk_plus(Tableau(((2, 3), (1, 4, 5)))),
-    "plus-zero": lambda: walk_plus(Tableau(((1, 3), (0, 4, 5)))),
-    "minus-range": lambda: walk_minus(Tableau(((1, 3, 9), (2, 4)))),
-    "minus-repeat": lambda: walk_minus(Tableau(((1, 3, 5), (2, 3)))),
-    "minus-off-top": lambda: walk_minus(Tableau(((2, 3, 5), (1, 4)))),
-    "minus-zero": lambda: walk_minus(Tableau(((1, 3, 5), (0, 4)))),
+    "plain-range": (walk, ((1, 5), (2, 3)), RANGE4),
+    "plain-repeat": (walk, ((1, 3), (3, 4)), "^entry 3 appears twice$"),
+    "plain-off-top": (walk, ((2, 3), (1, 4)), OFF_TOP),
+    "plain-zero": (walk, ((0, 2), (1, 3)), RANGE4),
+    "plus-range": (walk_plus, ((1, 9), (2, 4)), RANGE5),
+    "plus-repeat": (walk_plus, ((1, 2), (2, 4)), "^entry 2 appears twice$"),
+    "plus-off-top": (walk_plus, ((2, 3), (1, 4)), OFF_TOP),
+    "plus-zero": (walk_plus, ((1, 3), (0, 4)), RANGE5),
+    "minus-range": (walk_minus, ((1, 3, 9), (2, 4)), RANGE5),
+    "minus-repeat": (walk_minus, ((1, 3, 5), (2, 3)), "^entry 3 appears twice$"),
+    "minus-off-top": (walk_minus, ((2, 3, 5), (1, 4)), OFF_TOP),
+    "minus-zero": (walk_minus, ((1, 3, 5), (0, 4)), RANGE5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_WALKS))
 def test_bad_tableau_raises_walk_error(case):
-    with pytest.raises(WalkError):
-        BAD_WALKS[case]()
+    run, columns, error = BAD_WALKS[case]
+    with pytest.raises(WalkError, match=error):
+        run(Tableau(columns))
 
 
 def assert_tilted_walks_follow_the_slides(t):
-    """walk_plus on extend_plus(t), and walk_minus on t when it is admissible,
-    write what flag_slide_walk writes one slide step at a time."""
-    tp = extend_plus(t)
-    assert walk_plus(tp) == flag_slide_walk(tp, 1)
+    """walk_plus, and walk_minus when t is admissible, write what
+    flag_slide_walk writes one slide step at a time."""
+    assert walk_plus(t) == flag_slide_walk(extend_plus(t), 1)
     if is_minus_admissible(t):
         assert walk_minus(t) == flag_slide_walk(t, -1)
 
@@ -229,12 +222,18 @@ class TestSlideWalkReference:
             assert_tilted_walks_follow_the_slides(fill(SWWord.from_steps(skeleton(path, family))))
 
 
+# what the stages the walks call refuse: rank_tableau in walk, extend_plus in walk_plus
+STAGE_REFUSALS = re.compile(r"cannot rank column \d+: index \d+ is not ranked yet"
+                            r"|no column ends with the largest entry \d+")
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_malformed_tableaux_raise_only_walk_error(data):
+def test_malformed_tableaux_raise_walk_error_or_a_stage_refusal(data):
     """Columns of ints in -1..size+1, or 1 and then a shuffle of 2..size, so
-    that many reach the walk itself: every walk returns or raises WalkError,
-    never another exception."""
+    that many reach the walk itself: every walk returns, raises WalkError,
+    or raises a TableauError with one of the STAGE_REFUSALS texts, never
+    another exception."""
     heights = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
     size = sum(heights)
     if data.draw(st.booleans()):
@@ -243,20 +242,19 @@ def test_malformed_tableaux_raise_only_walk_error(data):
         entries = data.draw(st.lists(st.integers(-1, size + 1), min_size=size, max_size=size))
     ends = list(accumulate(heights, initial=0))
     t = Tableau(tuple(tuple(entries[a:b]) for a, b in zip(ends, ends[1:])))
-    ranks_by_entry = tuple(data.draw(st.lists(st.integers(0, size), min_size=size,
-                                              max_size=size)))
-    for run in (lambda: walk(t, ranks_by_entry), lambda: walk_plus(t), lambda: walk_minus(t)):
+    for run in (walk, walk_plus, walk_minus):
         try:
-            run()
+            run(t)
         except WalkError:
             pass
+        except TableauError as exc:
+            assert STAGE_REFUSALS.fullmatch(str(exc)), str(exc)
 
 
 class TestWalkGraph:
     def test_matches_plain_walk(self):
         t = run_tableau()
-        r = rank_tableau(t)
-        assert digraph_walk(t, r) == (walk(t, r), True)
+        assert digraph_walk(t, rank_tableau(t)) == (walk(t), True)
 
     def test_balanced_on_fills(self):
         for family in family_grid(3, 3):
@@ -264,8 +262,7 @@ class TestWalkGraph:
                 continue
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(sweep(path)))
-                r = rank_tableau(t)
-                assert digraph_walk(t, r) == (walk(t, r), True)
+                assert digraph_walk(t, rank_tableau(t)) == (walk(t), True)
 
     def test_flags_an_unbalanced_ranking(self):
         # entry 4 ranked 2, not 1: three edges enter rank 1, which holds one index
@@ -276,7 +273,7 @@ class TestWalkGraph:
 class TestSigmaToPreimage:
     def test_running_example(self):
         t = run_tableau()
-        sigma = walk(t, rank_tableau(t))
+        sigma = walk(t)
         got = sigma_to_preimage(sigma, t, FamilySpec.vector((4, 2, 5, 3)))
         assert got.steps == PREIMAGE
 
@@ -295,7 +292,7 @@ class TestSigmaToPreimage:
     @pytest.mark.parametrize("bad", [2.0, "2", None], ids=repr)
     def test_entries_must_be_integers(self, bad):
         t = run_tableau()
-        sigma = walk(t, rank_tableau(t))
+        sigma = walk(t)
         with pytest.raises(WalkError, match="integers"):
             sigma_to_preimage((bad,) + sigma[1:], t, FamilySpec.vector((4, 2, 5, 3)))
 
@@ -305,14 +302,14 @@ class TestSigmaToPreimage:
 
     def test_k_must_match(self):
         t = run_tableau()
-        sigma = walk(t, rank_tableau(t))
+        sigma = walk(t)
         with pytest.raises(WalkError, match="rise vector"):
             sigma_to_preimage(sigma, t, FamilySpec.vector((1, 1, 1, 1)))
 
     def test_rational_has_no_walk(self):
         # (7, 5): m mod n = 2, a residue no walk handles
         t = fill(SWWord.from_steps(StepSequence((1, -1) * 5)))
-        sigma = walk(t, rank_tableau(t))
+        sigma = walk(t)
         no_walk = r"^rational \(7, 5\) paths have no walk: m mod n is 2,"
         with pytest.raises(PathError, match=no_walk):
             sigma_to_preimage(sigma, t, FamilySpec.rational(7, 5))
@@ -321,7 +318,7 @@ class TestSigmaToPreimage:
         # (4, 4) is the plain family (1, 1, 1, 1) scaled by 4
         plain = StepSequence((1, -1, 1, 1, -1, 1, -1, -1))
         t = fill(SWWord.from_steps(plain))
-        got = sigma_to_preimage(walk(t, rank_tableau(t)), t, FamilySpec.rational(4, 4))
+        got = sigma_to_preimage(walk(t), t, FamilySpec.rational(4, 4))
         assert got.steps == tuple(4 * a for a in invert(plain, FamilySpec.vector((1,) * 4)))
 
 
@@ -657,6 +654,6 @@ class TestWrittenOrderLaw:
                 img = sweep(path)
                 t = fill(SWWord.from_steps(img))
                 r = rank_tableau(t)
-                sigma = walk(t, r)
+                sigma = walk(t)
                 pre = ranks(path)
                 assert all(r[v - 1] == pre[j] for j, v in enumerate(sigma))
