@@ -226,7 +226,14 @@ def _sw_down(args, text: str) -> int:
 
 def _load(text: str):
     """Step text as a path; JSON text (it starts with "{") as its object."""
-    return json.loads(text) if text.startswith("{") else parse_steps(text)
+    if not text.startswith("{"):
+        return parse_steps(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int's digit limit, whose advice is about the interpreter
+        raise PathError("a JSON integer has too many digits") from None
 
 
 def _read(args):

@@ -4,12 +4,12 @@ Filling a word places its letter positions 1..n+|k| into n columns, one per
 S letter; column i wants exactly k_i+1 entries where k_i is the exponent of
 the i-th S letter.  Each S opens the next column, each W lands directly
 below the smallest *active* entry -- the bottom of a column that has not
-reached full height yet.  The resulting tableaux drive the sweep-inversion
-walks in walking.py.  They are exactly characterized by their top rows and
-by a strip condition; the tests restate both facts as checks of fill.
-Every walk takes the filled Tableau alone: the plus walk extends it itself,
-appending index size+1 below its largest entry (extend_plus), so the three
-walks differ only in the length of one column.
+reached full height yet.  The fills of words, T_k, are what the
+sweep-inversion walks in walking.py take.  They are exactly characterized
+by their top rows and by a strip condition; the tests restate both facts
+as checks of fill.  The plus walk runs on the fill as extend_plus extends
+it, with index size+1 below its largest entry, so the three walks differ
+only in the length of one column.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ def fill(word: SWWord) -> Tableau:
 def extend_plus(t: Tableau) -> Tableau:
     """Append index size+1 directly below the largest entry.
 
-    walk_plus walks this tableau, keeping the extended column's designated
-    bottom at its (k_i+1)-st entry, the one above size+1.
+    The tableau the plus walk walks, whose extended column keeps its
+    designated bottom at its (k_i+1)-st entry, the one above size+1.
+    walk_plus places that entry itself; the tests' reference walk reads it here.
     """
     size = t.size
     cols = list(t.columns)

@@ -1,91 +1,62 @@
-"""Walks on ranked tableaux that reconstruct sweep preimages.
+"""Walks on filled tableaux that reconstruct sweep preimages.
 
-Each walk visits the tableau and writes a sequence of indices.  Spelling
-the family's letters along that sequence -- an S letter on every top-row
-index, a W on every other index -- gives the SW-word of the unique preimage
-of the filled path under the sweep map.  The family's tilt picks the walk
-(plain, plus or minus), and all three run in time linear in the number of
-entries.  invert runs one pass over the path's ints: _invert_flat fills,
-ranks, walks and spells for tilt 0, and _invert_tilted fills, walks and
-spells for tilt +1 and -1, placing extend_plus's extra entry for +1.  It
-validates its input once: each pass writes distinct entries and spells the
-input's own steps, so the answer only needs its length and running minimum
-checked.  The staged functions serve the fill, rank and walk pictures and
-are the passes' oracle.  Each walk takes the filled tableau alone, which
-fixes both the ranks and the plus walk's extra entry: walk ranks it with
-rank_tableau, and walk_plus extends it with extend_plus.  The plus and
-minus walks and the tilted pass share one loop, _slide_walk, which reads
-every slide from a table built once.
+Each walk writes a sequence of a tableau's indices.  Spelling the family's
+letters along it -- an S letter on every top-row index, a W on every other
+-- gives the SW-word of the unique preimage of the filled path under the
+sweep map.  The family's tilt picks the walk (plain, plus or minus).  Each
+walk is one linear pass over a path's ints that returns the 0-based order
+in which it writes entries: _flat_order fills, ranks and walks for tilt 0,
+and _tilted_order fills and walks for tilt +1 and -1, reading every slide
+from a table built once.  invert runs the pass on its input and spells the
+order; walk, walk_plus and walk_minus run it on the word of a tableau's
+skeleton, and take only tableaux of T_k, the fills of words.  The staged
+fill and rank serve the command line's pictures, and with the tests'
+paper-worded walks they are the passes' oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import accumulate, chain
 
-from .paths import FamilySpec, StepSequence, _member, _tilt, _unchecked, _walk_tilt, validate
-from .ranking import rank_tableau
-from .tableau import Tableau, extend_plus, is_minus_admissible
+from .paths import (FamilySpec, StepSequence, SWWord, _member, _tilt, _unchecked, _walk_tilt,
+                    validate)
+from .tableau import Tableau, TableauError, fill, is_minus_admissible
 
 
 class WalkError(ValueError):
     """Raised when a walk cannot run or cannot complete on its input."""
 
 
-def _above(columns, size: int) -> list[int]:
-    """above[v]: the entry directly above v, or its column's bottom when v
-    tops the column; above[0] is unused.  Checks that the entries are
-    exactly 1..size, with entry 1 on top of the first column."""
-    above = [0] * (size + 1)
+def _skeleton_ints(t: Tableau) -> list[int]:
+    """The word t is the fill of, as ints: k_i at the top of column i and -1
+    at every other entry.  Refused unless fill gives t back, so the walks
+    run only on tableaux of T_k, where the word is a member of the plain
+    family's closure and every pass completes."""
+    ints = [-1] * t.size
     try:
-        for col in columns:
-            prev = col[-1]
-            for v in col:
-                above[v] = prev
-                prev = v
-    except IndexError:  # an entry above size, or an empty column
-        raise WalkError(f"tableau entries must lie in 1..{size}") from None
-    if min(chain.from_iterable(columns), default=0) < 1:  # would index from the end
-        raise WalkError(f"tableau entries must lie in 1..{size}")
-    if columns[0][0] != 1:
-        raise WalkError("entry 1 must top the first column")
-    if above.count(0) > 1:  # size entries in 1..size leave a gap only by repeating one
-        twice = Counter(chain.from_iterable(columns)).most_common(1)[0][0]
-        raise WalkError(f"entry {twice} appears twice")
-    return above
+        for col in t.columns:
+            ints[col[0] - 1] = len(col) - 1
+        if fill(SWWord.from_steps(ints)) == t:
+            return ints
+    except (IndexError, TableauError):  # a top past size, or a word fill refuses
+        pass
+    raise WalkError("tableau is not the fill of any word")
 
 
 def walk(t: Tableau) -> tuple[int, ...]:
-    """Plain walk on a filled tableau, ranked by rank_tableau.
+    """Plain walk on a tableau of T_k, ranked by rank_tableau.
 
     Start by writing the largest rank-0 entry.  From a first-row box move
     to the bottom of its column, from any other box move up one box; read
     the rank there and write the largest not-yet-written entry of that
     rank.  Stop when no such entry remains; a complete run writes every
-    entry exactly once.
+    entry exactly once.  Runs _flat_order on the skeleton's word.
     """
-    size = t.size
-    above = _above(t.columns, size)
-    rank = (0, *rank_tableau(t))  # rank[v] of entry v; entry 1 has rank 0
-    # ascending entries per rank; popping the back yields the largest
-    # unwritten entry of that rank
-    stacks: list[list[int]] = [[] for _ in range(max(rank) + 1)]
-    for v in range(1, size + 1):
-        stacks[rank[v]].append(v)
-    # after writing v, the walk pops the stack of the rank read above v
-    after = [stacks[rank[a]] for a in above]
-    cur = stacks[0].pop()
-    out = [cur]
-    while bucket := after[cur]:
-        cur = bucket.pop()
-        out.append(cur)
-    if len(out) != size:
-        raise WalkError(f"walk stopped after {len(out)} of {size} writes")
-    return tuple(out)
+    return tuple(v + 1 for v in _flat_order(_skeleton_ints(t), 1))
 
 
 def walk_plus(t: Tableau) -> tuple[int, ...]:
-    """Walk for the plus family, on a filled tableau that extend_plus extends.
+    """Walk for the plus family, on a tableau of T_k as extend_plus extends it.
 
     Index size+1 goes directly under the largest entry.  Each column's
     designated bottom is its last entry in t, so the extended column's is
@@ -96,64 +67,28 @@ def walk_plus(t: Tableau) -> tuple[int, ...]:
     written, a flagged entry r slides down to r-1, r-2, ... until a normal
     entry appears, and that one is written.  The walk stops when its next
     write would repeat an index, having written every index 1..size+1
-    exactly once.
+    exactly once.  Runs _tilted_order on the skeleton's word, tilted by +1,
+    with the extra entry appended.
     """
-    ext = extend_plus(t)
-    return _walk_tilted(ext.columns, t.bottom_row, ext.size, 1)
+    # tilted with drop 2: any drop keeps each column's room at k_i, and drop 2
+    # keeps the minus walk's rise 2k_i - 1 positive at k_i = 1
+    return tuple(v + 1 for v in _tilted_order(_tilt(_skeleton_ints(t), 2, 1) + [-2], 2, 1))
 
 
 def walk_minus(t: Tableau) -> tuple[int, ...]:
     """Walk for the minus family, the mirror image of walk_plus.
 
-    Requires a minus-admissible tableau.  Entries one less than a bottom
-    are flagged; first-row boxes jump to their column bottom b and write
-    b-1 unconditionally; flagged entries reached from below slide upward
-    to the next normal entry.  Exactly one entry stays unwritten.
+    Requires a minus-admissible tableau of T_k.  Entries one less than a
+    bottom are flagged; first-row boxes jump to their column bottom b and
+    write b-1 unconditionally; flagged entries reached from below slide
+    upward to the next normal entry.  Exactly one entry stays unwritten.
+    Runs _tilted_order on the skeleton's word, tilted by -1, less its final
+    drop, which the pass restores.
     """
+    ints = _skeleton_ints(t)
     if not is_minus_admissible(t):
         raise WalkError("tableau violates the strict top-row bounds")
-    return _walk_tilted(t.columns, t.bottom_row, t.size, -1)
-
-
-def _walk_tilted(cols, bottoms, size: int, sign: int) -> tuple[int, ...]:
-    """The plus (sign +1) or minus (sign -1) walk; see walk_plus.  Each top
-    writes its bottom + sign, which is flagged.  After _above, entry 1 tops
-    column 1, so every bottom is at least 2, and walk_plus's bottoms are
-    below size: no flag is 1 (plus) or size (minus), so no slide or write
-    leaves the tableau."""
-    above = _above(cols, size)
-    flags = [b + sign for b in bottoms]
-    for col, f in zip(cols, flags):
-        above[col[0]] = ~f
-    return tuple(_slide_walk(above, flags, sign, 1))
-
-
-def _slide_walk(above: list, flags: list[int], sign: int, first: int) -> list[int]:
-    """The tilted walk over entries first..len(above)-1, starting with first.
-
-    above[v] is ~w for a top v that writes w, and for any other v the entry
-    above it, from which the walk slides by -sign to land[], the first entry
-    at or past it that is not flagged.  Slides are read from that table,
-    built once, so each write costs O(1).  The walk stops at an entry already
-    written (marked None in above) and must have written every entry, or,
-    for the minus walk, all but one.
-    """
-    land = list(range(len(above)))
-    for f in sorted(flags, reverse=sign < 0):  # f - sign is settled before f
-        land[f] = land[f - sign]
-    a = ~first
-    out: list[int] = []
-    write = out.append
-    while True:
-        target = ~a if a < 0 else land[a]
-        if (a := above[target]) is None:
-            break
-        above[target] = None
-        write(target)
-    expected = len(above) - first - (sign < 0)
-    if len(out) != expected:
-        raise WalkError(f"walk wrote {len(out)} of the expected {expected} entries")
-    return out
+    return tuple(v + 1 for v in _tilted_order(_tilt(ints, 2, -1)[:-1], 2, -1))
 
 
 def run_walk(t: Tableau, tilt: int) -> tuple[int, ...]:
@@ -201,9 +136,10 @@ def _preimage(steps: tuple[int, ...], family: FamilySpec) -> StepSequence:
     return out
 
 
-def _invert_flat(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
-    """The preimage of a validated tilt-0 path s (rises drop*k_i, drops -drop):
-    fill, rank, plain walk and spelling in one pass over 0-based entries.
+def _flat_order(s, drop: int) -> list[int]:
+    """The 0-based order in which the plain walk writes the entries of a
+    validated tilt-0 path s (rises drop*k_i, drops -drop): fill, rank and
+    walk in one pass.
 
     Filling keeps a FIFO of the columns with room below their bottom, as
     (rank of the bottom, rank the column ends at).  A rise tops a new column
@@ -252,22 +188,29 @@ def _invert_flat(s: tuple[int, ...], drop: int) -> tuple[int, ...]:
         r = after[cur]
     if len(out) != size:
         raise WalkError(f"walk stopped after {len(out)} of {size} writes")
-    return tuple(map(s.__getitem__, out))
+    return out
 
 
-def _invert_tilted(s: tuple[int, ...], drop: int, sign: int) -> tuple[int, ...]:
-    """The preimage of a validated tilt-sign path s (rises drop*k_i + sign,
-    drops -drop): fill, plus or minus walk and spelling in one pass over
-    0-based entries, without unscaling s; entry j spells s[j].
+def _tilted_order(s, drop: int, sign: int) -> list[int]:
+    """The 0-based order in which the plus (sign +1) or minus (sign -1) walk
+    writes the entries of a validated tilt-sign path s (rises drop*k_i + sign,
+    drops -drop): fill and walk in one pass, without unscaling s.
 
     The skeleton's entries are s[:-1] for sign +1, whose last step is
     extend_plus's extra entry, and s with its final drop restored for -1.
     A rise a opens a column with room for (a - sign) // drop entries below
     its top, and a drop goes under the bottom at the head of a FIFO of the
     columns with room.  A column completed at bottom j has its top write
-    j + sign, which is flagged, and _slide_walk walks the table.  The plus
-    extra entry goes under the last skeleton entry and leaves its column's
-    designated bottom where it was.
+    j + sign, which is flagged.  The plus extra entry goes under the last
+    skeleton entry and leaves its column's designated bottom where it was.
+
+    above[v] is then ~w for a top v that writes w, and for any other v the
+    entry above it, from which the walk slides by -sign to land[], the first
+    entry at or past it that is not flagged.  Slides are read from that
+    table, built once, so each write costs O(1).  The walk starts at entry
+    0, stops at an entry already written (marked None in above) and must
+    have written every entry, or, for the minus walk, all but the restored
+    drop.
 
     Sign -1 needs no top-row bound check (is_minus_admissible): a top at
     entry j meets the bound -- the rises k_i of the columns before it, plus
@@ -314,10 +257,22 @@ def _invert_tilted(s: tuple[int, ...], drop: int, sign: int) -> tuple[int, ...]:
         if not flags:
             raise WalkError("path has no column to extend")
         above[size - 1] = size - 2
-    out = _slide_walk(above, flags, sign, 0)
+    land = list(range(size))
+    for f in sorted(flags, reverse=sign < 0):  # f - sign is settled before f
+        land[f] = land[f - sign]
+    out: list[int] = []
+    write = out.append
+    target = 0
+    while (a := above[target]) is not None:
+        above[target] = None
+        write(target)
+        target = ~a if a < 0 else land[a]
+    expected = size - (sign < 0)
+    if len(out) != expected:
+        raise WalkError(f"walk wrote {len(out)} of the expected {expected} entries")
     if sign < 0 and above[size - 1] is None:  # the restored drop spells no step of s
         raise WalkError(f"written entries must lie in 1..{size - 1}")
-    return tuple(map(s.__getitem__, out))
+    return out
 
 
 def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
@@ -328,16 +283,16 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     minus-admissible: its skeleton returns to level zero only once.
     Rational (m, n) paths invert when m mod n is 0, 1 or n - 1, as plain,
     plus or minus paths.  Each tilt takes one pass over the path's own
-    ints, _invert_flat or _invert_tilted, between the input check and the
-    output guard; the public stages are the passes' oracle.
+    ints, _flat_order or _tilted_order, between the input check and the
+    output guard, and the answer spells s's steps in the order the pass
+    writes.
 
     The input is validated once, by the membership check skeleton and the
     command line share (a raw 0 step or a non-member is refused there with
     their text), and the answer is guarded by its length and running
-    minimum alone.  Each pass spells s's own steps in the order
-    it writes entries, and writes no entry twice: _invert_flat's counter
+    minimum alone.  Each pass writes no entry twice: _flat_order's counter
     per rank counts down inside that rank's run of entries, and the runs
-    are disjoint; _slide_walk marks each written entry None and stops at
+    are disjoint; _tilted_order marks each written entry None and stops at
     the first repeat.  A full-length answer is therefore a permutation of
     the member s -- the family's rises and drops, with total 0 -- so only
     a negative prefix sum can make it a non-member.  An answer that fails
@@ -346,7 +301,8 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     steps = _member(steps, family)
     tilt = _walk_tilt(family)
     s, drop = steps.steps, family.down_drop
-    out = _invert_tilted(s, drop, tilt) if tilt else _invert_flat(s, drop)
+    order = _tilted_order(s, drop, tilt) if tilt else _flat_order(s, drop)
+    out = tuple(map(s.__getitem__, order))
     if len(out) == len(s) and min(accumulate(out)) >= 0:
         return _unchecked(StepSequence, out)
     return _preimage(out, family)  # a non-member: refused with validate's diagnostic

@@ -1,0 +1,107 @@
+"""Mutation check of src/sweepmap/walking.py against tests/test_walking.py.
+
+Each row of MUTANTS replaces one text of walking.py, which must occur there
+exactly once.  Every mutant runs in a temporary copy of src/, tests/ and
+pyproject.toml with `pytest -x -q tests/test_walking.py`, so the repository
+gains no cache or Hypothesis database.  A mutant is killed when that run
+fails.  A row's status says what must happen: "killed", or "equivalent",
+for a mutant that no input can tell from the code, with the argument in its
+comment.  The script prints one line per mutant and exits 1 when a
+"killed" row survives, an "equivalent" row is killed, or a text is missing.
+
+Run from anywhere, stdlib only:  python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TARGET = Path("src/sweepmap/walking.py")
+TESTS = "tests/test_walking.py"
+TIMEOUT_S = 300  # a mutant that hangs the walk is killed by CI's time limit too
+
+# (name, old text, new text, status)
+MUTANTS = [
+    ("tilted room", "add_room((a - sign) // drop)", "add_room((a + sign) // drop)", "killed"),
+    ("tilted flag", "flags.append(j + sign)", "flags.append(j)", "killed"),
+    ("plus extra entry", "above[size - 1] = size - 2", "above[size - 1] = size - 3", "killed"),
+    ("slide sign", "land[f] = land[f - sign]", "land[f] = land[f + sign]", "killed"),
+    ("flat rank end", "e = rank + a // drop", "e = rank + a // drop + 1", "killed"),
+    # equivalent: bottoms enter the FIFO at the latest rank, or at r + 1 <= rank
+    # after a drop of rank r, so r <= rank holds at every drop
+    ("flat new rank", "if r == rank:", "if r >= rank:", "equivalent"),
+    # equivalent: the walk's counter per rank counts down inside that rank's
+    # run of entries and the runs are disjoint, so it writes at most size entries
+    ("flat length", "if len(out) != size:", "if len(out) < size:", "equivalent"),
+    # equivalent: each entry is written at most once (marked None), so the plus
+    # walk writes at most size entries; a minus walk of size entries would
+    # write the restored drop, which it never does (next row)
+    ("tilted length", "if len(out) != expected:", "if len(out) < expected:", "equivalent"),
+    # equivalent: the restored drop is the last entry, so no entry lies below
+    # it, and no top writes it (a top writes its bottom - 1); only a slide can
+    # land there, from an entry a with a+1..size-1 all completing columns.  By
+    # FIFO order the drop under a then completes a's column last, so it is the
+    # restored drop itself, and the walk reaches it only from itself
+    ("minus guard", "if sign < 0 and above[size - 1] is None:", "if False:", "equivalent"),
+    ("skeleton heights", "ints[col[0] - 1] = len(col) - 1", "ints[col[0] - 1] = len(col)",
+     "killed"),
+    ("fill comparison", "if fill(SWWord.from_steps(ints)) == t:",
+     "if fill(SWWord.from_steps(ints)) is not None:", "killed"),
+    ("minus admissibility", "if not is_minus_admissible(t):", "if False:", "killed"),
+    ("minus drop 1", "_tilt(ints, 2, -1)[:-1], 2, -1)", "_tilt(ints, 1, -1)[:-1], 1, -1)",
+     "killed"),
+    ("guard length", "if len(out) == len(s) and min(accumulate(out)) >= 0:",
+     "if min(accumulate(out)) >= 0:", "killed"),
+    ("preimage refusal", "    if not d:\n", "    if False:\n", "killed"),
+]
+
+
+def run(old: str, new: str) -> tuple[str, str]:
+    """("killed", the first failing test), ("survived", ""), or ("missing",
+    the count) when old does not occur exactly once."""
+    text = (ROOT / TARGET).read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return "missing", f"{text.count(old)} occurrences"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp) / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        (Path(tmp) / TARGET).write_text(text.replace(old, new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", TESTS]
+        try:
+            done = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed", f"timeout after {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return "survived", ""
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    return "killed", failed.group(1) if failed else f"pytest exit {done.returncode}"
+
+
+def main() -> int:
+    bad = 0
+    for name, old, new, status in MUTANTS:
+        start = time.perf_counter()
+        result, detail = run(old, new)
+        ok = result == ("survived" if status == "equivalent" else "killed")
+        bad += not ok
+        mark = "ok " if ok else "BAD"
+        seconds = time.perf_counter() - start
+        print(f"{mark} {name:20} {status:10} {result:8} {seconds:5.1f} s  {detail}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {bad} not as marked")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

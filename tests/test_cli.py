@@ -864,14 +864,28 @@ def test_render_checks_the_file_family(capsys, tmp_path):
 HUGE = "1" + "0" * 5000  # past Python's 4,300-digit limit on converting text to int
 
 
-@pytest.mark.parametrize("source", ["steps", "sw", "file"])
+HUGE_ERRORS = {"steps": "step token at index 1 has too many digits",
+               "sw": "token at index 1 has too many digits",
+               "file": "a JSON integer has too many digits"}
+
+
+@pytest.mark.parametrize("source", sorted(HUGE_ERRORS))
 def test_huge_int_is_an_error(capsys, tmp_path, source):
     f = tmp_path / "p.json"
     f.write_text(f'{{"steps": [{HUGE}, -1]}}')
     value = {"steps": f"{HUGE},-1", "sw": f"S{HUGE} W", "file": str(f)}[source]
     code, out, err = run(capsys, "sweep", f"--{source}", value)
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert (code, out, err) == (1, "", f"error: {HUGE_ERRORS[source]}\n")
+
+
+def test_huge_json_int_is_an_error_line(capsys, monkeypatch):
+    # the JSON line gets its own error, and malformed JSON keeps json's text
+    lines = f'1,-1\n{{"steps": [{HUGE}, -1]}}\n{{"steps": [1, -1\n1,1,-1,-1\n'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+    code, out, _ = run(capsys, "sweep", "--family", "k")
+    assert code == 1 and out.split("\n") == [
+        "1,-1", "error: a JSON integer has too many digits",
+        "error: Expecting ',' delimiter: line 1 column 17 (char 16)", "1,-1,1,-1", ""]
 
 
 # raw material for the single-input fuzzer: step tokens, SW letters, JSON

@@ -1,9 +1,8 @@
 """The three inversion walks, checked against the digraph restatement, and invert itself."""
 
 import random
-import re
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from sweepmap import (
     StepSequence,
     SWWord,
     Tableau,
-    TableauError,
     WalkError,
     enumerate_family,
     extend_plus,
@@ -40,9 +38,11 @@ from conftest import (
     counting,
     digraph_walk,
     family_grid,
+    fillings,
     flag_slide_walk,
     k_multisets,
     uniform_member,
+    validate_tableau,
 )
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
@@ -51,6 +51,8 @@ RUN_COLUMNS = ((1, 3, 5, 7, 9), (2, 4, 6), (8, 11, 13, 15, 17, 18), (10, 12, 14,
 RUN_SIGMA = (2, 6, 4, 1, 11, 8, 18, 17, 15, 13, 10, 16, 14, 12, 9, 7, 5, 3)
 RUN_SIGMA_PLUS = (1, 10, 17, 15, 13, 11, 8, 19, 18, 16, 14, 12, 9, 6, 4, 2, 7, 5, 3)
 RUN_SIGMA_MINUS = (1, 8, 17, 16, 14, 12, 10, 15, 13, 11, 9, 7, 6, 4, 2, 5, 3)
+NOT_A_FILL = "^tableau is not the fill of any word$"
+INADMISSIBLE = "^tableau violates the strict top-row bounds$"
 
 
 def run_tableau():
@@ -74,9 +76,9 @@ class TestWalk:
         t = Tableau(((1, 2, 3),))
         assert walk(t) == (1, 3, 2)
 
-    def test_unrankable_tableau(self):
-        # column 2's top follows entry 2, which only column 3 holds
-        with pytest.raises(TableauError, match="^cannot rank column 2: index 2 is not ranked yet$"):
+    def test_refuses_what_no_word_fills(self):
+        # the top row does not increase
+        with pytest.raises(WalkError, match=NOT_A_FILL):
             walk(Tableau(((1, 4), (3, 5), (2, 6))))
 
     def test_final_write_is_smallest_rank_one(self):
@@ -117,8 +119,9 @@ class TestWalkPlus:
         back = tuple(kept[i - 1] for i in walk_plus(smaller))
         assert back == tuple(v for v in RUN_SIGMA_PLUS if v not in removed)
 
-    def test_largest_entry_ends_no_column(self):
-        with pytest.raises(TableauError, match="^no column ends with the largest entry 5$"):
+    def test_refuses_what_no_word_fills(self):
+        # column 1 does not increase
+        with pytest.raises(WalkError, match=NOT_A_FILL):
             walk_plus(Tableau(((1, 5, 3), (2, 4))))
 
     def test_stops_exactly_once_per_entry(self):
@@ -136,8 +139,13 @@ class TestWalkMinus:
         assert walk_minus(Tableau(((1, 3, 5), (2, 4)))) == (1, 4, 2, 3)
 
     def test_rejects_inadmissible(self):
-        with pytest.raises(WalkError, match="strict top-row bounds"):
+        with pytest.raises(WalkError, match=INADMISSIBLE):
             walk_minus(Tableau(((1, 2), (3, 4))))
+
+    def test_refuses_what_no_word_fills(self):
+        # entry 3 appears twice, and entry 4 is missing
+        with pytest.raises(WalkError, match=NOT_A_FILL):
+            walk_minus(Tableau(((1, 3, 5), (2, 3))))
 
     def test_one_entry_stays_unwritten(self):
         for family in family_grid(3, 3):
@@ -151,53 +159,52 @@ class TestWalkMinus:
                 assert len(set(sigma)) == len(sigma) == t.size - 1
 
 
-# malformed tableaux for each walk, and its text: an entry out of range, a
-# repeated entry, entry 1 off the first column's top, and a zero entry; the
-# plus cases end a column with their largest entry 4, so extend_plus places
-# entry 5 and each reaches the check it names
-RANGE4 = r"^tableau entries must lie in 1\.\.4$"
-RANGE5 = r"^tableau entries must lie in 1\.\.5$"
-OFF_TOP = "^entry 1 must top the first column$"
-BAD_WALKS = {
-    "plain-range": (walk, ((1, 5), (2, 3)), RANGE4),
-    "plain-repeat": (walk, ((1, 3), (3, 4)), "^entry 3 appears twice$"),
-    "plain-off-top": (walk, ((2, 3), (1, 4)), OFF_TOP),
-    "plain-zero": (walk, ((0, 2), (1, 3)), RANGE4),
-    "plus-range": (walk_plus, ((1, 9), (2, 4)), RANGE5),
-    "plus-repeat": (walk_plus, ((1, 2), (2, 4)), "^entry 2 appears twice$"),
-    "plus-off-top": (walk_plus, ((2, 3), (1, 4)), OFF_TOP),
-    "plus-zero": (walk_plus, ((1, 3), (0, 4)), RANGE5),
-    "minus-range": (walk_minus, ((1, 3, 9), (2, 4)), RANGE5),
-    "minus-repeat": (walk_minus, ((1, 3, 5), (2, 3)), "^entry 3 appears twice$"),
-    "minus-off-top": (walk_minus, ((2, 3, 5), (1, 4)), OFF_TOP),
-    "minus-zero": (walk_minus, ((1, 3, 5), (0, 4)), RANGE5),
-}
+def test_walks_accept_exactly_the_fills():
+    """Over every increasing filling with n <= 3 and k_i <= 2: walk and
+    walk_plus return exactly on the tableaux the paper characterizes as T_k
+    (validate_tableau), walk_minus exactly on its minus-admissible ones, and
+    every other tableau raises the one WalkError."""
+    seen = members = 0
+    for n in (1, 2, 3):
+        for k in product((1, 2), repeat=n):
+            for columns in fillings(k):
+                t = Tableau(columns)
+                seen += 1
+                if not validate_tableau(t):
+                    for run in (walk, walk_plus, walk_minus):
+                        with pytest.raises(WalkError, match=NOT_A_FILL):
+                            run(t)
+                    continue
+                members += 1
+                assert len(walk(t)) == t.size and len(walk_plus(t)) == t.size + 1
+                if is_minus_admissible(t):
+                    assert len(walk_minus(t)) == t.size - 1
+                else:
+                    with pytest.raises(WalkError, match=INADMISSIBLE):
+                        walk_minus(t)
+    assert (seen, members) == (4128, 78)
 
 
-@pytest.mark.parametrize("case", sorted(BAD_WALKS))
-def test_bad_tableau_raises_walk_error(case):
-    run, columns, error = BAD_WALKS[case]
-    with pytest.raises(WalkError, match=error):
-        run(Tableau(columns))
-
-
-def assert_tilted_walks_follow_the_slides(t):
-    """walk_plus, and walk_minus when t is admissible, write what
-    flag_slide_walk writes one slide step at a time."""
+def assert_walks_follow_the_references(t):
+    """walk writes what digraph_walk writes on rank_tableau's ranks, and
+    walk_plus, and walk_minus when t is admissible, what flag_slide_walk
+    writes one slide step at a time."""
+    assert walk(t) == digraph_walk(t, rank_tableau(t))[0]
     assert walk_plus(t) == flag_slide_walk(extend_plus(t), 1)
     if is_minus_admissible(t):
         assert walk_minus(t) == flag_slide_walk(t, -1)
 
 
-class TestSlideWalkReference:
-    """The plus and minus walks read every slide from one precomputed table;
-    the conftest reference slides one entry at a time, as the paper words it."""
+class TestWalkReferences:
+    """The walks run invert's passes on the skeleton's word; the conftest
+    references walk the tableau as the paper words it, the plain walk on the
+    rank digraph and the tilted walks one slide at a time."""
 
     def test_running_example(self):
         t = run_tableau()
         assert flag_slide_walk(extend_plus(t), 1) == RUN_SIGMA_PLUS
         assert walk_minus(t) == flag_slide_walk(t, -1) == RUN_SIGMA_MINUS
-        assert_tilted_walks_follow_the_slides(t)
+        assert_walks_follow_the_references(t)
 
     def test_every_fill_in_the_grid(self):
         # the skeleton's fill of every path and every image of the small grid
@@ -208,7 +215,7 @@ class TestSlideWalkReference:
                     seen.add(fill(SWWord.from_steps(skeleton(p, family))))
         assert len(seen) == 363  # distinct tableaux
         for t in seen:
-            assert_tilted_walks_follow_the_slides(t)
+            assert_walks_follow_the_references(t)
 
     @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
     @settings(max_examples=25, deadline=None)
@@ -219,20 +226,14 @@ class TestSlideWalkReference:
         family = FamilySpec(kind, tuple(rng.randint(1, 10) for _ in range(n)))
         p = uniform_member(family, rng)
         for path in (p, sweep(p)):
-            assert_tilted_walks_follow_the_slides(fill(SWWord.from_steps(skeleton(path, family))))
-
-
-# what the stages the walks call refuse: rank_tableau in walk, extend_plus in walk_plus
-STAGE_REFUSALS = re.compile(r"cannot rank column \d+: index \d+ is not ranked yet"
-                            r"|no column ends with the largest entry \d+")
+            assert_walks_follow_the_references(fill(SWWord.from_steps(skeleton(path, family))))
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_malformed_tableaux_raise_walk_error_or_a_stage_refusal(data):
-    """Columns of ints in -1..size+1, or 1 and then a shuffle of 2..size, so
-    that many reach the walk itself: every walk returns, raises WalkError,
-    or raises a TableauError with one of the STAGE_REFUSALS texts, never
+def test_malformed_tableaux_raise_only_walk_error(data):
+    """Columns of ints in -1..size+1, or 1 and then a shuffle of 2..size:
+    every walk returns, on a tableau of T_k only, or raises WalkError, never
     another exception."""
     heights = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
     size = sum(heights)
@@ -246,9 +247,8 @@ def test_malformed_tableaux_raise_walk_error_or_a_stage_refusal(data):
         try:
             run(t)
         except WalkError:
-            pass
-        except TableauError as exc:
-            assert STAGE_REFUSALS.fullmatch(str(exc)), str(exc)
+            continue
+        assert validate_tableau(t)
 
 
 class TestWalkGraph:
@@ -464,19 +464,24 @@ def test_uniform_members_differential(kind, n, seed):
 
 
 def staged_invert(image, family):
-    """invert's stages run one by one, with the walk of the family's tilt: the
-    oracle of its one-pass routes."""
+    """invert's stages run one by one, with the conftest reference of the walk
+    of the family's tilt, which shares no code with the passes: the oracle of
+    its one-pass routes."""
     t = fill(SWWord.from_steps(skeleton(image, family)))
-    return sigma_to_preimage(run_walk(t, family.tilt), t, family)
+    if family.tilt == 0:
+        sigma = digraph_walk(t, rank_tableau(t))[0]
+    else:
+        sigma = flag_slide_walk(extend_plus(t), 1) if family.tilt > 0 else flag_slide_walk(t, -1)
+    return sigma_to_preimage(sigma, t, family)
 
 
-# every stage of the staged route, counted where it is defined, or, for
-# what only walking calls, through walking's binding; validate is counted
-# through both, the input check's in paths and the output guard's in walking
+# every stage of the staged route, counted where it is defined; validate
+# and fill are counted through walking's binding too, the output guard's
+# and the public walks'
 STAGES = ((paths, "validate"), (walking, "validate"), (paths, "skeleton"),
           (paths, "from_plus"), (paths, "from_minus"), (SWWord, "from_steps"),
-          (tableau, "fill"), (walking, "extend_plus"), (walking, "run_walk"),
-          (walking, "sigma_to_preimage"))
+          (tableau, "fill"), (walking, "fill"), (tableau, "extend_plus"),
+          (walking, "run_walk"), (walking, "sigma_to_preimage"))
 TILTS = (0, -1, 1)
 KINDS = {0: "k", -1: "kminus", 1: "kplus"}
 
@@ -511,8 +516,8 @@ UPS_FIRST = {"k-1": (0, (1,)), "k-1x2000": (0, (1,) * 2000), "kminus-1,1": (-1, 
 
 class TestOnePassInvert:
     """invert on a family of tilt t -- the k, kminus or kplus kind, rational
-    (kn + t, n) -- runs one pass over the path's own ints, _invert_flat or
-    _invert_tilted; it must write what the public stages write."""
+    (kn + t, n) -- runs one pass over the path's own ints, _flat_order or
+    _tilted_order; it must write what the staged route writes."""
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
     def test_runs_no_stage_and_validates_once(self, monkeypatch, tilt):
@@ -603,15 +608,15 @@ class TestOnePassInvert:
         family = FamilySpec(KINDS[tilt], (1,) * drop)
         assert not validate(StepSequence(steps), family, permute_k=True)
         with pytest.raises(WalkError) as exc:
-            walking._invert_tilted(steps, drop, tilt) if tilt else walking._invert_flat(steps, drop)
+            walking._tilted_order(steps, drop, tilt) if tilt else walking._flat_order(steps, drop)
         assert str(exc.value) == error
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
     def test_guard_refuses_what_the_pass_misspells(self, monkeypatch, tilt):
         # a pass that writes the drops first: only _preimage's membership guard
         # sees it, on a family of drop 1
-        monkeypatch.setattr(walking, "_invert_tilted" if tilt else "_invert_flat",
-                            lambda s, *_: tuple(sorted(s)))
+        monkeypatch.setattr(walking, "_tilted_order" if tilt else "_flat_order",
+                            lambda s, *_: sorted(range(len(s)), key=s.__getitem__))
         family = FamilySpec(KINDS[tilt], (2,) if tilt < 0 else (1,))
         with pytest.raises(WalkError) as exc:
             invert(enumerate_family(family).paths[0], family)
@@ -622,8 +627,8 @@ class TestOnePassInvert:
     def test_guard_refuses_a_short_answer(self, monkeypatch, tilt):
         # a pass that leaves out the last drop: every prefix sum stays >= 0,
         # so only the length check sees it, and validate names the total
-        monkeypatch.setattr(walking, "_invert_tilted" if tilt else "_invert_flat",
-                            lambda s, *_: s[:-1])
+        monkeypatch.setattr(walking, "_tilted_order" if tilt else "_flat_order",
+                            lambda s, *_: range(len(s) - 1))
         family, p = NO_STAGE[tilt][0]
         with pytest.raises(WalkError) as exc:
             invert(sweep(p), family)
@@ -634,14 +639,14 @@ class TestOnePassInvert:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_pass_permutes_its_input(self, tilt, data, seed):
-        # what invert's guard rests on: each pass spells every step of s once
+        # what invert's guard rests on: each pass writes every entry of s once
         n = data.draw(st.integers(2 if tilt < 0 else 1, 60), label="n")  # n*k_i >= 2
         rng = random.Random(seed)
         family = FamilySpec(KINDS[tilt], tuple(rng.randint(1, 10) for _ in range(n)))
         p, drop = uniform_member(family, rng), family.down_drop
         for s in (p.steps, sweep(p).steps):
-            out = walking._invert_tilted(s, drop, tilt) if tilt else walking._invert_flat(s, drop)
-            assert sorted(out) == sorted(s)
+            out = walking._tilted_order(s, drop, tilt) if tilt else walking._flat_order(s, drop)
+            assert sorted(out) == list(range(len(s)))
 
 
 class TestWrittenOrderLaw:
