@@ -159,6 +159,31 @@ class TestWalkMinus:
                 assert len(set(sigma)) == len(sigma) == t.size - 1
 
 
+# malformed tableaux for each walk: an entry out of range, a repeated
+# entry, entry 1 off the first column's top, and a zero entry; none is the
+# fill of a word, so each walk refuses it before it runs its pass
+BAD_WALKS = {
+    "plain-range": lambda: walk(Tableau(((1, 5), (2, 3)))),
+    "plain-repeat": lambda: walk(Tableau(((1, 3), (3, 4)))),
+    "plain-off-top": lambda: walk(Tableau(((2, 3), (1, 4)))),
+    "plain-zero": lambda: walk(Tableau(((0, 2), (1, 3)))),
+    "plus-range": lambda: walk_plus(Tableau(((1, 9), (2, 4, 5)))),
+    "plus-repeat": lambda: walk_plus(Tableau(((1, 2), (2, 4, 5)))),
+    "plus-off-top": lambda: walk_plus(Tableau(((2, 3), (1, 4, 5)))),
+    "plus-zero": lambda: walk_plus(Tableau(((1, 3), (0, 4, 5)))),
+    "minus-range": lambda: walk_minus(Tableau(((1, 3, 9), (2, 4)))),
+    "minus-repeat": lambda: walk_minus(Tableau(((1, 3, 5), (2, 3)))),
+    "minus-off-top": lambda: walk_minus(Tableau(((2, 3, 5), (1, 4)))),
+    "minus-zero": lambda: walk_minus(Tableau(((1, 3, 5), (0, 4)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WALKS))
+def test_bad_tableau_raises_walk_error(case):
+    with pytest.raises(WalkError, match=NOT_A_FILL):
+        BAD_WALKS[case]()
+
+
 def test_walks_accept_exactly_the_fills():
     """Over every increasing filling with n <= 3 and k_i <= 2: walk and
     walk_plus return exactly on the tableaux the paper characterizes as T_k
