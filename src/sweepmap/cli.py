@@ -43,7 +43,7 @@ from .ranking import rank_tableau
 from .render import path_ascii, path_svg, rank_ascii, tableau_ascii, tableau_svg
 from .sweep import sweep
 from .tableau import Tableau, TableauError, fill
-from .walking import WalkError, invert, run_walk
+from .walking import WalkError, invert, walk, walk_minus, walk_plus
 
 _ERRORS = (PathError, TableauError, WalkError, OracleError)
 # bad input that raises no ValueError: no such file, JSON nested too deep
@@ -72,7 +72,8 @@ def _rank(steps, family):
 
 
 def _walk(steps, family):
-    return run_walk(_fill(steps, family), family.tilt if family else 0)
+    t = _fill(steps, family)  # refuses a residue with no walk (tilt None) first
+    return (walk, walk_plus, walk_minus)[family.tilt if family else 0](t)
 
 
 def _view_path(steps, family, fmt: str):

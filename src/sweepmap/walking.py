@@ -3,15 +3,14 @@
 Each walk writes a sequence of a tableau's indices.  Spelling the family's
 letters along it -- an S letter on every top-row index, a W on every other
 -- gives the SW-word of the unique preimage of the filled path under the
-sweep map.  The family's tilt picks the walk (plain, plus or minus).  Each
-walk is one linear pass over a path's ints that returns the 0-based order
-in which it writes entries: _flat_order fills, ranks and walks for tilt 0,
-and _tilted_order fills and walks for tilt +1 and -1, reading every slide
-from a table built once.  invert runs the pass on its input and spells the
-order; walk, walk_plus and walk_minus run it on the word of a tableau's
-skeleton, and take only tableaux of T_k, the fills of words.  The staged
-fill and rank serve the command line's pictures, and with the tests'
-paper-worded walks they are the passes' oracle.
+sweep map.  The family's tilt picks the walk, one linear pass over a path's
+ints that returns the 0-based order in which it writes entries: _flat_order
+fills, ranks and walks for tilt 0, and _tilted_order fills and walks for
+tilt +1 and -1, sliding past flagged entries one at a time.  invert runs the
+pass on its input and spells the order; walk, walk_plus and walk_minus run
+it on the word of a tableau's skeleton, and take only tableaux of T_k, the
+fills of words.  The staged fill and rank serve the command line's pictures,
+and with the tests' paper-worded walks they are the passes' oracle.
 """
 
 from __future__ import annotations
@@ -89,12 +88,6 @@ def walk_minus(t: Tableau) -> tuple[int, ...]:
     if not is_minus_admissible(t):
         raise WalkError("tableau violates the strict top-row bounds")
     return tuple(v + 1 for v in _tilted_order(_tilt(ints, 2, -1)[:-1], 2, -1))
-
-
-def run_walk(t: Tableau, tilt: int) -> tuple[int, ...]:
-    """The walk of a family's tilt on the filled tableau of a path's skeleton:
-    walk for 0, walk_plus for +1 and walk_minus for -1 (indexed from the end)."""
-    return (walk, walk_plus, walk_minus)[tilt](t)
 
 
 def sigma_to_preimage(sigma: tuple[int, ...], t: Tableau, family: FamilySpec) -> StepSequence:
@@ -204,27 +197,35 @@ def _tilted_order(s, drop: int, sign: int) -> list[int]:
     j + sign, which is flagged.  The plus extra entry goes under the last
     skeleton entry and leaves its column's designated bottom where it was.
 
-    above[v] is then ~w for a top v that writes w, and for any other v the
-    entry above it, from which the walk slides by -sign to land[], the first
-    entry at or past it that is not flagged.  Slides are read from that
-    table, built once, so each write costs O(1).  The walk starts at entry
-    0, stops at an entry already written (marked None in above) and must
-    have written every entry, or, for the minus walk, all but the restored
-    drop.
+    above[v] is then ~w for a top v that writes w, flagged or not, and for
+    any other v the entry above it, from which the walk slides by -sign
+    while the entry is flagged, at most to entry 0 (+1) or size - 1 (-1),
+    which no flag j + sign is.  The walk starts at entry 0, stops at an
+    entry already written (marked None in above) and must have written
+    every entry, or, for the minus walk, all but the last, the restored
+    drop.  No top writes that, and a slide reaches it only from an entry a
+    whose later entries all complete columns: a entered the FIFO last, so
+    the drop went under a, and the walk steps to a only from the drop.
+
+    Slides are amortized O(1) per write, for any ints.  Every slide past a
+    flagged entry f lands on the first unflagged entry past f.  Each slide
+    but the walk's last writes where it lands, no entry twice, so at most
+    one of them passes f, and the last passes it at most once more.  A
+    column flags at most one entry: slides total 2 * columns steps at most.
 
     Sign -1 needs no top-row bound check (is_minus_admissible): a top at
     entry j meets the bound -- the rises k_i of the columns before it, plus
     one each -- only at plain level 0.  On a validated member with n ups and
     drop n, the plain level h after u >= 1 ups has tilted level n*h - u >= 0,
-    so h >= 1 until the restored final drop: the skeleton returns to level
-    0 only once.
+    so h >= 1 until the restored final drop: the skeleton returns to level 0
+    only once, and its tableau is minus-admissible.
     """
     if sign > 0:
         steps, size = s[:-1], len(s)
     else:
         steps, size = chain(s, (-drop,)), len(s) + 1
     above: list = [0] * size
-    flags: list[int] = []  # the entries bottom + sign, ascending
+    flagged = bytearray(size)  # 1 at each entry bottom + sign
     at: list[int] = []  # the FIFO's bottoms, from index head,
     room: list[int] = []  # their columns' entries still to come,
     top: list[int] = []  # and their columns' tops
@@ -247,45 +248,42 @@ def _tilted_order(s, drop: int, sign: int) -> list[int]:
                 add_top(t)
             else:
                 above[t] = ~(j + sign)
-                flags.append(j + sign)
+                flagged[j + sign] = 1
     except IndexError:  # the FIFO is empty
         raise WalkError(f"no column has room for the drop at entry {j + 1}") from None
     if head != len(at):
         raise WalkError(f"path ends while the column topped by entry {top[head] + 1} is unfilled")
     del at, room, top
     if sign > 0:
-        if not flags:
+        if size < 2:  # s[:-1] is empty
             raise WalkError("path has no column to extend")
         above[size - 1] = size - 2
-    land = list(range(size))
-    for f in sorted(flags, reverse=sign < 0):  # f - sign is settled before f
-        land[f] = land[f - sign]
     out: list[int] = []
     write = out.append
     target = 0
     while (a := above[target]) is not None:
         above[target] = None
         write(target)
-        target = ~a if a < 0 else land[a]
+        if a < 0:
+            target = ~a
+            continue
+        while flagged[a]:
+            a -= sign
+        target = a
     expected = size - (sign < 0)
     if len(out) != expected:
         raise WalkError(f"walk wrote {len(out)} of the expected {expected} entries")
-    if sign < 0 and above[size - 1] is None:  # the restored drop spells no step of s
-        raise WalkError(f"written entries must lie in 1..{size - 1}")
     return out
 
 
 def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     """The unique sweep preimage of a path, by fill, rank, and walk.
 
-    Accepts any member of the permutation-closed family, and the family's
-    tilt picks the walk.  Membership already makes a minus path's tableau
-    minus-admissible: its skeleton returns to level zero only once.
-    Rational (m, n) paths invert when m mod n is 0, 1 or n - 1, as plain,
-    plus or minus paths.  Each tilt takes one pass over the path's own
-    ints, _flat_order or _tilted_order, between the input check and the
-    output guard, and the answer spells s's steps in the order the pass
-    writes.
+    Accepts any member of the permutation-closed family; rational (m, n)
+    paths invert when m mod n is 0, 1 or n - 1, as plain, plus or minus
+    paths.  The family's tilt picks one pass over the path's own ints,
+    _flat_order or _tilted_order, and the answer spells s's steps in the
+    order the pass writes.
 
     The input is validated once, by the membership check skeleton and the
     command line share (a raw 0 step or a non-member is refused there with

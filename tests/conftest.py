@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
+import bisect
 import itertools
+import math
 import random
 from collections import Counter, defaultdict
 
@@ -145,7 +147,7 @@ def digraph_walk(t, r):
     return tuple(sigma), balanced
 
 
-def flag_slide_walk(t, sign):
+def flag_slide_walk(t, sign, slides=None):
     """The plus walk (sign +1, on extend_plus's tableau) or the minus walk
     (sign -1) in the paper's words, sliding one entry at a time.
 
@@ -154,7 +156,8 @@ def flag_slide_walk(t, sign):
     Entries b + sign for a designated bottom b are flagged.  Write 1.  From a
     top, write its column's b + sign, flagged or not; from any other entry
     step up one box, and while the entry there is flagged, move on to the
-    entry sign less.  Stop when the next write would repeat an entry.
+    entry sign less.  Stop when the next write would repeat an entry.  A
+    list passed as slides gets the walk's count of those moves appended.
     """
     size = t.size
     jump = {col[0]: (col[-2] if sign > 0 and col[-1] == size else col[-1]) + sign
@@ -162,6 +165,7 @@ def flag_slide_walk(t, sign):
     flagged = set(jump.values())
     up = {v: a for col in t.columns for a, v in zip(col, col[1:])}
     sigma, written = [1], {1}
+    moves = 0
     while True:
         cur = sigma[-1]
         if cur in jump:
@@ -170,10 +174,46 @@ def flag_slide_walk(t, sign):
             nxt = up[cur]
             while nxt in flagged:
                 nxt -= sign
+                moves += 1
         if nxt in written:
+            if slides is not None:
+                slides.append(moves)
             return tuple(sigma)
         sigma.append(nxt)
         written.add(nxt)
+
+
+def _east_counts(p):
+    """x_i for a rational path read as a lattice path, rises north and drops
+    east: the number of east steps before the i-th north step, from i = 0."""
+    xs, x = [], 0
+    for a in p:
+        if a > 0:
+            xs.append(x)
+        else:
+            x += 1
+    return xs
+
+
+def area(p, m, n):
+    """The full boxes between a rational (m, n) path and its diagonal, row by
+    row: the sum over north steps i of floor(m*i/n) - x_i."""
+    return sum(m * i // n - x for i, x in enumerate(_east_counts(p)))
+
+
+def dinv(p, m, n):
+    """The boxes c left of a rational (m, n) path with
+    arm(c)/(leg(c)+1) < m/n <= (arm(c)+1)/leg(c), where leg 0 meets the
+    right-hand side.  A box in row i and column x < x_i has arm x_i - 1 - x,
+    the boxes right of it up to the path, and leg the boxes below it down
+    to the path, the rows i' < i with x_i' > x (x_i never decreases)."""
+    xs = _east_counts(p)
+    count = 0
+    for i, xi in enumerate(xs):
+        for x in range(xi):
+            arm, leg = xi - 1 - x, i - bisect.bisect_right(xs, x, 0, i)
+            count += arm * n < m * (leg + 1) and (leg == 0 or m * leg <= n * (arm + 1))
+    return count
 
 
 def _good_rotation(seq, c, rng):
@@ -201,8 +241,17 @@ def uniform_member(family, rng):
     minus kind needs a plain path that returns to level 0 only at its end:
     its first rise a is drawn with weight a, the share of such paths that
     start with it, and the rest, of total -a, takes one of its a good
-    rotations.
+    rotations.  A rational (m, n) family needs m and n coprime: its n rises
+    m and m drops -n, shuffled, have distinct levels, and the rotation that
+    starts at the lowest stays nonnegative.
     """
+    if family.kind == "rational":
+        assert math.gcd(family.m, family.n) == 1
+        seq = [family.m] * family.n + [-family.n] * family.m
+        rng.shuffle(seq)
+        levels = list(itertools.accumulate(seq))
+        r = levels.index(min(levels)) + 1
+        return StepSequence(tuple(seq[r:] + seq[:r]))
     k = list(family.k)
     if family.kind == "kminus":
         a = k.pop(rng.choices(range(len(k)), weights=k)[0])

@@ -31,9 +31,11 @@ TIMEOUT_S = 300  # a mutant that hangs the walk is killed by CI's time limit too
 # (name, old text, new text, status)
 MUTANTS = [
     ("tilted room", "add_room((a - sign) // drop)", "add_room((a + sign) // drop)", "killed"),
-    ("tilted flag", "flags.append(j + sign)", "flags.append(j)", "killed"),
+    ("tilted flag", "flagged[j + sign] = 1", "flagged[j] = 1", "killed"),
     ("plus extra entry", "above[size - 1] = size - 2", "above[size - 1] = size - 3", "killed"),
-    ("slide sign", "land[f] = land[f - sign]", "land[f] = land[f + sign]", "killed"),
+    ("slide sign", "a -= sign", "a += sign", "killed"),
+    ("jump slides", "            target = ~a\n            continue\n", "            a = ~a\n",
+     "killed"),
     ("flat rank end", "e = rank + a // drop", "e = rank + a // drop + 1", "killed"),
     # equivalent: bottoms enter the FIFO at the latest rank, or at r + 1 <= rank
     # after a drop of rank r, so r <= rank holds at every drop
@@ -43,14 +45,12 @@ MUTANTS = [
     ("flat length", "if len(out) != size:", "if len(out) < size:", "equivalent"),
     # equivalent: each entry is written at most once (marked None), so the plus
     # walk writes at most size entries; a minus walk of size entries would
-    # write the restored drop, which it never does (next row)
+    # write the restored drop, the last entry.  No entry lies below it, and no
+    # top writes it (a top writes its bottom - 1); only a slide can land there,
+    # from an entry a with a+1..size-1 all completing columns.  By FIFO order
+    # the drop under a then completes a's column last, so it is the restored
+    # drop itself, and the walk reaches it only from itself
     ("tilted length", "if len(out) != expected:", "if len(out) < expected:", "equivalent"),
-    # equivalent: the restored drop is the last entry, so no entry lies below
-    # it, and no top writes it (a top writes its bottom - 1); only a slide can
-    # land there, from an entry a with a+1..size-1 all completing columns.  By
-    # FIFO order the drop under a then completes a's column last, so it is the
-    # restored drop itself, and the walk reaches it only from itself
-    ("minus guard", "if sign < 0 and above[size - 1] is None:", "if False:", "equivalent"),
     ("skeleton heights", "ints[col[0] - 1] = len(col) - 1", "ints[col[0] - 1] = len(col)",
      "killed"),
     ("fill comparison", "if fill(SWWord.from_steps(ints)) == t:",

@@ -1,15 +1,17 @@
 """The sweep map itself: frozen images, order data, and structural laws."""
 
+import math
 import random
 from collections import Counter
 from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweepmap import (
     FamilySpec,
+    OracleError,
     PathError,
     StepSequence,
     enumerate_family,
@@ -18,7 +20,8 @@ from sweepmap import (
     sweep_order,
     validate,
 )
-from conftest import family_grid, random_path, uniform_member
+from sweepmap.oracle import DEFAULT_MAX_K, DEFAULT_MAX_N
+from conftest import area, dinv, family_grid, random_path, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -142,3 +145,57 @@ def test_sweep_preserves_step_multiset(data):
     img = sweep(d)
     assert Counter(img.steps) == Counter(d.steps)
     assert validate(img, FamilySpec.vector(tuple(k)), permute_k=True)
+
+
+def rational_enumerations():
+    """Every rational (m, n) family inside the oracle's default bounds, enumerated."""
+    out = []
+    for n in range(1, DEFAULT_MAX_N + 1):
+        for m in range(1, (DEFAULT_MAX_K + 1) * n):
+            try:
+                out.append(enumerate_family(FamilySpec.rational(m, n)))
+            except OracleError:  # m past the bound on k
+                pass
+    return out
+
+
+def sweep_ties_left_to_right(p):
+    """A wrong sweep: steps by starting level, earlier positions first inside a level."""
+    levels = list(accumulate(p, initial=0))
+    return tuple(p[i] for i in sorted(range(len(p)), key=levels.__getitem__))
+
+
+class TestDinvToArea:
+    """On rational (m, n) paths the sweep map is the rational zeta map, which
+    sends dinv to area (Armstrong-Loehr-Warrington, Rational parking functions
+    and Catalan numbers; Gorsky-Mazin): an oracle for sweep that counts boxes
+    and sorts nothing."""
+
+    def test_every_rational_family_in_the_oracle_bounds(self):
+        families = rational_enumerations()
+        count = 0
+        for e in families:
+            m, n = e.family.m, e.family.n
+            for p in e.paths:
+                assert area(sweep(p).steps, m, n) == dinv(p.steps, m, n), (m, n, p)
+                count += 1
+        assert (len(families), count) == (67, 22520)
+
+    @pytest.mark.parametrize("m, n, failures, count", [(6, 3, 9, 12), (10, 5, 252, 273)])
+    def test_left_to_right_ties_fail(self, m, n, failures, count):
+        # negative control: coprime paths start no two steps at one level, so only
+        # families that share a factor see the tie order, and they see it here
+        paths = enumerate_family(FamilySpec.rational(m, n)).paths
+        wrong = [p for p in paths if area(sweep_ties_left_to_right(p.steps), m, n)
+                 != dinv(p.steps, m, n)]
+        assert (len(wrong), len(paths)) == (failures, count)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_rational_members(self, data, seed):
+        # coprime (m, n) up to about 10^3 steps, where the oracle cannot enumerate
+        n = data.draw(st.integers(1, 90), label="n")
+        m = data.draw(st.integers(1, 1000 - n).filter(lambda m: math.gcd(m, n) == 1), label="m")
+        p = uniform_member(FamilySpec.rational(m, n), random.Random(seed))
+        assert validate(p, FamilySpec.rational(m, n))
+        assert area(sweep(p).steps, m, n) == dinv(p.steps, m, n)

@@ -1,6 +1,8 @@
 """The three inversion walks, checked against the digraph restatement, and invert itself."""
 
+import importlib
 import random
+import sys
 from collections import Counter
 from itertools import accumulate, product
 
@@ -33,7 +35,6 @@ from sweepmap import (
 )
 from sweepmap import paths, tableau, walking
 from sweepmap.paths import skeleton
-from sweepmap.walking import run_walk
 from conftest import (
     counting,
     digraph_walk,
@@ -307,7 +308,7 @@ class TestSigmaToPreimage:
         for family in family_grid(3, 3):
             for path in enumerate_family(family, permute_k=True).paths:
                 t = fill(SWWord.from_steps(skeleton(sweep(path), family)))
-                sigma = run_walk(t, family.tilt)
+                sigma = (walk, walk_plus, walk_minus)[family.tilt](t)
                 for kind in {"k", "kplus", "kminus"} - {family.kind}:
                     if kind == "kminus" and min(family.k) * len(family.k) < 2:
                         continue
@@ -480,7 +481,7 @@ def test_uniform_members_differential(kind, n, seed):
     q = uniform_member(family, rng)
     assert sweep(invert(q, family)) == q
     t = fill(SWWord.from_steps(skeleton(image, family)))
-    sigma = run_walk(t, 0)
+    sigma = walk(t)
     assert digraph_walk(t, rank_tableau(t)) == (sigma, True)
     plain = sigma_to_preimage(sigma, t, FamilySpec.vector(t.k))
     assert rank_tableau(t) == tuple(sorted(ranks(plain)))
@@ -500,13 +501,14 @@ def staged_invert(image, family):
     return sigma_to_preimage(sigma, t, family)
 
 
-# every stage of the staged route, counted where it is defined; validate
-# and fill are counted through walking's binding too, the output guard's
-# and the public walks'
+# every stage of the staged route, counted where it is defined, the walk of
+# each tilt among them; validate and fill are counted through walking's
+# binding too, the output guard's and the public walks'
 STAGES = ((paths, "validate"), (walking, "validate"), (paths, "skeleton"),
           (paths, "from_plus"), (paths, "from_minus"), (SWWord, "from_steps"),
           (tableau, "fill"), (walking, "fill"), (tableau, "extend_plus"),
-          (walking, "run_walk"), (walking, "sigma_to_preimage"))
+          (walking, "walk"), (walking, "walk_plus"), (walking, "walk_minus"),
+          (walking, "sigma_to_preimage"))
 TILTS = (0, -1, 1)
 KINDS = {0: "k", -1: "kminus", 1: "kplus"}
 
@@ -687,3 +689,84 @@ class TestWrittenOrderLaw:
                 sigma = walk(t)
                 pre = ranks(path)
                 assert all(r[v - 1] == pre[j] for j, v in enumerate(sigma))
+
+
+def slide_steps(p, family):
+    """The slide steps of the paper-worded walk of p's tilt on its skeleton's
+    tableau, and the tableau's column count."""
+    t = fill(SWWord.from_steps(skeleton(p, family)))
+    slides = []
+    if family.tilt > 0:
+        flag_slide_walk(extend_plus(t), 1, slides)
+    else:
+        flag_slide_walk(t, -1, slides)
+    return slides[0], len(t.columns)
+
+
+class TestSlideBound:
+    """_tilted_order's docstring proves that one walk takes at most 2 slide
+    steps per column; the paper-worded walk counts its steps."""
+
+    @pytest.mark.parametrize("family", [
+        *(FamilySpec.minus(k) for k in k_multisets(4, 3) if all(len(k) * v >= 2 for v in k)),
+        *(FamilySpec.plus(k) for k in k_multisets(4, 3))], ids=str)
+    def test_every_closure_in_the_grid(self, family):
+        for path in enumerate_family(family, permute_k=True).paths:
+            for p in (path, sweep(path)):
+                slides, columns = slide_steps(p, family)
+                assert slides <= 2 * columns
+
+    @pytest.mark.parametrize("tilt, k", [v for v in UPS_FIRST.values() if v[0]],
+                             ids=[key for key, v in UPS_FIRST.items() if v[0]])
+    def test_ups_first(self, tilt, k):
+        family = FamilySpec(KINDS[tilt], k)
+        plain = StepSequence(k + (-1,) * sum(k))
+        p = to_plus(plain, k) if tilt > 0 else to_minus(plain, k)
+        for path in (p, sweep(p)):
+            slides, columns = slide_steps(path, family)
+            assert slides <= 2 * columns
+
+    @pytest.mark.parametrize("tilt", (-1, 1), ids=KINDS.get)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_members(self, tilt, data, seed):
+        n = data.draw(st.integers(2 if tilt < 0 else 1, 300), label="n")  # n*k_i >= 2
+        rng = random.Random(seed)
+        family = FamilySpec(KINDS[tilt], tuple(rng.randint(1, 10) for _ in range(n)))
+        p = uniform_member(family, rng)
+        for path in (p, sweep(p)):
+            slides, columns = slide_steps(path, family)
+            assert slides <= 2 * columns
+
+
+@pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
+def test_invert_line_events_per_step_stay_flat(kind):
+    """Linear time as a count: the Python line events per step of invert, in
+    frames of walking.py, paths.py and sweep.py, stay within 5% from about
+    6.5*10^2 to 6.5*10^4 steps.  The count does not depend on the host.  It
+    cannot see C-level work such as sorted, min or accumulate; timing the
+    steps stays the benchmark's job."""
+    files = {m.__file__ for m in (walking, paths, importlib.import_module("sweepmap.sweep"))}
+    events = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return count_lines
+
+    def tracer(frame, event, arg):
+        return count_lines if frame.f_code.co_filename in files else None
+
+    per_step = []
+    for n in (100, 1000, 10000):
+        rng = random.Random(n)
+        family = FamilySpec(kind, tuple(rng.randint(1, 10) for _ in range(n)))
+        q = sweep(uniform_member(family, rng))
+        events, old = 0, sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            invert(q, family)
+        finally:
+            sys.settrace(old)
+        per_step.append(events / len(q))
+    assert max(per_step) <= 1.05 * min(per_step), per_step
