@@ -239,11 +239,11 @@ def _load(text: str):
 
 def _read(args):
     """The single input: a path from --steps or --sw, or what --file holds."""
-    if args.steps:
+    if args.steps is not None:
         return parse_steps(args.steps)
-    if args.sw:
+    if args.sw is not None:
         return SWWord.from_text(args.sw, down=_sw_down(args, args.sw)).steps()
-    if args.file:
+    if args.file is not None:
         with open(args.file, encoding="utf-8") as fh:
             return _load(fh.read().strip())
     raise PathError("no input: pass --steps, --sw, or --file")
@@ -273,7 +273,7 @@ def _cmd_path(args) -> int:
         out = c.view(c.run(steps, family), family, args.format)
         return json.dumps(out, indent=indent) if args.format == "json" else out
 
-    if args.steps or args.sw or args.file:
+    if (args.steps, args.sw, args.file) != (None, None, None):  # an empty one is refused
         _write(show(_read(args), indent=2), args)
         return 0
     if args.format in ("ascii", "svg"):

@@ -585,7 +585,11 @@ def path_to_json(steps: StepSequence, family: FamilySpec | None = None) -> dict:
 def path_from_json(obj: dict) -> tuple[StepSequence, FamilySpec | None]:
     if not isinstance(obj, dict) or "steps" not in obj:
         raise PathError("path object needs a 'steps' key")
-    steps = StepSequence(_json_ints(obj, "steps"))
+    steps = _json_ints(obj, "steps")  # read once: only StepSequence's checks of ints are left
+    if not steps:
+        raise PathError("empty path")
+    if 0 in steps:
+        raise PathError(f"zero rise at index {steps.index(0) + 1}")
     fam = obj.get("family")
     family = FamilySpec.from_json(fam) if fam is not None else None
-    return steps, family
+    return _unchecked(StepSequence, steps), family

@@ -132,53 +132,65 @@ def _preimage(steps: tuple[int, ...], family: FamilySpec) -> StepSequence:
 def _flat_order(s, drop: int) -> list[int]:
     """The 0-based order in which the plain walk writes the entries of a
     validated tilt-0 path s (rises drop*k_i, drops -drop): fill, rank and
-    walk in one pass.
+    walk in one pass.  On any other list of ints it returns a permutation
+    of range(len(s)) or raises WalkError.
 
-    Filling keeps a FIFO of the columns with room below their bottom, as
-    (rank of the bottom, rank the column ends at).  A rise tops a new column
-    at the latest entry's rank; a drop goes under the head's bottom and takes
-    the rank after the bottom's.  The walk only ever reads the rank after an entry -- the end rank
-    of a top's column, the rank above any other entry -- so that is all the
-    fill keeps per entry.  The FIFO holds bottoms in index order, so a drop's
-    rank is the latest rank or one more: each rank is one run of entries, and
-    the walk writes its largest unwritten entry with a counter per rank,
-    floored at the last entry of the rank before.
+    The walk only ever reads the rank after an entry -- the rank of its
+    column's last entry for a top, the rank of the entry above for any
+    other -- so that is all the fill keeps per entry.  A drop goes under
+    the bottom that has waited longest and takes the rank after that
+    bottom's.  Every new bottom has the latest rank hi: a top takes the
+    latest entry's rank, a drop under a bottom of rank hi - 1 has rank hi,
+    and a drop under a bottom of rank hi starts rank hi + 1.  So bottoms
+    are taken in rank order, a drop takes one of the lowest rank left, lo =
+    hi - 1, and since the drop records only lo, the bottoms of one rank are
+    interchangeable: the fill counts the ones of rank lo still left.
+
+    When none is left, drop j takes a bottom of rank hi and starts rank
+    hi + 1.  The entries of rank hi are the run floor[-1] + 1 .. j - 1, all
+    placed before j; each became a bottom unless it is the last entry of
+    its column, and none has been taken.  With ends[e] the number of
+    columns whose last entry has rank e, j - floor[-1] - 1 - ends[hi]
+    bottoms of rank hi are left.  A count below 0 at the end is a drop that
+    found no bottom.
+
+    Each rank is one run of entries, and the walk writes its largest
+    unwritten entry with a counter per rank, floored at the last entry of
+    the rank before.
     """
-    after: list[int] = []  # the rank the walk reads after writing each entry
-    bottom: list[int] = []  # the FIFO's ranks of bottoms, from index head
-    end: list[int] = []  # and the ranks their columns end at
-    last: list[int] = []  # the last entry of each rank but the highest
-    add_after, add_bottom, add_end = after.append, bottom.append, end.append
-    head = rank = 0  # rank: the latest entry's, the highest so far
-    for j, a in enumerate(s):
-        if a > 0:
-            e = rank + a // drop
-            add_after(e)
-            add_bottom(rank)
-            add_end(e)
-            continue
-        r = bottom[head]
-        e = end[head]
-        head += 1
-        add_after(r)
-        if r == rank:  # entry j starts rank r + 1
-            last.append(j - 1)
-            rank += 1
-        r += 1
-        if r < e:
-            add_bottom(r)
-            add_end(e)
-    del bottom, end
     size = len(s)
-    nxt = [*last, size - 1]  # the largest unwritten entry of each rank
-    floor = [-1, *last]  # the entry below each rank's run
+    after: list[int] = []  # the rank the walk reads after writing each entry
+    add = after.append
+    ends = [0] * (size + 2)  # the number of columns whose last entry has each rank
+    floor = [-1]  # the entry below each rank's run
+    lo = hi = left = 0  # drops take bottoms of rank lo, left of them; hi is the latest rank
+    try:
+        for j, a in enumerate(s):
+            if a > 0:
+                e = hi + a // drop
+                add(e)
+                ends[e] += 1
+                continue
+            if not left:  # entry j starts rank hi + 1
+                lo, hi, left = hi, hi + 1, j - floor[-1] - 1 - ends[hi]
+                floor.append(j - 1)
+            add(lo)
+            left -= 1
+    except IndexError:  # ends[e] for e past size + 1
+        raise WalkError(f"the column topped by entry {j + 1} is longer than the path") from None
+    if left < 0:
+        raise WalkError("a drop finds no column with room")
+    nxt = [*floor[1:], size - 1]  # the largest unwritten entry of each rank
     out: list[int] = []
     write = out.append
     r = 0  # the walk starts with the largest rank-0 entry
-    while (cur := nxt[r]) != floor[r]:
-        nxt[r] = cur - 1
-        write(cur)
-        r = after[cur]
+    try:
+        while (cur := nxt[r]) != floor[r]:
+            nxt[r] = cur - 1
+            write(cur)
+            r = after[cur]
+    except IndexError:  # a column's last rank that no entry has
+        raise WalkError(f"walk reads rank {r}, past the last rank {hi}") from None
     if len(out) != size:
         raise WalkError(f"walk stopped after {len(out)} of {size} writes")
     return out

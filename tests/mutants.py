@@ -36,10 +36,12 @@ MUTANTS = [
     ("slide sign", "a -= sign", "a += sign", "killed"),
     ("jump slides", "            target = ~a\n            continue\n", "            a = ~a\n",
      "killed"),
-    ("flat rank end", "e = rank + a // drop", "e = rank + a // drop + 1", "killed"),
-    # equivalent: bottoms enter the FIFO at the latest rank, or at r + 1 <= rank
-    # after a drop of rank r, so r <= rank holds at every drop
-    ("flat new rank", "if r == rank:", "if r >= rank:", "equivalent"),
+    ("flat rank end", "e = hi + a // drop", "e = hi + a // drop + 1", "killed"),
+    ("flat end count", "ends[e] += 1", "ends[e - 1] += 1", "killed"),
+    ("flat run length", "hi + 1, j - floor[-1] - 1 - ends[hi]", "hi + 1, j - floor[-1] - ends[hi]",
+     "killed"),
+    ("flat run ends", "hi + 1, j - floor[-1] - 1 - ends[hi]", "hi + 1, j - floor[-1] - 1", "killed"),
+    ("flat no bottom", "if left < 0:", "if False:", "killed"),
     # equivalent: the walk's counter per rank counts down inside that rank's
     # run of entries and the runs are disjoint, so it writes at most size entries
     ("flat length", "if len(out) != size:", "if len(out) < size:", "equivalent"),

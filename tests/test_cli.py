@@ -553,6 +553,16 @@ class TestFilesAndUsage:
         assert code == 0 and out == ""
         assert target.read_text() == "1,-1\n"
 
+    @pytest.mark.parametrize("flag, error", [
+        ("--steps", "error: malformed step token '' at index 1"),
+        ("--sw", "error: empty word"),
+        ("--file", "error: [Errno 2] No such file or directory: ''"),
+    ], ids=["steps", "sw", "file"])
+    def test_empty_source_is_refused_not_read_as_no_source(self, capsys, monkeypatch, flag, error):
+        # the parent took an empty source for none and swept the stdin batch
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2,-1,-1\n"))
+        assert run(capsys, "sweep", flag, "") == (1, "", error + "\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "sweep", "--file", "/nonexistent/path.json")
         assert code == 1 and err.startswith("error:")

@@ -514,6 +514,15 @@ class TestTextForms:
         s2, fam2 = path_from_json(obj)
         assert s2 == s and fam2 == fam
 
+    @pytest.mark.parametrize("steps, error", [
+        ([], "^empty path$"),
+        ([2, -1, 0, -1], "^zero rise at index 3$"),
+    ])
+    def test_json_steps_refusals(self, steps, error):
+        # the StepSequence constructor's refusals, for steps read once
+        with pytest.raises(PathError, match=error):
+            path_from_json({"steps": steps})
+
     def test_json_scale_mismatch(self):
         with pytest.raises(PathError, match="scale"):
             path_from_json(

@@ -616,6 +616,12 @@ class TestOnePassInvert:
     @pytest.mark.parametrize("tilt, steps, drop, error", [
         # not a path (its total is 2): the walk ends after three writes
         (0, (1, 1, 1, -1), 1, "walk stopped after 3 of 4 writes"),
+        # the second drop finds no bottom: rank 0's one entry ends its column
+        (0, (1, -1, -1, 1), 1, "a drop finds no column with room"),
+        # a column of 5 entries below its top in a path of 2 entries
+        (0, (5, -1), 1, "the column topped by entry 1 is longer than the path"),
+        # a top whose column would end at rank 2, in a path of ranks 0 and 1
+        (0, (2, -1), 1, "walk reads rank 2, past the last rank 1"),
         # the skeleton 1,-1,1,-1 returns to level 0 twice, which validate
         # refuses: its first top writes itself and the walk stops there
         (-1, (1, -2, 1), 2, "walk wrote 1 of the expected 3 entries"),
@@ -674,6 +680,20 @@ class TestOnePassInvert:
         for s in (p.steps, sweep(p).steps):
             out = walking._tilted_order(s, drop, tilt) if tilt else walking._flat_order(s, drop)
             assert sorted(out) == list(range(len(s)))
+
+    @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
+    def test_pass_permutes_or_refuses_any_ints(self, tilt):
+        # unvalidated: small steps and steps far past the path's length alike
+        rng = random.Random(27)
+        for _ in range(5000):
+            s = [rng.choice((rng.randint(-3, 3), rng.randint(-40, 40), rng.randint(-10**6, 10**6)))
+                 for _ in range(rng.randint(0, 15))]
+            drop = rng.randint(1, 3)
+            try:
+                out = walking._tilted_order(s, drop, tilt) if tilt else walking._flat_order(s, drop)
+            except WalkError:
+                continue
+            assert sorted(out) == list(range(len(s))), (s, drop)
 
 
 class TestWrittenOrderLaw:
