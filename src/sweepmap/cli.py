@@ -57,6 +57,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        """As argparse's, but an option value of exactly "--" is a usage error:
+        Python 3.10 and 3.11 read --opt=-- as [], past the option's type and
+        choices, and a version that passes "--" through gets the same error."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            if getattr(namespace, action.dest, None) in ([], "--"):
+                self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return namespace, extras
+
 
 def _sweep(steps, family):
     return sweep(steps if family is None else _member(steps, family))

@@ -23,17 +23,14 @@ class OracleError(ValueError):
 
 
 class FamilyEnumeration(_Record):
-    """Every path of a family (or its permutation closure), in DFS order."""
+    """Every path of a family (or its permutation closure), in DFS order, and their count."""
 
     __match_args__ = ("family", "permuted", "paths", "counts")  # counts: per ordering of k
 
     def __init__(self, family: FamilySpec, permuted: bool, paths: tuple[StepSequence, ...],
                  counts: dict[tuple[int, ...], int]) -> None:
-        self.__dict__.update(family=family, permuted=permuted, paths=paths, counts=counts)
-
-    @property
-    def count(self) -> int:
-        return len(self.paths)
+        self.__dict__.update(family=family, permuted=permuted, paths=paths, counts=counts,
+                             count=len(paths))
 
     def to_json(self) -> dict:
         return {
@@ -176,9 +173,10 @@ def certify_bijection(
 
     Injectivity plus image-inside-domain over a finite set of equal size is
     a bijection; the first violation of either becomes the counterexample.
+    The closure's index lists each image's preimages in enumeration order, so
+    a path that is not the first of its image's collides with that first.
     """
-    images = _closure(family, max_n, max_k)[1]
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    _, images, index = _closure(family, max_n, max_k)
     counterexample = None
     for p, q in images.items():
         if q not in images:
@@ -188,13 +186,12 @@ def certify_bijection(
                 "image": emit_steps(q),
             }
             break
-        if q in seen:
+        if (first := index[q][0]).steps != p:
             counterexample = {
                 "kind": "collision",
-                "first": emit_steps(seen[q]),
+                "first": emit_steps(first),
                 "second": emit_steps(p),
                 "image": emit_steps(q),
             }
             break
-        seen[q] = p
     return BijectionReport(family, len(images), counterexample is None, counterexample)

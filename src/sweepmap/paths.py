@@ -237,9 +237,12 @@ class FamilySpec(_Record):
     For the three k-vector kinds, ``k`` lists the defining positive rises;
     the plus/minus kinds store their fractional rises scaled by ``n`` so
     that everything stays an integer.  The rational kind is a pair (m, n):
-    n up steps of rise m, m down steps of drop n.  All else reads the derived
-    ``up_rises``, ``down_drop`` and ``tilt`` (rise = drop*k_i + tilt, which
-    picks the walk); a rational (kn + t, n) has tilt t, other residues None.
+    n up steps of rise m, m down steps of drop n.  All else reads the fields
+    derived here once: ``up_rises``, ``down_drop`` and ``tilt`` (rise =
+    drop*k_i + tilt, which picks the walk; a rational (kn + t, n) has tilt t,
+    other residues None), ``sorted_rises`` (one key for all orderings of the
+    rises), ``n_up``, ``n_down``, ``size`` and ``scale``, the denominator the
+    fractional rises were multiplied by (1 if none).
     """
 
     __match_args__ = ("kind", "k", "m", "n")
@@ -277,16 +280,14 @@ class FamilySpec(_Record):
             tilt = _TILT.get(kind, 0)
             drop = len(k) if tilt else 1
             rises = tuple(_tilt(k, drop, tilt)) if tilt else k
-        for name, value in zip(("kind", "k", "m", "n", "up_rises", "down_drop", "tilt"),
-                               (kind, k, m, n, rises, drop, tilt)):
+        n_down = sum(rises) // drop
+        for name, value in zip(
+            ("kind", "k", "m", "n", "up_rises", "down_drop", "tilt",
+             "sorted_rises", "n_up", "n_down", "size", "scale"),
+            (kind, k, m, n, rises, drop, tilt,
+             tuple(sorted(rises)), len(rises), n_down, len(rises) + n_down, drop if k else 1),
+        ):
             object.__setattr__(self, name, value)
-
-    @property
-    def sorted_rises(self) -> tuple[int, ...]:
-        """``up_rises`` sorted at the first read, then kept: one key for all their orderings."""
-        if (rises := getattr(self, "_sorted_rises", None)) is None:
-            object.__setattr__(self, "_sorted_rises", rises := tuple(sorted(self.up_rises)))
-        return rises
 
     @classmethod
     def vector(cls, k) -> "FamilySpec":
@@ -303,23 +304,6 @@ class FamilySpec(_Record):
     @classmethod
     def rational(cls, m: int, n: int) -> "FamilySpec":
         return cls(KIND_RATIONAL, m=m, n=n)
-
-    @property
-    def n_up(self) -> int:
-        return len(self.up_rises)
-
-    @property
-    def n_down(self) -> int:
-        return sum(self.up_rises) // self.down_drop
-
-    @property
-    def size(self) -> int:
-        return self.n_up + self.n_down
-
-    @property
-    def scale(self) -> int:
-        """Denominator the fractional rises were multiplied by (1 if none)."""
-        return self.down_drop if self.k else 1
 
     def orderings(self) -> tuple[tuple[int, ...], ...]:
         """All distinct orderings of the rise vector, sorted."""

@@ -1,13 +1,15 @@
-"""Mutation check of src/sweepmap/walking.py against tests/test_walking.py.
+"""Mutation check of src/sweepmap against the test files that should kill each mutant.
 
-Each row of MUTANTS replaces one text of walking.py, which must occur there
-exactly once.  Every mutant runs in a temporary copy of src/, tests/ and
-pyproject.toml with `pytest -x -q tests/test_walking.py`, so the repository
-gains no cache or Hypothesis database.  A mutant is killed when that run
-fails.  A row's status says what must happen: "killed", or "equivalent",
-for a mutant that no input can tell from the code, with the argument in its
-comment.  The script prints one line per mutant and exits 1 when a
-"killed" row survives, an "equivalent" row is killed, or a text is missing.
+Each row of MUTANTS names a source file and its test files, and replaces one
+text of that file, which must occur there exactly once.  Every mutant runs in
+a temporary copy of src/, tests/ and pyproject.toml with `pytest -x -q` on
+the row's test files only, so a row does not cost a full tier-1 and the
+repository gains no cache or Hypothesis database.  A mutant is killed when
+that run fails.  A row's status says what must happen: "killed", or
+"equivalent", for a mutant that no input can tell from the code, with the
+argument in its comment.  The script prints one line per mutant and exits 1
+when a "killed" row survives, an "equivalent" row is killed, or a text is
+missing.
 
 Run from anywhere, stdlib only:  python tests/mutants.py
 """
@@ -24,12 +26,16 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/sweepmap/walking.py")
-TESTS = "tests/test_walking.py"
 TIMEOUT_S = 300  # a mutant that hangs the walk is killed by CI's time limit too
 
-# (name, old text, new text, status)
-MUTANTS = [
+# (source file, test files that should kill its mutants)
+WALKING = ("src/sweepmap/walking.py", ("tests/test_walking.py",))
+PATHS = ("src/sweepmap/paths.py", ("tests/test_paths.py",))
+SWEEP = ("src/sweepmap/sweep.py", ("tests/test_sweep.py",))
+ORACLE = ("src/sweepmap/oracle.py", ("tests/test_oracle.py",))
+
+# (name, old text, new text, status), under the file and tests they mutate
+ROWS = {WALKING: [
     ("tilted room", "add_room((a - sign) // drop)", "add_room((a + sign) // drop)", "killed"),
     ("tilted flag", "flagged[j + sign] = 1", "flagged[j] = 1", "killed"),
     ("plus extra entry", "above[size - 1] = size - 2", "above[size - 1] = size - 3", "killed"),
@@ -63,13 +69,24 @@ MUTANTS = [
     ("guard length", "if len(out) == len(s) and min(accumulate(out)) >= 0:",
      "if min(accumulate(out)) >= 0:", "killed"),
     ("preimage refusal", "    if not d:\n", "    if False:\n", "killed"),
-]
+], PATHS: [
+    ("n_down", "sum(rises) // drop", "sum(rises)", "killed"),
+    ("sorted rises", "tuple(sorted(rises))", "rises", "killed"),
+    ("scale", "drop if k else 1", "drop", "killed"),
+], SWEEP: [
+    ("tie order", "range(len(s) - 1, -1, -1)", "range(len(s))", "killed"),
+], ORACLE: [
+    ("first preimage", "index[q][0]", "index[q][-1]", "killed"),
+    ("count", "count=len(paths)", "count=len(counts)", "killed"),
+]}
+MUTANTS = [(name, target, tests, old, new, status)
+           for (target, tests), rows in ROWS.items() for name, old, new, status in rows]
 
 
-def run(old: str, new: str) -> tuple[str, str]:
+def run(target: str, tests: tuple[str, ...], old: str, new: str) -> tuple[str, str]:
     """("killed", the first failing test), ("survived", ""), or ("missing",
-    the count) when old does not occur exactly once."""
-    text = (ROOT / TARGET).read_text(encoding="utf-8")
+    the count) when old does not occur exactly once in the target."""
+    text = (ROOT / target).read_text(encoding="utf-8")
     if text.count(old) != 1:
         return "missing", f"{text.count(old)} occurrences"
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -77,9 +94,9 @@ def run(old: str, new: str) -> tuple[str, str]:
             shutil.copytree(ROOT / part, Path(tmp) / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
-        (Path(tmp) / TARGET).write_text(text.replace(old, new), encoding="utf-8")
+        (Path(tmp) / target).write_text(text.replace(old, new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", TESTS]
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *tests]
         try:
             done = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT_S)
@@ -93,14 +110,15 @@ def run(old: str, new: str) -> tuple[str, str]:
 
 def main() -> int:
     bad = 0
-    for name, old, new, status in MUTANTS:
+    for name, target, tests, old, new, status in MUTANTS:
         start = time.perf_counter()
-        result, detail = run(old, new)
+        result, detail = run(target, tests, old, new)
         ok = result == ("survived" if status == "equivalent" else "killed")
         bad += not ok
         mark = "ok " if ok else "BAD"
         seconds = time.perf_counter() - start
-        print(f"{mark} {name:20} {status:10} {result:8} {seconds:5.1f} s  {detail}", flush=True)
+        print(f"{mark} {Path(target).name:11} {name:20} {status:10} {result:8} {seconds:5.1f} s  "
+              f"{detail}", flush=True)
     print(f"{len(MUTANTS)} mutants, {bad} not as marked")
     return 1 if bad else 0
 

@@ -601,6 +601,10 @@ class TestFilesAndUsage:
     @pytest.mark.parametrize("argv, error", [
         (["enumerate", "--family", "k"], "family 'k' needs --k"),
         (["verify", "--family", "rational"], "rational family needs --m and --n"),
+        # and a command without what it reads: render has no stdin batch, and a
+        # batch has no pictures; both refuse before stdin is read
+        (["render"], "no input: pass --steps, --sw, or --file"),
+        (["fill", "--format", "ascii"], "batch mode does not support --format ascii"),
     ])
     def test_family_without_its_flags(self, capsys, argv, error):
         assert run(capsys, *argv) == (1, "", f"error: {error}\n")
@@ -837,6 +841,25 @@ def test_cli_surface_is_pinned():
     assert surface == CLI_SURFACE
 
 
+# every option of every subcommand that takes a value (a store_true defaults to False)
+_VALUE_OPTIONS = [(name, flags[0]) for name, options in CLI_SURFACE
+                  for flags, _, _, default, _ in options if default is not False]
+
+
+@pytest.mark.parametrize("command, flag", _VALUE_OPTIONS)
+def test_option_value_of_two_dashes_is_a_usage_error(capsys, monkeypatch, tmp_path, command,
+                                                     flag):
+    # Python 3.10 and 3.11 read --opt=-- as [], past the option's type and choices
+    monkeypatch.chdir(tmp_path)
+    good = ["--family", "k", "--k", "2,1"]  # a call the command answers
+    if cli._TABLE[command].reads_path:
+        good += ["--steps", "2,1,-1,-1,-1"]
+    code, out, err = run(capsys, command, *good, f"{flag}=--")
+    assert (code, out) == (1, "") and err.startswith(f"usage: sweepmap {command} ")
+    assert err.endswith(f"\nsweepmap {command}: error: argument {flag}: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 DEEP_JSON = '{"steps": ' + "[" * 5000 + "]" * 5000 + "}"
 
 
@@ -960,7 +983,7 @@ def test_single_input_fuzz_exits_zero_or_one(tmp_path_factory, command, source, 
         text = str(f)
     argv.append(f"--{source}={text}")
     out, err = io.StringIO(), io.StringIO()
-    # an empty --steps or --sw falls through to batch mode, which reads no stdin here
+    # an empty source is refused, not read as none, so no case reads stdin; it is empty anyway
     with mock.patch.object(sys, "stdin", io.StringIO()), redirect_stdout(out), \
             redirect_stderr(err):
         code = main(argv)

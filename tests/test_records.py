@@ -103,7 +103,8 @@ def test_fields_are_read_only(name):
 
 def test_derived_fields_are_read_only():
     fam = FamilySpec.plus((2, 1))
-    for field in ("up_rises", "down_drop", "tilt", "sorted_rises"):
+    for field in ("up_rises", "down_drop", "tilt", "sorted_rises", "n_up", "n_down", "size",
+                  "scale"):
         with pytest.raises(AttributeError, match=rf"^cannot assign to field '{field}'$"):
             setattr(fam, field, None)
 
@@ -126,6 +127,8 @@ def test_copied_family_keeps_its_derived_fields():
     fam = FamilySpec.plus((3, 1))
     for twin in (copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))):
         assert (twin.up_rises, twin.down_drop, twin.tilt, twin.sorted_rises) == ((7, 3), 2, 1, (3, 7))
+        assert (twin.n_up, twin.n_down, twin.size, twin.scale) == (2, 5, 7, 2)
+        assert vars(twin) == vars(fam)
 
 
 @pytest.mark.parametrize("name", RECORDS)
