@@ -24,6 +24,7 @@ from .oracle import (
     enumerate_family,
 )
 from .paths import (
+    KIND_K,
     KIND_RATIONAL,
     FamilySpec,
     PathError,
@@ -43,7 +44,7 @@ from .ranking import rank_tableau
 from .render import path_ascii, path_svg, rank_ascii, tableau_ascii, tableau_svg
 from .sweep import sweep
 from .tableau import Tableau, TableauError, fill
-from .walking import WalkError, invert, walk, walk_minus, walk_plus
+from .walking import WalkError, _order, invert
 
 _ERRORS = (PathError, TableauError, WalkError, OracleError)
 # bad input that raises no ValueError: no such file, JSON nested too deep
@@ -73,7 +74,7 @@ def _sweep(steps, family):
 
 
 def _fill(steps, family):
-    return fill(SWWord.from_steps(skeleton(steps, family)))
+    return fill(SWWord.from_steps(skeleton(steps, family or infer_family(steps, KIND_K))))
 
 
 def _rank(steps, family):
@@ -82,8 +83,9 @@ def _rank(steps, family):
 
 
 def _walk(steps, family):
-    t = _fill(steps, family)  # refuses a residue with no walk (tilt None) first
-    return (walk, walk_plus, walk_minus)[family.tilt if family else 0](t)
+    family = family or infer_family(steps, KIND_K)
+    s = _member(steps, family).steps  # before the refusal of a residue with no walk
+    return [v + 1 for v in _order(s, family.down_drop, _walk_tilt(family))]
 
 
 def _view_path(steps, family, fmt: str):
@@ -116,8 +118,9 @@ def _view_walk(sigma, _family, fmt: str):
 # names another; run(steps, family) -> result; view(result, family, format) ->
 # text, or a JSON object; reads_path: takes --steps, --sw and --file; options:
 # (flag, argparse keywords) pairs placed after the family flags.  Every run
-# refuses a path outside the family it is given, through paths._member: sweep
-# directly, invert itself, and fill, rank and walk in skeleton.
+# refuses a path outside its family through paths._member: sweep and walk
+# directly, invert itself, fill and rank in skeleton; with no family given,
+# fill, rank and walk check the plain family of the path's own rises.
 _Command = namedtuple(
     "_Command",
     "help family_required formats run view reads_path options default_format",

@@ -4,7 +4,7 @@ A generalized Dyck path is stored as the sequence of its signed rises:
 positive entries are up steps, negative entries are down steps, every prefix
 sum stays nonnegative, and the total is zero.  Fractional rises of the
 plus/minus families are kept exact by scaling everything by the number of
-up steps, so all arithmetic stays integral; skeleton is the only untilt.
+up steps, so all arithmetic stays integral; skeleton inverts _lift_ints.
 Indices in public data are 1-based throughout.
 
 Two private helpers decide every input: _ints reads raw steps once, as ints
@@ -213,6 +213,13 @@ def _tilt(steps, n: int, t: int) -> list[int]:
     return [n * a + t if a > 0 else -n for a in steps]
 
 
+def _lift_ints(steps, n: int, t: int) -> list[int]:
+    """The lift rule, which skeleton inverts: scale by n and tilt the rises by t;
+    the path then ends at t, so t > 0 appends a drop and t < 0 removes the last."""
+    out = _tilt(steps, n, t)
+    return out + [-n] if t > 0 else out[:-1]
+
+
 def _untilt(steps, n: int, t: int) -> list[int]:
     """Inverse of _tilt: a -> (a - t) / n for rises, every drop -> -1."""
     return [(a - t) // n if a > 0 else -1 for a in steps]
@@ -411,11 +418,9 @@ def ranks(steps: StepSequence) -> tuple[int, ...]:
 
 
 def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
-    """Tilt a plain path with the family's rises into the plus or minus family.
-
-    Tilting n rises by t/n moves the end of the path by t, so the plus kind
-    appends one drop and the minus kind removes the final one.  The result is
-    a member by skeleton's argument read backwards, so it needs no check.
+    """Tilt a plain path with the family's rises into the plus or minus family,
+    by the lift rule.  The result is a member by skeleton's argument read
+    backwards, so it needs no check.
     """
     k, n, t = family.k, family.down_drop, family.tilt
     s = _ints(steps)  # read once: validate takes the StepSequence as it is
@@ -427,16 +432,12 @@ def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
         if starts.count(0) > 1:
             j = starts.index(0, 1) + 1
             raise PathError(f"rank 0 reappears at index {j}; need a single zero rank")
-    out = _tilt(s, n, t)
-    return StepSequence(tuple(out + [-n] if t > 0 else out[:-1]))
+    return StepSequence(tuple(_lift_ints(s, n, t)))
 
 
 def to_plus(steps: StepSequence, k) -> StepSequence:
-    """Lift a path of the plain family into the plus family.
-
-    Every rise a becomes n*a + 1 and every drop becomes n (the scaled form
-    of adding 1/n to each up step), and one extra down step is appended.
-    """
+    """Lift a path of the plain family into the plus family, scaled by n: each
+    rise a becomes n*a + 1, each drop -n, and one more drop is appended."""
     return _lift(steps, FamilySpec.plus(k))
 
 
@@ -447,12 +448,9 @@ def from_plus(steps: StepSequence) -> StepSequence:
 
 
 def to_minus(steps: StepSequence, k) -> StepSequence:
-    """Lower a path of the plain family into the minus family.
-
-    Defined only for paths whose rank sequence contains a single zero (at
-    the start): every rise a becomes n*a - 1, drops become n, and the final
-    down step is removed.
-    """
+    """Lower a path of the plain family whose rank 0 occurs only at its start
+    into the minus family, scaled by n: each rise a becomes n*a - 1, each drop
+    -n, and the final drop is removed."""
     return _lift(steps, FamilySpec.minus(k))  # raises if some n*k_i < 2
 
 
@@ -471,7 +469,7 @@ def _walk_tilt(family: FamilySpec) -> int:
     return family.tilt
 
 
-def skeleton(steps: StepSequence, family: FamilySpec | None) -> StepSequence:
+def skeleton(steps: StepSequence, family: FamilySpec) -> StepSequence:
     """The plain path whose word gets filled, the only untilt: each rise a of
     a family with tilt t and drop n becomes (a - t) / n and each drop -1; the
     plus kind's final drop goes and the minus kind's is restored.
@@ -482,8 +480,6 @@ def skeleton(steps: StepSequence, family: FamilySpec | None) -> StepSequence:
     u = n at height 0 with a drop still to come.  Minus: u >= 1, so h >= 1
     after the first step, and rank 0 occurs once.
     """
-    if family is None:
-        return steps
     s = _member(steps, family).steps  # before the tilt, as invert checks it
     t = _walk_tilt(family)
     plain = _untilt(s, family.down_drop, t)

@@ -3,22 +3,22 @@
 Each walk writes a sequence of a tableau's indices.  Spelling the family's
 letters along it -- an S letter on every top-row index, a W on every other
 -- gives the SW-word of the unique preimage of the filled path under the
-sweep map.  The family's tilt picks the walk, one linear pass over a path's
-ints that returns the 0-based order in which it writes entries: _flat_order
-fills, ranks and walks for tilt 0, and _tilted_order fills and walks for
-tilt +1 and -1, sliding past flagged entries one at a time.  invert runs the
-pass on its input and spells the order; walk, walk_plus and walk_minus run
-it on the word of a tableau's skeleton, and take only tableaux of T_k, the
-fills of words.  The staged fill and rank serve the command line's pictures,
-and with the tests' paper-worded walks they are the passes' oracle.
+sweep map.  _order picks the walk by the family's tilt, one linear pass over
+a path's ints that returns the 0-based order it writes: _flat_order fills,
+ranks and walks for tilt 0, and _tilted_order fills and walks for tilt +1
+and -1, sliding past flagged entries one at a time.  invert and the command
+line's walk run it on a member; walk, walk_plus and walk_minus, for the
+library and the tests, run it on the word of a tableau of T_k, a fill.  The
+staged fill and rank serve the command line's pictures, and with the
+tests' paper-worded walks they are the passes' oracle.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain
 
-from .paths import (FamilySpec, StepSequence, SWWord, _member, _tilt, _unchecked, _walk_tilt,
-                    validate)
+from .paths import (FamilySpec, StepSequence, SWWord, _lift_ints, _member, _tilt, _unchecked,
+                    _walk_tilt, validate)
 from .tableau import Tableau, TableauError, fill, is_minus_admissible
 
 
@@ -49,9 +49,9 @@ def walk(t: Tableau) -> tuple[int, ...]:
     to the bottom of its column, from any other box move up one box; read
     the rank there and write the largest not-yet-written entry of that
     rank.  Stop when no such entry remains; a complete run writes every
-    entry exactly once.  Runs _flat_order on the skeleton's word.
+    entry exactly once.  Runs the flat pass on the skeleton's word.
     """
-    return tuple(v + 1 for v in _flat_order(_skeleton_ints(t), 1))
+    return tuple(v + 1 for v in _order(_skeleton_ints(t), 1, 0))
 
 
 def walk_plus(t: Tableau) -> tuple[int, ...]:
@@ -66,12 +66,11 @@ def walk_plus(t: Tableau) -> tuple[int, ...]:
     written, a flagged entry r slides down to r-1, r-2, ... until a normal
     entry appears, and that one is written.  The walk stops when its next
     write would repeat an index, having written every index 1..size+1
-    exactly once.  Runs _tilted_order on the skeleton's word, tilted by +1,
-    with the extra entry appended.
+    exactly once.  Runs the tilted pass on the skeleton's word lifted by +1.
     """
-    # tilted with drop 2: any drop keeps each column's room at k_i, and drop 2
+    # lifted with drop 2: any drop keeps each column's room at k_i, and drop 2
     # keeps the minus walk's rise 2k_i - 1 positive at k_i = 1
-    return tuple(v + 1 for v in _tilted_order(_tilt(_skeleton_ints(t), 2, 1) + [-2], 2, 1))
+    return tuple(v + 1 for v in _order(_lift_ints(_skeleton_ints(t), 2, 1), 2, 1))
 
 
 def walk_minus(t: Tableau) -> tuple[int, ...]:
@@ -81,13 +80,13 @@ def walk_minus(t: Tableau) -> tuple[int, ...]:
     bottom are flagged; first-row boxes jump to their column bottom b and
     write b-1 unconditionally; flagged entries reached from below slide
     upward to the next normal entry.  Exactly one entry stays unwritten.
-    Runs _tilted_order on the skeleton's word, tilted by -1, less its final
-    drop, which the pass restores.
+    Runs the tilted pass on the skeleton's word lifted by -1, whose final
+    drop, removed by the lift, the pass restores.
     """
     ints = _skeleton_ints(t)
     if not is_minus_admissible(t):
         raise WalkError("tableau violates the strict top-row bounds")
-    return tuple(v + 1 for v in _tilted_order(_tilt(ints, 2, -1)[:-1], 2, -1))
+    return tuple(v + 1 for v in _order(_lift_ints(ints, 2, -1), 2, -1))
 
 
 def sigma_to_preimage(sigma: tuple[int, ...], t: Tableau, family: FamilySpec) -> StepSequence:
@@ -127,6 +126,11 @@ def _preimage(steps: tuple[int, ...], family: FamilySpec) -> StepSequence:
     if not d:
         raise WalkError(f"reconstruction is not a valid family member: {d}")
     return out
+
+
+def _order(s, drop: int, tilt: int) -> list[int]:
+    """The 0-based order in which the walk of a family's tilt writes its member s."""
+    return _tilted_order(s, drop, tilt) if tilt else _flat_order(s, drop)
 
 
 def _flat_order(s, drop: int) -> list[int]:
@@ -293,9 +297,8 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
 
     Accepts any member of the permutation-closed family; rational (m, n)
     paths invert when m mod n is 0, 1 or n - 1, as plain, plus or minus
-    paths.  The family's tilt picks one pass over the path's own ints,
-    _flat_order or _tilted_order, and the answer spells s's steps in the
-    order the pass writes.
+    paths.  The family's tilt picks one pass over the path's own ints
+    (_order), and the answer spells s's steps in the order the pass writes.
 
     The input is validated once, by the membership check skeleton and the
     command line share (a raw 0 step or a non-member is refused there with
@@ -308,11 +311,8 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     a negative prefix sum can make it a non-member.  An answer that fails
     the guard gets the full check, which names what is wrong with it.
     """
-    steps = _member(steps, family)
-    tilt = _walk_tilt(family)
-    s, drop = steps.steps, family.down_drop
-    order = _tilted_order(s, drop, tilt) if tilt else _flat_order(s, drop)
-    out = tuple(map(s.__getitem__, order))
+    s = _member(steps, family).steps
+    out = tuple(map(s.__getitem__, _order(s, family.down_drop, _walk_tilt(family))))
     if len(out) == len(s) and min(accumulate(out)) >= 0:
         return _unchecked(StepSequence, out)
     return _preimage(out, family)  # a non-member: refused with validate's diagnostic

@@ -64,8 +64,10 @@ ROWS = {WALKING: [
     ("fill comparison", "if fill(SWWord.from_steps(ints)) == t:",
      "if fill(SWWord.from_steps(ints)) is not None:", "killed"),
     ("minus admissibility", "if not is_minus_admissible(t):", "if False:", "killed"),
-    ("minus drop 1", "_tilt(ints, 2, -1)[:-1], 2, -1)", "_tilt(ints, 1, -1)[:-1], 1, -1)",
+    ("minus drop 1", "_lift_ints(ints, 2, -1), 2, -1)", "_lift_ints(ints, 1, -1), 1, -1)",
      "killed"),
+    ("order branches", "_tilted_order(s, drop, tilt) if tilt else _flat_order(s, drop)",
+     "_flat_order(s, drop) if tilt else _tilted_order(s, drop, tilt)", "killed"),
     ("guard length", "if len(out) == len(s) and min(accumulate(out)) >= 0:",
      "if min(accumulate(out)) >= 0:", "killed"),
     ("preimage refusal", "    if not d:\n", "    if False:\n", "killed"),
@@ -73,11 +75,16 @@ ROWS = {WALKING: [
     ("n_down", "sum(rises) // drop", "sum(rises)", "killed"),
     ("sorted rises", "tuple(sorted(rises))", "rises", "killed"),
     ("scale", "drop if k else 1", "drop", "killed"),
+    ("lift end", "out + [-n] if t > 0 else out[:-1]", "out[:-1] if t > 0 else out + [-n]",
+     "killed"),
+    ("zero step", "    if 0 in s:\n", "    if False:\n", "killed"),
+    ("negative prefix", "if min(levels) < 0:", "if min(levels) < -1:", "killed"),
 ], SWEEP: [
     ("tie order", "range(len(s) - 1, -1, -1)", "range(len(s))", "killed"),
 ], ORACLE: [
     ("first preimage", "index[q][0]", "index[q][-1]", "killed"),
     ("count", "count=len(paths)", "count=len(counts)", "killed"),
+    ("down branch", "if left and h >= drop:", "if left and h > drop:", "killed"),
 ]}
 MUTANTS = [(name, target, tests, old, new, status)
            for (target, tests), rows in ROWS.items() for name, old, new, status in rows]

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepmap import (FamilySpec, StepSequence, cli, emit_steps, enumerate_family, oracle, paths,
-                      sweep, walking)
+from sweepmap import (FamilySpec, PathError, StepSequence, SWWord, cli, emit_steps,
+                      enumerate_family, fill, oracle, paths, sweep, tableau, walk, walk_minus,
+                      walk_plus, walking)
 from sweepmap.cli import main
-from conftest import counting
+from sweepmap.paths import skeleton
+from conftest import counting, family_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 # JSON path lines with a non-list or a non-integer where integers belong
@@ -35,6 +37,10 @@ BAD_JSON_LINES = [
 ]
 PREIMAGE = "2,-1,-1,4,-1,5,-1,-1,-1,-1,3,-1,-1,-1,-1,-1,-1,-1"
 IMAGE = "4,2,-1,-1,-1,-1,-1,5,-1,3,-1,-1,-1,-1,-1,-1,-1,-1"
+# non-members of the plain family of their own rises, and validate's text for each
+NO_FAMILY_NON_MEMBERS = [("2,-2,-1", "prefix sum -1 is negative (index 3)"),
+                         ("1,-3,2,-1,-1", "prefix sum -2 is negative (index 2)"),
+                         ("1,1,-2", "expected 4 steps, got 3")]
 # a batch for the family k = (1, 1): members, malformed, JSON, zero, blank and
 # too short lines
 BATCH_LINES = '1,1,-1,-1\nx\n\n{"steps": [null]}\n1,-1,1,-1\n0,1\n   \n2,-1,-1\n'
@@ -207,6 +213,33 @@ class TestWalk:
             capsys, "walk", "--steps", "3,-2,3,-2,-2", "--family", "kplus"
         )
         assert code == 0 and len(out.strip().split(",")) == 5
+
+    @pytest.mark.parametrize("family", family_grid(3, 3) + [
+        FamilySpec.rational(m, n) for m, n in
+        [(4, 2), (6, 3), (5, 3), (7, 3), (3, 2), (5, 2), (7, 5), (8, 4), (9, 4), (1, 2)]
+    ], ids=str)
+    def test_batch_is_the_tableau_walk(self, capsys, monkeypatch, family):
+        # every path and image: the walk of the family's tilt on the fill of its
+        # skeleton, or that route's error; (7, 5) is a residue no walk handles
+        lines, expected = [], []
+        tableau_walk = {0: walk, 1: walk_plus, -1: walk_minus}.get(family.tilt)
+        for p in enumerate_family(family, permute_k=True).paths:
+            for q in (p, sweep(p)):
+                lines.append(emit_steps(q))
+                try:
+                    t = fill(SWWord.from_steps(skeleton(q, family)))
+                except PathError as exc:
+                    expected.append(f"error: {exc}")
+                    continue
+                expected.append(",".join(map(str, tableau_walk(t))))
+        if family.k:
+            flags = ["--family", family.kind, "--k", emit_steps(family.k)]
+        else:
+            flags = ["--family", "rational", "--m", str(family.m), "--n", str(family.n)]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{x}\n" for x in lines)))
+        code, out, err = run(capsys, "walk", *flags)
+        assert (code, err) == (int(family.tilt is None), "")
+        assert out.splitlines() == expected
 
 
 class TestEnumerate:
@@ -464,20 +497,27 @@ class TestBatch:
         ("invert", "k", (2, 1, 3), 1), ("invert", "kminus", (2, 1, 3), 1),
         ("invert", "kplus", (2, 1, 3), 1), ("sweep", "k", (2, 1, 3), 1),
         ("fill", "kplus", (2, 1, 3), 1), ("rank", "kminus", (2, 1, 3), 1),
-        ("walk", "k", (2, 1, 3), 1),
+        ("walk", "k", (2, 1, 3), 1), ("walk", "kplus", (2, 1, 3), 1),
+        ("walk", "kminus", (2, 1, 3), 1),
     ])
     def test_validate_calls_per_line(self, capsys, monkeypatch, command, kind, k, calls):
         # invert checks its input once, on every kind, and guards its output
-        # without validate; sweep checks membership once, and fill, rank and
-        # walk once in skeleton; the command line adds no check of its own
+        # without validate; sweep and walk check membership once, and fill and
+        # rank once in skeleton; the command line adds no check of its own
         family = FamilySpec(kind, k=k)
         path = enumerate_family(family, permute_k=True).paths[-1]
         line = ",".join(map(str, path))
         monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
-        counted = Counter()
+        counted, staged = Counter(), Counter()
         counting(monkeypatch, counted, (paths, "validate"), (walking, "validate"))
+        # the walk runs invert's pass on the member: no fill, word or tableau walk
+        counting(monkeypatch, staged, (tableau, "fill"), (walking, "fill"), (cli, "fill"),
+                 (SWWord, "from_steps"), (walking, "walk"), (walking, "walk_plus"),
+                 (walking, "walk_minus"))
         code, _, _ = run(capsys, command, "--family", kind, "--k", ",".join(map(str, k)))
         assert code == 0 and counted == {"validate": calls}
+        if command == "walk":
+            assert staged == {}
 
 
 class TestRender:
@@ -605,9 +645,21 @@ class TestFilesAndUsage:
         # batch has no pictures; both refuse before stdin is read
         (["render"], "no input: pass --steps, --sw, or --file"),
         (["fill", "--format", "ascii"], "batch mode does not support --format ascii"),
+        # with no family, fill, rank and walk check the plain family of the
+        # path's rises; these three were filled, ranked and walked unchecked
+        *(([command, "--steps", steps], f"not a member of the family: {error}")
+          for command in ("fill", "rank", "walk") for steps, error in NO_FAMILY_NON_MEMBERS),
     ])
     def test_family_without_its_flags(self, capsys, argv, error):
         assert run(capsys, *argv) == (1, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("command", ["fill", "rank", "walk"])
+    def test_no_family_batch_checks_the_plain_family(self, capsys, monkeypatch, command):
+        lines = "".join(f"{steps}\n" for steps, _ in NO_FAMILY_NON_MEMBERS)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        assert run(capsys, command) == (1, "".join(
+            f"error: not a member of the family: {error}\n"
+            for _, error in NO_FAMILY_NON_MEMBERS), "")
 
     @pytest.mark.parametrize("k", ["1_0", "2.0"])
     def test_k_entries_follow_the_step_token_rule(self, capsys, k):

@@ -641,7 +641,7 @@ class TestOnePassInvert:
         family = FamilySpec(KINDS[tilt], (1,) * drop)
         assert not validate(StepSequence(steps), family, permute_k=True)
         with pytest.raises(WalkError) as exc:
-            walking._tilted_order(steps, drop, tilt) if tilt else walking._flat_order(steps, drop)
+            walking._order(steps, drop, tilt)
         assert str(exc.value) == error
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
@@ -678,7 +678,7 @@ class TestOnePassInvert:
         family = FamilySpec(KINDS[tilt], tuple(rng.randint(1, 10) for _ in range(n)))
         p, drop = uniform_member(family, rng), family.down_drop
         for s in (p.steps, sweep(p).steps):
-            out = walking._tilted_order(s, drop, tilt) if tilt else walking._flat_order(s, drop)
+            out = walking._order(s, drop, tilt)
             assert sorted(out) == list(range(len(s)))
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
@@ -690,7 +690,7 @@ class TestOnePassInvert:
                  for _ in range(rng.randint(0, 15))]
             drop = rng.randint(1, 3)
             try:
-                out = walking._tilted_order(s, drop, tilt) if tilt else walking._flat_order(s, drop)
+                out = walking._order(s, drop, tilt)
             except WalkError:
                 continue
             assert sorted(out) == list(range(len(s))), (s, drop)
