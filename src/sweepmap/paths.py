@@ -419,9 +419,8 @@ def ranks(steps: StepSequence) -> tuple[int, ...]:
 
 def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
     """Tilt a plain path with the family's rises into the plus or minus family,
-    by the lift rule.  The result is a member by skeleton's argument read
-    backwards, so it needs no check.
-    """
+    by the lift rule: a member by skeleton's argument read backwards, with no
+    0 step (FamilySpec refuses n*k_i < 2), so it needs no check."""
     k, n, t = family.k, family.down_drop, family.tilt
     s = _ints(steps)  # read once: validate takes the StepSequence as it is
     d = validate(_unchecked(StepSequence, s), FamilySpec.vector(k))
@@ -432,7 +431,7 @@ def _lift(steps: StepSequence, family: FamilySpec) -> StepSequence:
         if starts.count(0) > 1:
             j = starts.index(0, 1) + 1
             raise PathError(f"rank 0 reappears at index {j}; need a single zero rank")
-    return StepSequence(tuple(_lift_ints(s, n, t)))
+    return _unchecked(StepSequence, tuple(_lift_ints(s, n, t)))
 
 
 def to_plus(steps: StepSequence, k) -> StepSequence:

@@ -3,19 +3,17 @@
 Each walk writes a sequence of a tableau's indices.  Spelling the family's
 letters along it -- an S letter on every top-row index, a W on every other
 -- gives the SW-word of the unique preimage of the filled path under the
-sweep map.  _order picks the walk by the family's tilt, one linear pass over
-a path's ints that returns the 0-based order it writes: _flat_order fills,
-ranks and walks for tilt 0, and _tilted_order fills and walks for tilt +1
-and -1, sliding past flagged entries one at a time.  invert and the command
-line's walk run it on a member; walk, walk_plus and walk_minus, for the
-library and the tests, run it on the word of a tableau of T_k, a fill.  The
-staged fill and rank serve the command line's pictures, and with the
-tests' paper-worded walks they are the passes' oracle.
+sweep map.  _route picks the walk by the family's tilt, one linear pass over
+a path's ints: _flat_order for tilt 0, and for -1 on the path with its final
+drop restored; _tilted_order, which slides, for +1.  invert runs it on a
+member, and through _order so do the command line's walk and the tableau
+walks, on the word of a fill.  The staged fill and rank serve the pictures,
+and with the tests' paper-worded walks they are the passes' oracle.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .paths import (FamilySpec, StepSequence, SWWord, _lift_ints, _member, _tilt, _unchecked,
                     _walk_tilt, validate)
@@ -68,9 +66,7 @@ def walk_plus(t: Tableau) -> tuple[int, ...]:
     write would repeat an index, having written every index 1..size+1
     exactly once.  Runs the tilted pass on the skeleton's word lifted by +1.
     """
-    # lifted with drop 2: any drop keeps each column's room at k_i, and drop 2
-    # keeps the minus walk's rise 2k_i - 1 positive at k_i = 1
-    return tuple(v + 1 for v in _order(_lift_ints(_skeleton_ints(t), 2, 1), 2, 1))
+    return tuple(v + 1 for v in _order(_lift_ints(_skeleton_ints(t), 1, 1), 1, 1))
 
 
 def walk_minus(t: Tableau) -> tuple[int, ...]:
@@ -79,9 +75,9 @@ def walk_minus(t: Tableau) -> tuple[int, ...]:
     Requires a minus-admissible tableau of T_k.  Entries one less than a
     bottom are flagged; first-row boxes jump to their column bottom b and
     write b-1 unconditionally; flagged entries reached from below slide
-    upward to the next normal entry.  Exactly one entry stays unwritten.
-    Runs the tilted pass on the skeleton's word lifted by -1, whose final
-    drop, removed by the lift, the pass restores.
+    upward to the next normal entry.  Exactly one entry, the last, stays
+    unwritten.  Runs the flat pass on the skeleton's word lifted by -1 at
+    drop 2 (rises 2k_i - 1 > 0), its final drop restored after the first step.
     """
     ints = _skeleton_ints(t)
     if not is_minus_admissible(t):
@@ -130,14 +126,38 @@ def _preimage(steps: tuple[int, ...], family: FamilySpec) -> StepSequence:
 
 def _order(s, drop: int, tilt: int) -> list[int]:
     """The 0-based order in which the walk of a family's tilt writes its member s."""
-    return _tilted_order(s, drop, tilt) if tilt else _flat_order(s, drop)
+    out = _route(s, drop, tilt)[1]
+    return [v - (v > 1) for v in out] if tilt < 0 else out  # entry v >= 2 read is s's v - 1
 
 
-def _flat_order(s, drop: int) -> list[int]:
+def _route(s, drop: int, tilt: int) -> tuple:
+    """The steps the walk of a family's tilt reads from its member s, and the
+    0-based order it writes them in: s for tilt 0 and +1; for -1, s with its
+    final drop restored after the first step, less that drop's write.
+
+    For -1, let P be the skeleton of p = s, with drop n.  After u ups at
+    plain level h, p is at level n*h - u, 1 <= u <= n past its first step,
+    so the sweep's order, level then index descending, is (h, index
+    descending), P's plain sweep.  Only P's first step starts at level 0 and
+    the restored drop is the last at 1: P's image is p's with it at index 1,
+    and the plain walk on that writes P, the drop last.  On any ints the pass
+    writes entry 1 last or refuses: entry 0 is alone at rank 0, and entry 1,
+    a drop, reads rank 0, which ends the walk.  P is at level 0 only at its
+    ends, where alone a top meets its bound: its tableau is minus-admissible.
+    """
+    if tilt >= 0:
+        return s, _tilted_order(s, drop) if tilt else _flat_order(s, drop, 0)
+    s = (*s[:1], -drop, *s[1:])
+    out = _flat_order(s, drop, tilt)
+    out.pop()  # entry 1
+    return s, out
+
+
+def _flat_order(s, drop: int, tilt: int) -> list[int]:
     """The 0-based order in which the plain walk writes the entries of a
-    validated tilt-0 path s (rises drop*k_i, drops -drop): fill, rank and
-    walk in one pass.  On any other list of ints it returns a permutation
-    of range(len(s)) or raises WalkError.
+    validated path s (rises drop*k_i + tilt, for tilt 0 or -1, drops -drop):
+    fill, rank and walk in one pass.  On any other list of ints it returns a
+    permutation of range(len(s)) or raises WalkError.
 
     The walk only ever reads the rank after an entry -- the rank of its
     column's last entry for a top, the rank of the entry above for any
@@ -171,7 +191,7 @@ def _flat_order(s, drop: int) -> list[int]:
     try:
         for j, a in enumerate(s):
             if a > 0:
-                e = hi + a // drop
+                e = hi + (a - tilt) // drop
                 add(e)
                 ends[e] += 1
                 continue
@@ -200,58 +220,41 @@ def _flat_order(s, drop: int) -> list[int]:
     return out
 
 
-def _tilted_order(s, drop: int, sign: int) -> list[int]:
-    """The 0-based order in which the plus (sign +1) or minus (sign -1) walk
-    writes the entries of a validated tilt-sign path s (rises drop*k_i + sign,
-    drops -drop): fill and walk in one pass, without unscaling s.
+def _tilted_order(s, drop: int) -> list[int]:
+    """The 0-based order in which the plus walk writes the entries of a
+    validated tilt +1 path s (rises drop*k_i + 1, drops -drop), in one pass.
 
-    The skeleton's entries are s[:-1] for sign +1, whose last step is
-    extend_plus's extra entry, and s with its final drop restored for -1.
-    A rise a opens a column with room for (a - sign) // drop entries below
-    its top, and a drop goes under the bottom at the head of a FIFO of the
-    columns with room.  A column completed at bottom j has its top write
-    j + sign, which is flagged.  The plus extra entry goes under the last
+    The skeleton's entries are s[:-1]; the last step of s is extend_plus's
+    extra entry.  A rise a opens a column with room for (a - 1) // drop
+    entries below its top, and a drop goes under the bottom at the head of
+    a FIFO of the columns with room.  A column completed at bottom j has its
+    top write j + 1, which is flagged.  The extra entry goes under the last
     skeleton entry and leaves its column's designated bottom where it was.
 
     above[v] is then ~w for a top v that writes w, flagged or not, and for
-    any other v the entry above it, from which the walk slides by -sign
-    while the entry is flagged, at most to entry 0 (+1) or size - 1 (-1),
-    which no flag j + sign is.  The walk starts at entry 0, stops at an
-    entry already written (marked None in above) and must have written
-    every entry, or, for the minus walk, all but the last, the restored
-    drop.  No top writes that, and a slide reaches it only from an entry a
-    whose later entries all complete columns: a entered the FIFO last, so
-    the drop went under a, and the walk steps to a only from the drop.
+    any other v the entry above it, from which the walk slides down while
+    the entry is flagged, at most to entry 0, which no flag j + 1 is.  The
+    walk starts at entry 0 and must write every entry before one repeats.
 
     Slides are amortized O(1) per write, for any ints.  Every slide past a
     flagged entry f lands on the first unflagged entry past f.  Each slide
     but the walk's last writes where it lands, no entry twice, so at most
     one of them passes f, and the last passes it at most once more.  A
     column flags at most one entry: slides total 2 * columns steps at most.
-
-    Sign -1 needs no top-row bound check (is_minus_admissible): a top at
-    entry j meets the bound -- the rises k_i of the columns before it, plus
-    one each -- only at plain level 0.  On a validated member with n ups and
-    drop n, the plain level h after u >= 1 ups has tilted level n*h - u >= 0,
-    so h >= 1 until the restored final drop: the skeleton returns to level 0
-    only once, and its tableau is minus-admissible.
     """
-    if sign > 0:
-        steps, size = s[:-1], len(s)
-    else:
-        steps, size = chain(s, (-drop,)), len(s) + 1
+    size = len(s)
     above: list = [0] * size
-    flagged = bytearray(size)  # 1 at each entry bottom + sign
+    flagged = bytearray(size)  # 1 at each entry bottom + 1
     at: list[int] = []  # the FIFO's bottoms, from index head,
     room: list[int] = []  # their columns' entries still to come,
     top: list[int] = []  # and their columns' tops
     add_at, add_room, add_top = at.append, room.append, top.append
     head = 0
     try:
-        for j, a in enumerate(steps):
+        for j, a in enumerate(s[:-1]):
             if a > 0:
                 add_at(j)
-                add_room((a - sign) // drop)
+                add_room((a - 1) // drop)
                 add_top(j)
                 continue
             above[j] = at[head]
@@ -263,17 +266,16 @@ def _tilted_order(s, drop: int, sign: int) -> list[int]:
                 add_room(r)
                 add_top(t)
             else:
-                above[t] = ~(j + sign)
-                flagged[j + sign] = 1
+                above[t] = ~(j + 1)
+                flagged[j + 1] = 1
     except IndexError:  # the FIFO is empty
         raise WalkError(f"no column has room for the drop at entry {j + 1}") from None
     if head != len(at):
         raise WalkError(f"path ends while the column topped by entry {top[head] + 1} is unfilled")
     del at, room, top
-    if sign > 0:
-        if size < 2:  # s[:-1] is empty
-            raise WalkError("path has no column to extend")
-        above[size - 1] = size - 2
+    if size < 2:  # s[:-1] is empty
+        raise WalkError("path has no column to extend")
+    above[size - 1] = size - 2
     out: list[int] = []
     write = out.append
     target = 0
@@ -284,11 +286,10 @@ def _tilted_order(s, drop: int, sign: int) -> list[int]:
             target = ~a
             continue
         while flagged[a]:
-            a -= sign
+            a -= 1
         target = a
-    expected = size - (sign < 0)
-    if len(out) != expected:
-        raise WalkError(f"walk wrote {len(out)} of the expected {expected} entries")
+    if len(out) != size:
+        raise WalkError(f"walk wrote {len(out)} of the expected {size} entries")
     return out
 
 
@@ -297,8 +298,7 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
 
     Accepts any member of the permutation-closed family; rational (m, n)
     paths invert when m mod n is 0, 1 or n - 1, as plain, plus or minus
-    paths.  The family's tilt picks one pass over the path's own ints
-    (_order), and the answer spells s's steps in the order the pass writes.
+    paths.  The answer spells the steps _route's pass reads, in write order.
 
     The input is validated once, by the membership check skeleton and the
     command line share (a raw 0 step or a non-member is refused there with
@@ -306,13 +306,14 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     minimum alone.  Each pass writes no entry twice: _flat_order's counter
     per rank counts down inside that rank's run of entries, and the runs
     are disjoint; _tilted_order marks each written entry None and stops at
-    the first repeat.  A full-length answer is therefore a permutation of
-    the member s -- the family's rises and drops, with total 0 -- so only
-    a negative prefix sum can make it a non-member.  An answer that fails
-    the guard gets the full check, which names what is wrong with it.
+    the first repeat; the minus route leaves out the restored drop.  A
+    full-length answer is thus a permutation of the member s -- the family's
+    rises and drops, total 0 -- so only a negative prefix sum makes it a
+    non-member, and a failing answer gets the full check, which names it.
     """
     s = _member(steps, family).steps
-    out = tuple(map(s.__getitem__, _order(s, family.down_drop, _walk_tilt(family))))
+    read, order = _route(s, family.down_drop, _walk_tilt(family))
+    out = tuple(map(read.__getitem__, order))
     if len(out) == len(s) and min(accumulate(out)) >= 0:
         return _unchecked(StepSequence, out)
     return _preimage(out, family)  # a non-member: refused with validate's diagnostic

@@ -36,13 +36,14 @@ ORACLE = ("src/sweepmap/oracle.py", ("tests/test_oracle.py",))
 
 # (name, old text, new text, status), under the file and tests they mutate
 ROWS = {WALKING: [
-    ("tilted room", "add_room((a - sign) // drop)", "add_room((a + sign) // drop)", "killed"),
-    ("tilted flag", "flagged[j + sign] = 1", "flagged[j] = 1", "killed"),
+    ("tilted room", "add_room((a - 1) // drop)", "add_room((a + 1) // drop)", "killed"),
+    ("tilted flag", "flagged[j + 1] = 1", "flagged[j] = 1", "killed"),
     ("plus extra entry", "above[size - 1] = size - 2", "above[size - 1] = size - 3", "killed"),
-    ("slide sign", "a -= sign", "a += sign", "killed"),
+    ("slide sign", "a -= 1", "a += 1", "killed"),
     ("jump slides", "            target = ~a\n            continue\n", "            a = ~a\n",
      "killed"),
-    ("flat rank end", "e = hi + a // drop", "e = hi + a // drop + 1", "killed"),
+    ("flat rank end", "e = hi + (a - tilt) // drop", "e = hi + (a - tilt) // drop + 1", "killed"),
+    ("flat room tilt", "e = hi + (a - tilt) // drop", "e = hi + a // drop", "killed"),
     ("flat end count", "ends[e] += 1", "ends[e - 1] += 1", "killed"),
     ("flat run length", "hi + 1, j - floor[-1] - 1 - ends[hi]", "hi + 1, j - floor[-1] - ends[hi]",
      "killed"),
@@ -50,15 +51,12 @@ ROWS = {WALKING: [
     ("flat no bottom", "if left < 0:", "if False:", "killed"),
     # equivalent: the walk's counter per rank counts down inside that rank's
     # run of entries and the runs are disjoint, so it writes at most size entries
-    ("flat length", "if len(out) != size:", "if len(out) < size:", "equivalent"),
+    ("flat length", "if len(out) != size:\n        raise WalkError(f\"walk stopped",
+     "if len(out) < size:\n        raise WalkError(f\"walk stopped", "equivalent"),
     # equivalent: each entry is written at most once (marked None), so the plus
-    # walk writes at most size entries; a minus walk of size entries would
-    # write the restored drop, the last entry.  No entry lies below it, and no
-    # top writes it (a top writes its bottom - 1); only a slide can land there,
-    # from an entry a with a+1..size-1 all completing columns.  By FIFO order
-    # the drop under a then completes a's column last, so it is the restored
-    # drop itself, and the walk reaches it only from itself
-    ("tilted length", "if len(out) != expected:", "if len(out) < expected:", "equivalent"),
+    # walk writes at most size entries
+    ("tilted length", "if len(out) != size:\n        raise WalkError(f\"walk wrote",
+     "if len(out) < size:\n        raise WalkError(f\"walk wrote", "equivalent"),
     ("skeleton heights", "ints[col[0] - 1] = len(col) - 1", "ints[col[0] - 1] = len(col)",
      "killed"),
     ("fill comparison", "if fill(SWWord.from_steps(ints)) == t:",
@@ -66,8 +64,11 @@ ROWS = {WALKING: [
     ("minus admissibility", "if not is_minus_admissible(t):", "if False:", "killed"),
     ("minus drop 1", "_lift_ints(ints, 2, -1), 2, -1)", "_lift_ints(ints, 1, -1), 1, -1)",
      "killed"),
-    ("order branches", "_tilted_order(s, drop, tilt) if tilt else _flat_order(s, drop)",
-     "_flat_order(s, drop) if tilt else _tilted_order(s, drop, tilt)", "killed"),
+    ("order branches", "_tilted_order(s, drop) if tilt else _flat_order(s, drop, 0)",
+     "_flat_order(s, drop, 0) if tilt else _tilted_order(s, drop)", "killed"),
+    # the restored drop appended at the end, and the route's order keeping its write
+    ("minus drop at end", "s = (*s[:1], -drop, *s[1:])", "s = (*s, -drop)", "killed"),
+    ("minus drop written", "    out.pop()  # entry 1\n", "", "killed"),
     ("guard length", "if len(out) == len(s) and min(accumulate(out)) >= 0:",
      "if min(accumulate(out)) >= 0:", "killed"),
     ("preimage refusal", "    if not d:\n", "    if False:\n", "killed"),

@@ -511,6 +511,7 @@ STAGES = ((paths, "validate"), (walking, "validate"), (paths, "skeleton"),
           (walking, "sigma_to_preimage"))
 TILTS = (0, -1, 1)
 KINDS = {0: "k", -1: "kminus", 1: "kplus"}
+PASSES = {0: "_flat_order", -1: "_flat_order", 1: "_tilted_order"}  # each tilt's pass
 
 
 def off_tilt(k, n, tilt):
@@ -548,11 +549,12 @@ class TestOnePassInvert:
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
     def test_runs_no_stage_and_validates_once(self, monkeypatch, tilt):
+        # and runs its tilt's pass once: the minus route the flat pass, not the tilted one
         calls = Counter()
-        counting(monkeypatch, calls, *STAGES)
+        counting(monkeypatch, calls, *STAGES, (walking, "_flat_order"), (walking, "_tilted_order"))
         for family, p in NO_STAGE[tilt]:
             assert invert(sweep(p), family).steps == p
-        assert calls == Counter(validate=2)
+        assert calls == Counter({"validate": 2, PASSES[tilt]: 2})
 
     @pytest.mark.parametrize("tilt, family", CLOSURES,
                              ids=[f"{f.kind}{f.k or (f.m, f.n)}" for _, f in CLOSURES])
@@ -622,16 +624,17 @@ class TestOnePassInvert:
         (0, (5, -1), 1, "the column topped by entry 1 is longer than the path"),
         # a top whose column would end at rank 2, in a path of ranks 0 and 1
         (0, (2, -1), 1, "walk reads rank 2, past the last rank 1"),
+        # tilt -1 runs the flat pass on s with a drop restored after its first step:
         # the skeleton 1,-1,1,-1 returns to level 0 twice, which validate
-        # refuses: its first top writes itself and the walk stops there
-        (-1, (1, -2, 1), 2, "walk wrote 1 of the expected 3 entries"),
+        # refuses; read as 1,-2,-2,1 its second drop finds no bottom
+        (-1, (1, -2, 1), 2, "a drop finds no column with room"),
         # not Dyck: a first drop, and a drop past the columns' room
-        (-1, (-2, 3, -2), 2, "no column has room for the drop at entry 1"),
-        (-1, (1, -2, -2, 3, -2), 2, "no column has room for the drop at entry 3"),
+        (-1, (-2, 3, -2), 2, "a drop finds no column with room"),
+        (-1, (1, -2, -2, 3, -2), 2, "a drop finds no column with room"),
         (1, (-2, 3, -2, -2, 3), 2, "no column has room for the drop at entry 1"),
         (1, (3, -2, -2, 3, -2, -2), 2, "no column has room for the drop at entry 3"),
-        # a rise of k = 3 that two drops leave unfilled
-        (-1, (5, -2), 2, "path ends while the column topped by entry 1 is unfilled"),
+        # a rise of k = 3 that two drops leave unfilled: its column ends at rank 3
+        (-1, (5, -2), 2, "walk reads rank 3, past the last rank 2"),
         # a rise of k = 2 that one drop leaves unfilled: the last step is the extra entry
         (1, (5, -2, -2), 2, "path ends while the column topped by entry 1 is unfilled"),
         # no column for extend_plus's entry to go under
@@ -646,10 +649,11 @@ class TestOnePassInvert:
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
     def test_guard_refuses_what_the_pass_misspells(self, monkeypatch, tilt):
-        # a pass that writes the drops first: only _preimage's membership guard
-        # sees it, on a family of drop 1
-        monkeypatch.setattr(walking, "_tilted_order" if tilt else "_flat_order",
-                            lambda s, *_: sorted(range(len(s)), key=s.__getitem__))
+        # a pass that writes the drops first, and for tilt -1 the restored drop,
+        # entry 1, last: only _preimage's membership guard sees it, on a family
+        # of drop 1
+        monkeypatch.setattr(walking, PASSES[tilt], lambda s, *_: sorted(
+            range(len(s)), key=lambda i: (tilt < 0 and i == 1, s[i])))
         family = FamilySpec(KINDS[tilt], (2,) if tilt < 0 else (1,))
         with pytest.raises(WalkError) as exc:
             invert(enumerate_family(family).paths[0], family)
@@ -658,10 +662,11 @@ class TestOnePassInvert:
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
     def test_guard_refuses_a_short_answer(self, monkeypatch, tilt):
-        # a pass that leaves out the last drop: every prefix sum stays >= 0,
-        # so only the length check sees it, and validate names the total
-        monkeypatch.setattr(walking, "_tilted_order" if tilt else "_flat_order",
-                            lambda s, *_: range(len(s) - 1))
+        # a pass that leaves out the last drop (for tilt -1 it writes entry 1
+        # last): every prefix sum stays >= 0, so only the length check sees it,
+        # and validate names the total
+        monkeypatch.setattr(walking, PASSES[tilt], lambda s, *_: (
+            [0, *range(2, len(s) - 1), 1] if tilt < 0 else range(len(s) - 1)))
         family, p = NO_STAGE[tilt][0]
         with pytest.raises(WalkError) as exc:
             invert(sweep(p), family)
@@ -694,6 +699,38 @@ class TestOnePassInvert:
             except WalkError:
                 continue
             assert sorted(out) == list(range(len(s))), (s, drop)
+
+
+MINUS_CLOSURES = [family for tilt, family in CLOSURES if tilt < 0]
+
+
+class TestMinusRoute:
+    """The minus walk is the plain walk on the member with its final drop
+    restored after the first step (walking._route): the flat pass there must
+    write what the paper-worded minus walk writes, the restored drop last."""
+
+    @pytest.mark.parametrize("family", MINUS_CLOSURES,
+                             ids=[f"{f.kind}{f.k or (f.m, f.n)}" for f in MINUS_CLOSURES])
+    def test_every_closure_in_the_oracle_bounds(self, family):
+        for path in enumerate_family(family, permute_k=True).paths:
+            for p in (path, sweep(path)):
+                t = fill(SWWord.from_steps(skeleton(p, family)))
+                sigma = flag_slide_walk(t, -1)
+                assert walk_minus(t) == sigma
+                assert tuple(v + 1 for v in walking._order(p.steps, family.down_drop, -1)) == sigma
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 150), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_members(self, n, seed):
+        # up to about 10^3 steps
+        rng = random.Random(seed)
+        family = FamilySpec.minus(tuple(rng.randint(1, 10) for _ in range(n)))
+        p = uniform_member(family, rng)
+        drop = family.down_drop
+        for s in (p.steps, sweep(p).steps):
+            assert walking._flat_order((s[0], -drop, *s[1:]), drop, -1)[-1] == 1
+        assert invert(sweep(p), family) == p
+        assert sweep(invert(p, family)) == p
 
 
 class TestWrittenOrderLaw:
