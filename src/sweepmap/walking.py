@@ -5,9 +5,10 @@ letters along it -- an S letter on every top-row index, a W on every other
 -- gives the SW-word of the unique preimage of the filled path under the
 sweep map.  _route picks the walk by the family's tilt, one linear pass over
 a path's ints: _flat_order for tilt 0, and for -1 on the path with its final
-drop restored; _tilted_order, which slides, for +1.  invert runs it on a
-member, and through _order so do the command line's walk and the tableau
-walks, on the word of a fill.  The staged fill and rank serve the pictures,
+drop restored; for +1 its twin _upward_order, which writes each rank from
+its smallest entry.  No pass slides.  invert runs it on a member, and
+through _order so do the command line's walk and the tableau walks, on
+the word of a fill.  The staged fill and rank serve the pictures,
 and with the tests' paper-worded walks they are the passes' oracle.
 """
 
@@ -55,16 +56,11 @@ def walk(t: Tableau) -> tuple[int, ...]:
 def walk_plus(t: Tableau) -> tuple[int, ...]:
     """Walk for the plus family, on a tableau of T_k as extend_plus extends it.
 
-    Index size+1 goes directly under the largest entry.  Each column's
-    designated bottom is its last entry in t, so the extended column's is
-    the entry above size+1.  Entries one more than a designated bottom are
-    flagged.  Start by writing 1.  From a first-row box read the designated
-    bottom b of the column and write entry b+1 -- written even when b+1 is
-    flagged.  From any other box step up one box; a normal entry there is
-    written, a flagged entry r slides down to r-1, r-2, ... until a normal
-    entry appears, and that one is written.  The walk stops when its next
-    write would repeat an index, having written every index 1..size+1
-    exactly once.  Runs the tilted pass on the skeleton's word lifted by +1.
+    The paper words it with flags and slides (extend_plus's index size+1
+    under the largest entry, and entries one more than a column's bottom
+    flagged); it writes every index 1..size+1 once.  Runs the upward pass on
+    the skeleton's word lifted by +1: the plain walk, each rank written from
+    its smallest entry (see _route).
     """
     return tuple(v + 1 for v in _order(_lift_ints(_skeleton_ints(t), 1, 1), 1, 1))
 
@@ -135,18 +131,23 @@ def _route(s, drop: int, tilt: int) -> tuple:
     0-based order it writes them in: s for tilt 0 and +1; for -1, s with its
     final drop restored after the first step, less that drop's write.
 
-    For -1, let P be the skeleton of p = s, with drop n.  After u ups at
-    plain level h, p is at level n*h - u, 1 <= u <= n past its first step,
-    so the sweep's order, level then index descending, is (h, index
-    descending), P's plain sweep.  Only P's first step starts at level 0 and
-    the restored drop is the last at 1: P's image is p's with it at index 1,
-    and the plain walk on that writes P, the drop last.  On any ints the pass
-    writes entry 1 last or refuses: entry 0 is alone at rank 0, and entry 1,
-    a drop, reads rank 0, which ends the walk.  P is at level 0 only at its
-    ends, where alone a top meets its bound: its tableau is minus-admissible.
+    Let P be the skeleton of p = s, with drop n and tilt t.  After u ups at
+    plain level h, p is at level n*h + t*u, 0 <= u <= n, and two steps at
+    one h have an up between them.  For +1, n*h + u <= n*(h + 1), equal only
+    at u = n, and only p's first step has u = 0: the sweep's order is (h,
+    index ascending), p's extra drop, at h = 0 and u = n, the last at rank
+    0, and the plain walk writing each rank's smallest unwritten entry
+    writes p.  For -1, u >= 1 past the first step, so the order, level then
+    index descending, is (h, index descending), P's plain sweep.  Only P's
+    first step starts at level 0 and the restored drop is the last at 1: P's
+    image is p's with it at index 1, and the plain walk on that writes P,
+    the drop last.  On any ints the pass writes entry 1 last or refuses:
+    entry 0 is alone at rank 0, and entry 1, a drop, reads rank 0, which
+    ends the walk.  P is at level 0 only at its ends, where alone a top
+    meets its bound: its tableau is minus-admissible.
     """
     if tilt >= 0:
-        return s, _tilted_order(s, drop) if tilt else _flat_order(s, drop, 0)
+        return s, _upward_order(s, drop) if tilt else _flat_order(s, drop, 0)
     s = (*s[:1], -drop, *s[1:])
     out = _flat_order(s, drop, tilt)
     out.pop()  # entry 1
@@ -180,7 +181,7 @@ def _flat_order(s, drop: int, tilt: int) -> list[int]:
 
     Each rank is one run of entries, and the walk writes its largest
     unwritten entry with a counter per rank, floored at the last entry of
-    the rank before.
+    the rank before.  Its twin _upward_order counts up.
     """
     size = len(s)
     after: list[int] = []  # the rank the walk reads after writing each entry
@@ -215,81 +216,67 @@ def _flat_order(s, drop: int, tilt: int) -> list[int]:
             r = after[cur]
     except IndexError:  # a column's last rank that no entry has
         raise WalkError(f"walk reads rank {r}, past the last rank {hi}") from None
-    if len(out) != size:
+    if len(out) < size:
         raise WalkError(f"walk stopped after {len(out)} of {size} writes")
     return out
 
 
-def _tilted_order(s, drop: int) -> list[int]:
+def _upward_order(s, drop: int) -> list[int]:
     """The 0-based order in which the plus walk writes the entries of a
-    validated tilt +1 path s (rises drop*k_i + 1, drops -drop), in one pass.
+    validated tilt +1 path s (rises drop*k_i + 1, drops -drop), in one pass:
+    _flat_order's twin, whose walk writes each rank's smallest unwritten
+    entry (see _route).  On any other ints it returns a permutation of
+    range(len(s)) or raises WalkError.
 
-    The skeleton's entries are s[:-1]; the last step of s is extend_plus's
-    extra entry.  A rise a opens a column with room for (a - 1) // drop
-    entries below its top, and a drop goes under the bottom at the head of
-    a FIFO of the columns with room.  A column completed at bottom j has its
-    top write j + 1, which is flagged.  The extra entry goes under the last
-    skeleton entry and leaves its column's designated bottom where it was.
-
-    above[v] is then ~w for a top v that writes w, flagged or not, and for
-    any other v the entry above it, from which the walk slides down while
-    the entry is flagged, at most to entry 0, which no flag j + 1 is.  The
-    walk starts at entry 0 and must write every entry before one repeats.
-
-    Slides are amortized O(1) per write, for any ints.  Every slide past a
-    flagged entry f lands on the first unflagged entry past f.  Each slide
-    but the walk's last writes where it lands, no entry twice, so at most
-    one of them passes f, and the last passes it at most once more.  A
-    column flags at most one entry: slides total 2 * columns steps at most.
+    After a rise a at rank hi the walk reads rank hi + (a - 1) // drop, and
+    after a drop the rank below, -1 after the extra drop.  Every step but
+    the first follows one that ends at its level -- a drop, or a rise whose
+    column ends there -- and every such step has one after it, the last the
+    extra drop: rank r + 1 holds the entries of rank r, less the columns
+    ending at rank r and 1 at r = 0, as drops, and rank 0 holds one.  A
+    level's last step is a drop, so each run ends with its last drop: the
+    fill counts the drops left in the latest rank.  Rank -1, and the rank
+    past the last, read an empty sentinel counter.
     """
     size = len(s)
-    above: list = [0] * size
-    flagged = bytearray(size)  # 1 at each entry bottom + 1
-    at: list[int] = []  # the FIFO's bottoms, from index head,
-    room: list[int] = []  # their columns' entries still to come,
-    top: list[int] = []  # and their columns' tops
-    add_at, add_room, add_top = at.append, room.append, top.append
-    head = 0
-    try:
-        for j, a in enumerate(s[:-1]):
-            if a > 0:
-                add_at(j)
-                add_room((a - 1) // drop)
-                add_top(j)
-                continue
-            above[j] = at[head]
-            r = room[head] - 1
-            t = top[head]
-            head += 1
-            if r:
-                add_at(j)
-                add_room(r)
-                add_top(t)
-            else:
-                above[t] = ~(j + 1)
-                flagged[j + 1] = 1
-    except IndexError:  # the FIFO is empty
-        raise WalkError(f"no column has room for the drop at entry {j + 1}") from None
-    if head != len(at):
-        raise WalkError(f"path ends while the column topped by entry {top[head] + 1} is unfilled")
-    del at, room, top
-    if size < 2:  # s[:-1] is empty
+    if size < 2:  # a member has a rise and the extra drop at least
         raise WalkError("path has no column to extend")
-    above[size - 1] = size - 2
+    after: list[int] = []  # the rank the walk reads after writing each entry
+    add = after.append
+    ends = [0] * (size + 2)  # the number of columns whose last entry has each rank
+    ends[0] = 1  # the first step's, which follows no step
+    start = [0]  # the first entry of each rank's run
+    lo, hi, left = -1, 0, 1  # drops of rank hi read lo = hi - 1, left of them to come
+    try:
+        for j, a in enumerate(s):
+            if a > 0:
+                e = hi + (a - 1) // drop
+                add(e)
+                ends[e] += 1
+                continue
+            add(lo)
+            left -= 1
+            if not left:  # entry j ends rank hi
+                lo, hi, left = hi, hi + 1, j + 1 - start[-1] - ends[hi]
+                start.append(j + 1)
+    except IndexError:  # ends[e] for e past size + 1
+        raise WalkError(f"the column topped by entry {j + 1} is longer than the path") from None
+    if start[-1] != size:
+        raise WalkError(f"path ends inside rank {hi}")
+    # the smallest unwritten entry of each rank, and the entry past its run; then rank -1's
+    nxt, stop = [*start[:-1], size], [*start[1:], size]
     out: list[int] = []
     write = out.append
-    target = 0
-    while (a := above[target]) is not None:
-        above[target] = None
-        write(target)
-        if a < 0:
-            target = ~a
-            continue
-        while flagged[a]:
-            a -= 1
-        target = a
-    if len(out) != size:
-        raise WalkError(f"walk wrote {len(out)} of the expected {size} entries")
+    r = 0  # the walk starts with entry 0
+    try:
+        while (cur := nxt[r]) != stop[r]:
+            nxt[r] = cur + 1
+            write(cur)
+            r = after[cur]
+    except IndexError:  # a column's last rank that no entry has
+        raise WalkError(f"walk reads rank {r}, past the last rank {lo}") from None
+    if len(out) < size:
+        raise WalkError(f"walk stopped after {len(out)} of {size} writes")
     return out
 
 
@@ -303,13 +290,12 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     The input is validated once, by the membership check skeleton and the
     command line share (a raw 0 step or a non-member is refused there with
     their text), and the answer is guarded by its length and running
-    minimum alone.  Each pass writes no entry twice: _flat_order's counter
-    per rank counts down inside that rank's run of entries, and the runs
-    are disjoint; _tilted_order marks each written entry None and stops at
-    the first repeat; the minus route leaves out the restored drop.  A
-    full-length answer is thus a permutation of the member s -- the family's
-    rises and drops, total 0 -- so only a negative prefix sum makes it a
-    non-member, and a failing answer gets the full check, which names it.
+    minimum alone.  Each pass writes no entry twice: its counter per rank
+    stays inside that rank's run of entries, and the runs are disjoint; the
+    minus route leaves out the restored drop.  A full-length answer is thus
+    a permutation of the member s -- the family's rises and drops, total 0
+    -- so only a negative prefix sum makes it a non-member, and a failing
+    answer gets the full check, which names it.
     """
     s = _member(steps, family).steps
     read, order = _route(s, family.down_drop, _walk_tilt(family))

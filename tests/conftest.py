@@ -158,6 +158,12 @@ def flag_slide_walk(t, sign, slides=None):
     step up one box, and while the entry there is flagged, move on to the
     entry sign less.  Stop when the next write would repeat an entry.  A
     list passed as slides gets the walk's count of those moves appended.
+
+    Slides are amortized O(1) per write: a walk takes at most 2 slide steps
+    per column.  Every slide past a flagged entry f lands on the first
+    unflagged entry past f.  Each slide but the walk's last writes where it
+    lands, no entry twice, so at most one of them passes f, and the last
+    passes it at most once more.  A column flags at most one entry.
     """
     size = t.size
     jump = {col[0]: (col[-2] if sign > 0 and col[-1] == size else col[-1]) + sign

@@ -36,27 +36,23 @@ ORACLE = ("src/sweepmap/oracle.py", ("tests/test_oracle.py",))
 
 # (name, old text, new text, status), under the file and tests they mutate
 ROWS = {WALKING: [
-    ("tilted room", "add_room((a - 1) // drop)", "add_room((a + 1) // drop)", "killed"),
-    ("tilted flag", "flagged[j + 1] = 1", "flagged[j] = 1", "killed"),
-    ("plus extra entry", "above[size - 1] = size - 2", "above[size - 1] = size - 3", "killed"),
-    ("slide sign", "a -= 1", "a += 1", "killed"),
-    ("jump slides", "            target = ~a\n            continue\n", "            a = ~a\n",
-     "killed"),
     ("flat rank end", "e = hi + (a - tilt) // drop", "e = hi + (a - tilt) // drop + 1", "killed"),
     ("flat room tilt", "e = hi + (a - tilt) // drop", "e = hi + a // drop", "killed"),
-    ("flat end count", "ends[e] += 1", "ends[e - 1] += 1", "killed"),
+    ("flat end count", "(a - tilt) // drop\n                add(e)\n                ends[e] += 1",
+     "(a - tilt) // drop\n                add(e)\n                ends[e - 1] += 1", "killed"),
     ("flat run length", "hi + 1, j - floor[-1] - 1 - ends[hi]", "hi + 1, j - floor[-1] - ends[hi]",
      "killed"),
     ("flat run ends", "hi + 1, j - floor[-1] - 1 - ends[hi]", "hi + 1, j - floor[-1] - 1", "killed"),
     ("flat no bottom", "if left < 0:", "if False:", "killed"),
-    # equivalent: the walk's counter per rank counts down inside that rank's
-    # run of entries and the runs are disjoint, so it writes at most size entries
-    ("flat length", "if len(out) != size:\n        raise WalkError(f\"walk stopped",
-     "if len(out) < size:\n        raise WalkError(f\"walk stopped", "equivalent"),
-    # equivalent: each entry is written at most once (marked None), so the plus
-    # walk writes at most size entries
-    ("tilted length", "if len(out) != size:\n        raise WalkError(f\"walk wrote",
-     "if len(out) < size:\n        raise WalkError(f\"walk wrote", "equivalent"),
+    ("up room", "e = hi + (a - 1) // drop", "e = hi + a // drop", "killed"),
+    ("up rank-0 drops", "lo, hi, left = -1, 0, 1", "lo, hi, left = -1, 0, 2", "killed"),
+    ("up first step", "ends[0] = 1", "ends[0] = 0", "killed"),
+    ("up run length", "j + 1 - start[-1] - ends[hi]", "j - start[-1] - ends[hi]", "killed"),
+    ("up counter", "nxt[r] = cur + 1", "nxt[r] = cur - 1", "killed"),
+    ("up sentinel", "nxt, stop = [*start[:-1], size], [*start[1:], size]",
+     "nxt, stop = start[:-1], start[1:]", "killed"),
+    ("up inside rank", "if start[-1] != size:", "if False:", "killed"),
+    ("up no column", "if size < 2:", "if False:", "killed"),
     ("skeleton heights", "ints[col[0] - 1] = len(col) - 1", "ints[col[0] - 1] = len(col)",
      "killed"),
     ("fill comparison", "if fill(SWWord.from_steps(ints)) == t:",
@@ -64,8 +60,8 @@ ROWS = {WALKING: [
     ("minus admissibility", "if not is_minus_admissible(t):", "if False:", "killed"),
     ("minus drop 1", "_lift_ints(ints, 2, -1), 2, -1)", "_lift_ints(ints, 1, -1), 1, -1)",
      "killed"),
-    ("order branches", "_tilted_order(s, drop) if tilt else _flat_order(s, drop, 0)",
-     "_flat_order(s, drop, 0) if tilt else _tilted_order(s, drop)", "killed"),
+    ("order branches", "_upward_order(s, drop) if tilt else _flat_order(s, drop, 0)",
+     "_flat_order(s, drop, 0) if tilt else _upward_order(s, drop)", "killed"),
     # the restored drop appended at the end, and the route's order keeping its write
     ("minus drop at end", "s = (*s[:1], -drop, *s[1:])", "s = (*s, -drop)", "killed"),
     ("minus drop written", "    out.pop()  # entry 1\n", "", "killed"),

@@ -410,8 +410,8 @@ class TestInvert:
 
 
 class TestLargeRoundTrips:
-    """Both round trips at N up to about 10^4, where the plus and minus
-    walks take slides far longer than any the small grids reach."""
+    """Both round trips at N up to about 10^4, where ranks hold far longer
+    runs of entries than any the small grids reach."""
 
     @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
     def test_uniform_members(self, kind):
@@ -443,7 +443,7 @@ class TestLargeRoundTrips:
 
     @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
     def test_ups_first(self, kind):
-        # every up step before every down step: the longest slides
+        # every up step before every down step: the longest runs of one rank
         k = tuple(random.Random(kind).randint(1, 10) for _ in range(1000))
         plain = StepSequence(k + (-1,) * sum(k))
         p = {"k": plain, "kplus": to_plus(plain, k), "kminus": to_minus(plain, k)}[kind]
@@ -511,7 +511,7 @@ STAGES = ((paths, "validate"), (walking, "validate"), (paths, "skeleton"),
           (walking, "sigma_to_preimage"))
 TILTS = (0, -1, 1)
 KINDS = {0: "k", -1: "kminus", 1: "kplus"}
-PASSES = {0: "_flat_order", -1: "_flat_order", 1: "_tilted_order"}  # each tilt's pass
+PASSES = {0: "_flat_order", -1: "_flat_order", 1: "_upward_order"}  # each tilt's pass
 
 
 def off_tilt(k, n, tilt):
@@ -545,13 +545,13 @@ UPS_FIRST = {"k-1": (0, (1,)), "k-1x2000": (0, (1,) * 2000), "kminus-1,1": (-1, 
 class TestOnePassInvert:
     """invert on a family of tilt t -- the k, kminus or kplus kind, rational
     (kn + t, n) -- runs one pass over the path's own ints, _flat_order or
-    _tilted_order; it must write what the staged route writes."""
+    _upward_order; it must write what the staged route writes."""
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
     def test_runs_no_stage_and_validates_once(self, monkeypatch, tilt):
-        # and runs its tilt's pass once: the minus route the flat pass, not the tilted one
+        # and runs its tilt's pass once: the minus route the flat pass, the plus route the upward one
         calls = Counter()
-        counting(monkeypatch, calls, *STAGES, (walking, "_flat_order"), (walking, "_tilted_order"))
+        counting(monkeypatch, calls, *STAGES, (walking, "_flat_order"), (walking, "_upward_order"))
         for family, p in NO_STAGE[tilt]:
             assert invert(sweep(p), family).steps == p
         assert calls == Counter({"validate": 2, PASSES[tilt]: 2})
@@ -631,12 +631,21 @@ class TestOnePassInvert:
         # not Dyck: a first drop, and a drop past the columns' room
         (-1, (-2, 3, -2), 2, "a drop finds no column with room"),
         (-1, (1, -2, -2, 3, -2), 2, "a drop finds no column with room"),
-        (1, (-2, 3, -2, -2, 3), 2, "no column has room for the drop at entry 1"),
-        (1, (3, -2, -2, 3, -2, -2), 2, "no column has room for the drop at entry 3"),
+        # tilt +1 runs the upward pass: a first drop closes rank 0, which
+        # leaves rank 1 no drop to close it; and rank 1's one drop closes it,
+        # leaving rank 2 none
+        (1, (-2, 3, -2, -2, 3), 2, "path ends inside rank 1"),
+        (1, (3, -2, -2, 3, -2, -2), 2, "path ends inside rank 2"),
         # a rise of k = 3 that two drops leave unfilled: its column ends at rank 3
         (-1, (5, -2), 2, "walk reads rank 3, past the last rank 2"),
-        # a rise of k = 2 that one drop leaves unfilled: the last step is the extra entry
-        (1, (5, -2, -2), 2, "path ends while the column topped by entry 1 is unfilled"),
+        # a rise of k = 2 that one drop leaves unfilled: its column ends at rank 2,
+        # past the last rank 1, which reads the empty counter of rank -1
+        (1, (5, -2, -2), 2, "walk stopped after 1 of 3 writes"),
+        # a rise of k = 2 at drop 1 in a path of rank 0 alone: its column ends at
+        # rank 2, past rank 1, the sentinel's
+        (1, (3, -1), 1, "walk reads rank 2, past the last rank 0"),
+        # a column of 8 entries below its top in a path of 3 entries
+        (1, (9, -1, -1), 1, "the column topped by entry 1 is longer than the path"),
         # no column for extend_plus's entry to go under
         (1, (-2,), 2, "path has no column to extend"),
     ])
@@ -733,6 +742,39 @@ class TestMinusRoute:
         assert sweep(invert(p, family)) == p
 
 
+PLUS_CLOSURES = [family for tilt, family in CLOSURES if tilt > 0]
+
+
+class TestPlusRoute:
+    """The plus walk is the plain walk writing each rank from its smallest
+    entry (walking._route): the upward pass must write what the paper-worded
+    plus walk writes on extend_plus's tableau, the extra drop last."""
+
+    @pytest.mark.parametrize("family", PLUS_CLOSURES,
+                             ids=[f"{f.kind}{f.k or (f.m, f.n)}" for f in PLUS_CLOSURES])
+    def test_every_closure_in_the_oracle_bounds(self, family):
+        for path in enumerate_family(family, permute_k=True).paths:
+            for p in (path, sweep(path)):
+                t = fill(SWWord.from_steps(skeleton(p, family)))
+                sigma = flag_slide_walk(extend_plus(t), 1)
+                assert walk_plus(t) == sigma
+                assert tuple(v + 1 for v in walking._order(p.steps, family.down_drop, 1)) == sigma
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_members(self, n, seed):
+        # up to about 10^3 steps; a member's first drop, the last entry of rank 0,
+        # is its preimage's extra drop, written last
+        rng = random.Random(seed)
+        family = FamilySpec.plus(tuple(rng.randint(1, 10) for _ in range(n)))
+        p = uniform_member(family, rng)
+        drop = family.down_drop
+        for s in (p.steps, sweep(p).steps):
+            assert walking._upward_order(s, drop)[-1] == s.index(-drop)
+        assert invert(sweep(p), family) == p
+        assert sweep(invert(p, family)) == p
+
+
 class TestWrittenOrderLaw:
     def test_walk_ranks_spell_the_preimage_levels(self):
         # the j-th written index has the rank of the preimage's j-th step
@@ -761,8 +803,8 @@ def slide_steps(p, family):
 
 
 class TestSlideBound:
-    """_tilted_order's docstring proves that one walk takes at most 2 slide
-    steps per column; the paper-worded walk counts its steps."""
+    """conftest.flag_slide_walk's docstring proves that one paper-worded walk
+    takes at most 2 slide steps per column; the walk counts its steps."""
 
     @pytest.mark.parametrize("family", [
         *(FamilySpec.minus(k) for k in k_multisets(4, 3) if all(len(k) * v >= 2 for v in k)),
