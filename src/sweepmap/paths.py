@@ -271,6 +271,8 @@ class FamilySpec(_Record):
             tilt = 0 if r == 0 else 1 if r == 1 and m > n else -1 if r == n - 1 else None
             rises, drop = (m,) * n, n
         else:
+            if (m, n) != (0, 0):  # a stray m or n would be a compared field
+                raise PathError(f"{kind} families take a rise vector, not (m, n)")
             try:  # ints only: 2.5 would be truncated, and True becomes 1
                 k = tuple(map(operator.index, k))
             except TypeError:

@@ -1,11 +1,11 @@
 """Mutation check of src/sweepmap against the test files that should kill each mutant.
 
-Each row of MUTANTS names a source file and its test files, and replaces one
-text of that file, which must occur there exactly once.  Every mutant runs in
-a temporary copy of src/, tests/ and pyproject.toml with `pytest -x -q` on
-the row's test files only, so a row does not cost a full tier-1 and the
-repository gains no cache or Hypothesis database.  A mutant is killed when
-that run fails.  A row's status says what must happen: "killed", or
+Each row of MUTANTS names a source file and its test files (or test ids), and
+replaces one text of that file, which must occur there exactly once.  Every
+mutant runs in a temporary copy of src/, tests/, pyproject.toml and README.md
+with `pytest -x -q` on the row's tests only, so a row does not cost a full
+tier-1 and the repository gains no cache or Hypothesis database.  A mutant is
+killed when that run fails.  A row's status says what must happen: "killed", or
 "equivalent", for a mutant that no input can tell from the code, with the
 argument in its comment.  The script prints one line per mutant and exits 1
 when a "killed" row survives, an "equivalent" row is killed, or a text is
@@ -33,6 +33,10 @@ WALKING = ("src/sweepmap/walking.py", ("tests/test_walking.py",))
 PATHS = ("src/sweepmap/paths.py", ("tests/test_paths.py",))
 SWEEP = ("src/sweepmap/sweep.py", ("tests/test_sweep.py",))
 ORACLE = ("src/sweepmap/oracle.py", ("tests/test_oracle.py",))
+CLI = ("src/sweepmap/cli.py", ("tests/test_cli.py",))
+# refusals pinned with their texts in test_public's tables
+REFUSALS = ("src/sweepmap/paths.py", ("tests/test_public.py::test_refusal_texts",
+                                      "tests/test_public.py::test_bad_steps_raise_path_error"))
 
 # (name, old text, new text, status), under the file and tests they mutate
 ROWS = {WALKING: [
@@ -76,12 +80,30 @@ ROWS = {WALKING: [
      "killed"),
     ("zero step", "    if 0 in s:\n", "    if False:\n", "killed"),
     ("negative prefix", "if min(levels) < 0:", "if min(levels) < -1:", "killed"),
+    ("drop size", "if len(ups) + s.count(-drop) != len(s):", "if False:", "killed"),
+    ("up count", "if len(ups) != len(expected):", "if False:", "killed"),
+    ("permuted rises", "if tuple(sorted(ups)) != family.sorted_rises:", "if False:", "killed"),
+    ("family tilt", "tilt = _TILT.get(kind, 0)", "tilt = _TILT.get(kind)", "killed"),
+], REFUSALS: [
+    ("stray m n", "if (m, n) != (0, 0):", "if False:", "killed"),
+    ("ints type", "s = tuple(map(operator.index, steps))", "s = tuple(map(int, steps))",
+     "killed"),
 ], SWEEP: [
     ("tie order", "range(len(s) - 1, -1, -1)", "range(len(s))", "killed"),
 ], ORACLE: [
     ("first preimage", "index[q][0]", "index[q][-1]", "killed"),
     ("count", "count=len(paths)", "count=len(counts)", "killed"),
     ("down branch", "if left and h >= drop:", "if left and h > drop:", "killed"),
+], CLI: [
+    ("digit limit", "except ValueError:  # int's digit limit",
+     "except OverflowError:  # int's digit limit", "killed"),
+    ("option value --", 'if getattr(namespace, action.dest, None) in ([], "--"):', "if False:",
+     "killed"),
+    ("verify round trip", "if back == p:", "if True:", "killed"),
+    ("verify outside", "except PathError:  # invert's", "except TableauError:  # invert's",
+     "killed"),
+    ("verify early tilt", "    _walk_tilt(family)  # a family no walk", "    # a family no walk",
+     "killed"),
 ]}
 MUTANTS = [(name, target, tests, old, new, status)
            for (target, tests), rows in ROWS.items() for name, old, new, status in rows]
@@ -97,7 +119,8 @@ def run(target: str, tests: tuple[str, ...], old: str, new: str) -> tuple[str, s
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp) / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(ROOT / "pyproject.toml", tmp)
+        for name in ("pyproject.toml", "README.md"):  # test_public reads the README
+            shutil.copy(ROOT / name, tmp)
         (Path(tmp) / target).write_text(text.replace(old, new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *tests]

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepmap import (FamilySpec, PathError, StepSequence, SWWord, cli, emit_steps,
-                      enumerate_family, fill, oracle, paths, sweep, tableau, walk, walk_minus,
+from sweepmap import (FamilySpec, PathError, SWWord, cli, emit_steps, enumerate_family,
+                      fill, oracle, parse_steps, paths, sweep, tableau, walk, walk_minus,
                       walk_plus, walking)
 from sweepmap.cli import main
 from sweepmap.paths import skeleton
@@ -278,6 +278,45 @@ class TestEnumerate:
         assert code == 1 and "exceeds the bound" in err
 
 
+def _fault(name, at, result):
+    """A fault of cli's binding of sweep or invert: at the path whose text is at, it
+    returns the path whose text is result, or raises result if that is an error."""
+    def apply(monkeypatch):
+        real = getattr(cli, name)
+
+        def faked(steps, *family):
+            if emit_steps(steps) != at:
+                return real(steps, *family)
+            if isinstance(result, Exception):
+                raise result
+            return parse_steps(result)
+
+        monkeypatch.setattr(cli, name, faked)
+    return apply
+
+
+# verify on k = (2, 1): a fault of sweep or invert at one path, and the counterexample.
+# The closure in enumeration order, each path with its true image:
+# 1,2,-1,-1,-1 -> 1,-1,2,-1,-1    1,-1,2,-1,-1 -> 2,1,-1,-1,-1
+# 2,1,-1,-1,-1 -> 2,-1,-1,1,-1    2,-1,1,-1,-1 -> 2,-1,1,-1,-1
+# 2,-1,-1,1,-1 -> 1,2,-1,-1,-1
+VERIFY_FAULTS = {
+    "outside": (_fault("sweep", "1,-1,2,-1,-1", "3,-1,-1,-1"),
+                {"kind": "image-outside-family", "path": "1,-1,2,-1,-1",
+                 "image": "3,-1,-1,-1"}),
+    "error": (_fault("invert", "2,1,-1,-1,-1", walking.WalkError("stuck")),
+              {"kind": "round-trip-error", "path": "1,-1,2,-1,-1", "image": "2,1,-1,-1,-1",
+               "error": "stuck"}),
+    "mismatch": (_fault("invert", "1,-1,2,-1,-1", "2,1,-1,-1,-1"),
+                 {"kind": "round-trip-mismatch", "path": "1,2,-1,-1,-1",
+                  "image": "1,-1,2,-1,-1", "preimage": "2,1,-1,-1,-1"}),
+    # a collision is a mismatch whose preimage sweeps to the same image
+    "collision": (_fault("sweep", "2,-1,1,-1,-1", "2,1,-1,-1,-1"),
+                  {"kind": "round-trip-mismatch", "path": "2,-1,1,-1,-1",
+                   "image": "2,1,-1,-1,-1", "preimage": "1,-1,2,-1,-1"}),
+}
+
+
 class TestVerify:
     def test_passes_on_small_family(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "k", "--k", "2,1,3")
@@ -297,14 +336,15 @@ class TestVerify:
         assert first == second and json.loads(first)["count"] == 5
 
     @pytest.mark.usefixtures("cold_oracle")
-    def test_sweeps_the_closure_once(self, capsys, monkeypatch):
-        # one search per ordering of the rises, one sweep per path
+    def test_cold_verify_builds_no_memo(self, capsys, monkeypatch):
+        # one search per ordering of the rises, one sweep and one invert per path
         calls = Counter()
-        counting(monkeypatch, calls, (oracle, "_paths_for"), (oracle, "enumerate_family"),
-                 (cli, "enumerate_family"), (oracle, "sweep"), (cli, "sweep"))
+        counting(monkeypatch, calls, (oracle, "_paths_for"), (oracle, "sweep"), (cli, "sweep"),
+                 (cli, "invert"))
         code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1,2,3")
-        assert code == 0
-        assert calls == {"_paths_for": 6, "sweep": json.loads(out)["count"]}
+        count = json.loads(out)["count"]
+        assert code == 0 and count == 72 and oracle._closures == {}
+        assert calls == {"_paths_for": 6, "sweep": count, "invert": count}
 
     def test_rational_closure(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "rational", "--m", "7", "--n", "3",
@@ -318,35 +358,15 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err.startswith("error: rational (7, 5) paths have no walk")
 
-    def test_round_trip_mismatch_is_the_counterexample(self, capsys, monkeypatch):
-        invert = cli.invert
-        wrong = {(1, 2, -1, -1, -1): (2, 1, -1, -1, -1)}
-
-        def fake_invert(image, family):
-            p = invert(image, family)
-            return StepSequence(wrong.get(p.steps, p.steps))
-
-        monkeypatch.setattr(cli, "invert", fake_invert)
+    @pytest.mark.parametrize("fault, counterexample", VERIFY_FAULTS.values(),
+                             ids=VERIFY_FAULTS)
+    def test_failure_exits_two(self, capsys, monkeypatch, fault, counterexample):
+        fault(monkeypatch)
         code, out, _ = run(capsys, "verify", "--family", "k", "--k", "2,1")
-        obj = json.loads(out)
-        assert code == 2 and (obj["count"], obj["bijection"]) == (5, False)
-        assert obj["counterexample"] == {
-            "kind": "round-trip-mismatch", "path": "1,2,-1,-1,-1",
-            "image": "1,-1,2,-1,-1", "preimage": "2,1,-1,-1,-1",
-        }
-
-    def test_failure_exits_two(self, capsys, monkeypatch):
-        import sweepmap.cli as cli
-        from sweepmap import BijectionReport
-
-        def fake_certify(family, max_n=5, max_k=4):
-            return BijectionReport(family, 0, False, {"kind": "collision"})
-
-        monkeypatch.setattr(cli, "certify_bijection", fake_certify)
-        code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1,1")
         assert code == 2
-        assert json.loads(out)["bijection"] is False
-
+        assert out == json.dumps({"family": {"kind": "k", "k": [2, 1], "scale": 1}, "count": 5,
+                                  "bijection": False, "counterexample": counterexample},
+                                 indent=2) + "\n"
 
     @pytest.mark.parametrize("kind", ["k", "kplus", "kminus"])
     @pytest.mark.parametrize("k", ["2,1", "1,2", "1,1,2"])
@@ -370,25 +390,16 @@ class TestVerify:
         assert code == 0
         assert out == "family: kplus k=2,1\ncount: 5\nbijection: yes\n"
 
-    def test_text_report_lists_the_counterexample(self, capsys, monkeypatch):
-        import sweepmap.cli as cli
-        from sweepmap import BijectionReport
-
-        def fake_certify(family, max_n=5, max_k=4):
-            found = {"kind": "collision", "first": "1,-1", "second": "1,-1", "image": "1,-1"}
-            return BijectionReport(family, 7, False, found)
-
-        monkeypatch.setattr(cli, "certify_bijection", fake_certify)
-        code, out, _ = run(capsys, "verify", "--family", "k", "--k", "1", "--format", "text")
+    @pytest.mark.parametrize("fault, counterexample", VERIFY_FAULTS.values(),
+                             ids=VERIFY_FAULTS)
+    def test_text_report_lists_the_counterexample(self, capsys, monkeypatch, fault,
+                                                  counterexample):
+        fault(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--family", "k", "--k", "2,1", "--format", "text")
         assert code == 2
         assert out.splitlines() == [
-            "family: k k=1",
-            "count: 7",
-            "bijection: no",
-            "kind: collision",
-            "first: 1,-1",
-            "second: 1,-1",
-            "image: 1,-1",
+            "family: k k=2,1", "count: 5", "bijection: no",
+            *(f"{key}: {value}" for key, value in counterexample.items()),
         ]
 
     def test_json_report_is_unchanged(self, capsys):

@@ -146,6 +146,16 @@ class TestBruteInvert:
         with pytest.raises(OracleError, match="no preimage"):
             brute_invert(StepSequence((3, -1, -1, -1)), FamilySpec.vector((2, 1)))
 
+    @pytest.mark.usefixtures("cold_oracle")
+    def test_multiple_preimages(self, monkeypatch):
+        # 2,-1,1,-1,-1 faked onto the image of 1,-1,2,-1,-1
+        def faked(p, _sweep=oracle.sweep):
+            return _sweep(StepSequence((1, -1, 2, -1, -1)) if p.steps == (2, -1, 1, -1, -1) else p)
+
+        monkeypatch.setattr(oracle, "sweep", faked)
+        with pytest.raises(OracleError, match="^multiple preimages of 2,1,-1,-1,-1 in the family$"):
+            brute_invert(StepSequence((2, 1, -1, -1, -1)), FamilySpec.vector((2, 1)))
+
     def test_family_order_is_irrelevant(self):
         p = StepSequence((1, -1, 2, -1, -1))
         assert brute_invert(p, FamilySpec.vector((2, 1))) == brute_invert(

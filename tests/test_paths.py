@@ -44,6 +44,10 @@ class TestStepSequence:
     def test_rises(self):
         assert StepSequence((2, -1, 1, -1, -1)).rises == (2, 1)
 
+    def test_indexing(self):
+        s = StepSequence((2, -1, 1, -1, -1))
+        assert (s[0], s[-1], s[1:3]) == (2, -1, (-1, 1))
+
     def test_entries_become_ints(self):
         s = StepSequence([True, -1])
         assert s.steps == (1, -1)
@@ -53,7 +57,8 @@ class TestStepSequence:
 class TestValidate:
     def test_running_preimage_is_valid(self):
         s = StepSequence(RUNNING_PREIMAGE)
-        assert validate(s, FamilySpec.vector((2, 4, 5, 3)))
+        d = validate(s, FamilySpec.vector((2, 4, 5, 3)))
+        assert d and d == Diagnostic(True) and str(d) == "ok"
 
     def test_negative_prefix_reported_at_first_offense(self):
         d = validate(StepSequence((1, -1, -1, 1)), FamilySpec.vector((1, 1)))

@@ -112,6 +112,13 @@ REFUSALS = {
     "family-kind": (lambda: FamilySpec("x"), PathError, "unknown family kind 'x'"),
     "family-rational-k": (lambda: FamilySpec("rational", k=(1,), m=3, n=2), PathError,
                           r"rational families take \(m, n\), not a rise vector"),
+    # a stray m or n would be a compared field: unequal to the plain family, and lost in JSON
+    "family-k-mn": (lambda: FamilySpec("k", k=(2, 1), m=5, n=3), PathError,
+                    r"k families take a rise vector, not \(m, n\)"),
+    "family-kplus-m": (lambda: FamilySpec("kplus", k=(1,), m=1.5), PathError,
+                       r"kplus families take a rise vector, not \(m, n\)"),
+    "family-kminus-n": (lambda: FamilySpec("kminus", k=(2,), n=1), PathError,
+                        r"kminus families take a rise vector, not \(m, n\)"),
     "family-json": (lambda: FamilySpec.from_json({}), PathError,
                     "family object needs a 'kind' key"),
     "word-kind": (lambda: SWWord((("X", 1),)), PathError, "bad letter kind 'X' at index 1"),

@@ -20,6 +20,7 @@ from sweepmap import (
     certify_bijection,
     enumerate_family,
 )
+from sweepmap.paths import _Record
 
 K11 = "FamilySpec(kind='k', k=(1, 1), m=0, n=0)"
 K11_PATHS = "(StepSequence(steps=(1, 1, -1, -1)), StepSequence(steps=(1, -1, 1, -1)))"
@@ -71,6 +72,19 @@ def test_equal_objects_hash_equal(name):
     a, b = make(), make()
     assert hash(a) == hash(b) == hash(_fields(a))  # the dataclass hash: that of the field tuple
     assert len({a, b}) == 1
+
+
+def test_first_hash_compiles_the_record():
+    # a record class compiles __eq__ and __hash__ at its first call of either
+    class Pair(_Record):
+        __match_args__ = ("a", "b")
+
+        def __init__(self, a, b):
+            self.__dict__.update(a=a, b=b)
+
+    assert "__hash__" not in vars(Pair)
+    assert hash(Pair(1, 2)) == hash((1, 2)) and "__eq__" in vars(Pair)
+    assert Pair(1, 2) == Pair(1, 2) != Pair(2, 1)
 
 
 def test_enumeration_is_unhashable():
