@@ -43,24 +43,20 @@ class _Record:
     """Base of the frozen value classes: equality (same class only), hash and
     repr read the fields in ``__match_args__``, set once by ``__init__``; records
     made or read in bulk set them with object.__setattr__, outside a larger and
-    slower ``__dict__``.  ``__eq__`` and ``__hash__`` compile at first call, not import."""
+    slower ``__dict__``, so the fields are read with getattr."""
 
     __match_args__: tuple[str, ...] = ()
 
-    @classmethod
-    def _compile(cls) -> type:
-        mine = "".join(f"self.{name}, " for name in cls.__match_args__)
-        exec(f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
-             f"  return ({mine}) == ({mine.replace('self.', 'other.')})\n return NotImplemented\n"
-             f"def __hash__(self):\n return hash(({mine}))\n", code := {})
-        cls.__eq__, cls.__hash__ = code["__eq__"], code["__hash__"]
-        return cls
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other):
-        return self._compile().__eq__(self, other)
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return self._compile().__hash__(self)
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -170,9 +166,7 @@ class SWWord(_Record):
         # a StepSequence holds only nonzero ints, so no letter needs a re-check
         if not isinstance(steps, StepSequence):
             steps = StepSequence(steps)
-        # and equal steps share one letter tuple
-        letter = {a: ("S", a) if a > 0 else ("W", -a) for a in set(steps.steps)}
-        return _unchecked(cls, tuple(map(letter.__getitem__, steps.steps)))
+        return _unchecked(cls, tuple(("S", a) if a > 0 else ("W", -a) for a in steps.steps))
 
     def steps(self) -> StepSequence:
         return StepSequence(
@@ -566,11 +560,5 @@ def path_to_json(steps: StepSequence, family: FamilySpec | None = None) -> dict:
 def path_from_json(obj: dict) -> tuple[StepSequence, FamilySpec | None]:
     if not isinstance(obj, dict) or "steps" not in obj:
         raise PathError("path object needs a 'steps' key")
-    steps = _json_ints(obj, "steps")  # read once: only StepSequence's checks of ints are left
-    if not steps:
-        raise PathError("empty path")
-    if 0 in steps:
-        raise PathError(f"zero rise at index {steps.index(0) + 1}")
-    fam = obj.get("family")
-    family = FamilySpec.from_json(fam) if fam is not None else None
-    return _unchecked(StepSequence, steps), family
+    fam = obj.get("family")  # the steps are read first, and refused first
+    return StepSequence(_json_ints(obj, "steps")), None if fam is None else FamilySpec.from_json(fam)

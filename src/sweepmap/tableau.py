@@ -7,9 +7,9 @@ below the smallest *active* entry -- the bottom of a column that has not
 reached full height yet.  The fills of words, T_k, are what the
 sweep-inversion walks in walking.py take.  They are exactly characterized
 by their top rows and by a strip condition; the tests restate both facts
-as checks of fill.  The plus walk runs on the fill as extend_plus extends
-it, with index size+1 below its largest entry, so the three walks differ
-only in the length of one column.
+as checks of fill.  Each walk runs invert's pass on the word of the fill,
+the plus and minus walks on that word lifted to their tilt; none reads
+extend_plus's tableau, which the tests' paper-worded plus walk reads.
 """
 
 from __future__ import annotations

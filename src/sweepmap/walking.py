@@ -3,13 +3,13 @@
 Each walk writes a sequence of a tableau's indices.  Spelling the family's
 letters along it -- an S letter on every top-row index, a W on every other
 -- gives the SW-word of the unique preimage of the filled path under the
-sweep map.  _route picks the walk by the family's tilt, one linear pass over
+sweep map.  _route picks the pass by the family's tilt, one linear pass over
 a path's ints: _flat_order for tilt 0, and for -1 on the path with its final
-drop restored; for +1 its twin _upward_order, which writes each rank from
-its smallest entry.  No pass slides.  invert runs it on a member, and
-through _order so do the command line's walk and the tableau walks, on
-the word of a fill.  The staged fill and rank serve the pictures,
-and with the tests' paper-worded walks they are the passes' oracle.
+drop restored; for +1 _upward_order, which writes each rank from its
+smallest entry.  Both end in one walk loop, _walk; no pass slides.  invert
+runs the pass on a member, and through _order so do the command line's walk
+and the tableau walks, on the word of a fill.  The staged fill and rank serve
+the pictures, and with the tests' paper-worded walks they are its oracle.
 """
 
 from __future__ import annotations
@@ -179,9 +179,9 @@ def _flat_order(s, drop: int, tilt: int) -> list[int]:
     bottoms of rank hi are left.  A count below 0 at the end is a drop that
     found no bottom.
 
-    Each rank is one run of entries, and the walk writes its largest
+    Each rank is one run of entries, and _walk writes its largest
     unwritten entry with a counter per rank, floored at the last entry of
-    the rank before.  Its twin _upward_order counts up.
+    the rank before.
     """
     size = len(s)
     after: list[int] = []  # the rank the walk reads after writing each entry
@@ -205,28 +205,16 @@ def _flat_order(s, drop: int, tilt: int) -> list[int]:
         raise WalkError(f"the column topped by entry {j + 1} is longer than the path") from None
     if left < 0:
         raise WalkError("a drop finds no column with room")
-    nxt = [*floor[1:], size - 1]  # the largest unwritten entry of each rank
-    out: list[int] = []
-    write = out.append
-    r = 0  # the walk starts with the largest rank-0 entry
-    try:
-        while (cur := nxt[r]) != floor[r]:
-            nxt[r] = cur - 1
-            write(cur)
-            r = after[cur]
-    except IndexError:  # a column's last rank that no entry has
-        raise WalkError(f"walk reads rank {r}, past the last rank {hi}") from None
-    if len(out) < size:
-        raise WalkError(f"walk stopped after {len(out)} of {size} writes")
-    return out
+    # the largest unwritten entry of each rank, counting down to the entry below its run
+    return _walk(after, [*floor[1:], size - 1], floor, -1, hi)
 
 
 def _upward_order(s, drop: int) -> list[int]:
     """The 0-based order in which the plus walk writes the entries of a
     validated tilt +1 path s (rises drop*k_i + 1, drops -drop), in one pass:
-    _flat_order's twin, whose walk writes each rank's smallest unwritten
-    entry (see _route).  On any other ints it returns a permutation of
-    range(len(s)) or raises WalkError.
+    _flat_order's fill and walk, each rank's counter run upward from its
+    smallest entry (see _route).  On any other ints it returns a permutation
+    of range(len(s)) or raises WalkError.
 
     After a rise a at rank hi the walk reads rank hi + (a - 1) // drop, and
     after a drop the rank below, -1 after the extra drop.  Every step but
@@ -263,20 +251,29 @@ def _upward_order(s, drop: int) -> list[int]:
         raise WalkError(f"the column topped by entry {j + 1} is longer than the path") from None
     if start[-1] != size:
         raise WalkError(f"path ends inside rank {hi}")
-    # the smallest unwritten entry of each rank, and the entry past its run; then rank -1's
-    nxt, stop = [*start[:-1], size], [*start[1:], size]
+    # each rank's smallest unwritten entry, counting up to the entry past its run; then rank -1's
+    return _walk(after, [*start[:-1], size], [*start[1:], size], 1, lo)
+
+
+def _walk(after: list[int], nxt: list[int], stop: list[int], step: int, last: int) -> list[int]:
+    """The walk both passes end in: write rank 0's next entry, and after
+    each entry that of rank after[entry], until a rank's counter nxt[r]
+    reaches stop[r].  A counter moves by step, -1 or +1, inside its rank's
+    run and stops at the run's far end, so no entry is written twice; a
+    walk that writes fewer than all of them, or reads a rank past the
+    last, raises WalkError."""
     out: list[int] = []
     write = out.append
-    r = 0  # the walk starts with entry 0
+    r = 0
     try:
         while (cur := nxt[r]) != stop[r]:
-            nxt[r] = cur + 1
+            nxt[r] = cur + step
             write(cur)
             r = after[cur]
     except IndexError:  # a column's last rank that no entry has
-        raise WalkError(f"walk reads rank {r}, past the last rank {lo}") from None
-    if len(out) < size:
-        raise WalkError(f"walk stopped after {len(out)} of {size} writes")
+        raise WalkError(f"walk reads rank {r}, past the last rank {last}") from None
+    if len(out) < len(after):
+        raise WalkError(f"walk stopped after {len(out)} of {len(after)} writes")
     return out
 
 
@@ -290,7 +287,7 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     The input is validated once, by the membership check skeleton and the
     command line share (a raw 0 step or a non-member is refused there with
     their text), and the answer is guarded by its length and running
-    minimum alone.  Each pass writes no entry twice: its counter per rank
+    minimum alone.  No pass writes an entry twice: _walk's counter per rank
     stays inside that rank's run of entries, and the runs are disjoint; the
     minus route leaves out the restored drop.  A full-length answer is thus
     a permutation of the member s -- the family's rises and drops, total 0

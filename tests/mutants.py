@@ -5,11 +5,14 @@ replaces one text of that file, which must occur there exactly once.  Every
 mutant runs in a temporary copy of src/, tests/, pyproject.toml and README.md
 with `pytest -x -q` on the row's tests only, so a row does not cost a full
 tier-1 and the repository gains no cache or Hypothesis database.  A mutant is
-killed when that run fails.  A row's status says what must happen: "killed", or
-"equivalent", for a mutant that no input can tell from the code, with the
-argument in its comment.  The script prints one line per mutant and exits 1
-when a "killed" row survives, an "equivalent" row is killed, or a text is
-missing.
+killed when a test fails (pytest exit 1) or the run times out; any other
+nonzero exit (a collection error, a test id that does not exist, no test
+collected) marks the row "broken", since then no test ran against the mutant.
+A row's status says what must happen: "killed", or "equivalent", for a
+mutant that no input can tell from the code, with the argument in its
+comment.  The script prints one line per mutant and exits 1 when a "killed"
+row survives, an "equivalent" row is killed, or a row is broken or its text
+is missing.
 
 Run from anywhere, stdlib only:  python tests/mutants.py
 """
@@ -52,9 +55,14 @@ ROWS = {WALKING: [
     ("up rank-0 drops", "lo, hi, left = -1, 0, 1", "lo, hi, left = -1, 0, 2", "killed"),
     ("up first step", "ends[0] = 1", "ends[0] = 0", "killed"),
     ("up run length", "j + 1 - start[-1] - ends[hi]", "j - start[-1] - ends[hi]", "killed"),
-    ("up counter", "nxt[r] = cur + 1", "nxt[r] = cur - 1", "killed"),
-    ("up sentinel", "nxt, stop = [*start[:-1], size], [*start[1:], size]",
-     "nxt, stop = start[:-1], start[1:]", "killed"),
+    # each pass's counter step and stop list, as it hands them to the shared walk
+    ("flat counter", "floor, -1, hi)", "floor, 1, hi)", "killed"),
+    ("flat stop", "size - 1], floor, -1", "size - 1], [-1] * len(floor), -1", "killed"),
+    ("up counter", "size], 1, lo)", "size], -1, lo)", "killed"),
+    # the upward fill has each rank r >= 0 read as often as it has entries, so
+    # only the stop of rank -1, read after the extra drop, ends a member's walk
+    ("up stop", "[*start[1:], size], 1", "[*start[1:], size + 1], 1", "killed"),
+    ("walk stopped short", "if len(out) < len(after):", "if False:", "killed"),
     ("up inside rank", "if start[-1] != size:", "if False:", "killed"),
     ("up no column", "if size < 2:", "if False:", "killed"),
     ("skeleton heights", "ints[col[0] - 1] = len(col) - 1", "ints[col[0] - 1] = len(col)",
@@ -110,8 +118,9 @@ MUTANTS = [(name, target, tests, old, new, status)
 
 
 def run(target: str, tests: tuple[str, ...], old: str, new: str) -> tuple[str, str]:
-    """("killed", the first failing test), ("survived", ""), or ("missing",
-    the count) when old does not occur exactly once in the target."""
+    """("killed", the first failing test), ("survived", ""), ("broken", the
+    exit status) when pytest ran no test to the end, or ("missing", the count)
+    when old does not occur exactly once in the target."""
     text = (ROOT / target).read_text(encoding="utf-8")
     if text.count(old) != 1:
         return "missing", f"{text.count(old)} occurrences"
@@ -131,8 +140,10 @@ def run(target: str, tests: tuple[str, ...], old: str, new: str) -> tuple[str, s
             return "killed", f"timeout after {TIMEOUT_S} s"
     if done.returncode == 0:
         return "survived", ""
+    if done.returncode != 1:  # 2 to 5: interrupted, internal error, usage error, no tests
+        return "broken", f"pytest exit {done.returncode}"
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
-    return "killed", failed.group(1) if failed else f"pytest exit {done.returncode}"
+    return "killed", failed.group(1) if failed else "pytest exit 1"
 
 
 def main() -> int:
