@@ -24,7 +24,9 @@ from .paths import (
     StepSequence,
     SWWord,
     _member,
+    _spellings,
     _step_ints,
+    _unchecked,
     _walk_tilt,
     emit_steps,
     infer_family,
@@ -204,14 +206,14 @@ def _family_from_args(args, steps: StepSequence | None = None) -> FamilySpec | N
 
 
 def _family_of(args):
-    """A function from an input path to the family --family gives it, or to
-    None without the flag.
+    """The family --k or --m/--n fix for every path, or None, and a function
+    from an input path to the family --family gives it, or to None without it.
 
     --k or --m/--n name one family for every path of a batch, so it is built
     once; if that fails, each path raises the same error, after its own.
     """
     if args.kvec is None and args.m is None:  # read off each path's rises
-        return lambda steps: _family_from_args(args, steps)
+        return None, lambda steps: _family_from_args(args, steps)
     try:
         family = _family_from_args(args)
     except PathError as exc:
@@ -220,8 +222,8 @@ def _family_of(args):
         def refuse(steps):
             raise PathError(error)
 
-        return refuse
-    return lambda steps: family
+        return None, refuse
+    return family, lambda steps: family
 
 
 def _sw_down(args, text: str) -> int:
@@ -250,7 +252,7 @@ def _read(args):
     if args.sw is not None:
         return SWWord.from_text(args.sw, down=_sw_down(args, args.sw)).steps()
     if args.file is not None:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:  # a leading byte-order mark goes
             return _load(fh.read().strip())
     raise PathError("no input: pass --steps, --sw, or --file")
 
@@ -268,15 +270,22 @@ def _write(text: str, args) -> None:
         print(text)
 
 
+def _stdin_lines():
+    """stdin's lines, split at "\n" only (as `wc -l` counts), less one leading BOM."""
+    for line in sys.stdin:
+        yield line.removeprefix("\ufeff")
+        yield from sys.stdin
+
+
 def _cmd_path(args) -> int:
     """Run a path subcommand on the input path, or on every stdin line."""
     c = _TABLE[args.command]
-    family_of = _family_of(args)
+    fixed, family_of = _family_of(args)
 
-    def show(source, indent=None) -> str:
+    def show(source, indent=None, view=c.view) -> str:
         steps, family = _path(source)
         family = family_of(steps) or family  # --family wins over the input's
-        out = c.view(c.run(steps, family), family, args.format)
+        out = view(c.run(steps, family), family, args.format)
         return json.dumps(out, indent=indent) if args.format == "json" else out
 
     if (args.steps, args.sw, args.file) != (None, None, None):  # an empty one is refused
@@ -284,16 +293,32 @@ def _cmd_path(args) -> int:
         return 0
     if args.format in ("ascii", "svg"):
         raise PathError(f"batch mode does not support --format {args.format}")
+    # a fixed family's table reads a line of its spellings and spells sweep's and
+    # invert's text answers; any other line takes parse_steps and the view's emit_steps
+    read, spell = _spellings(fixed) if fixed else ({}, {})
+
+    def spelled(steps, _family, _fmt) -> str:
+        try:
+            return ",".join(map(spell.__getitem__, steps.steps))
+        except KeyError:  # a step the family does not hold
+            return emit_steps(steps)
+
+    view = spelled if c.view is _view_path and args.format == "text" else c.view
     failed = False
     # one line out per stdin line, written as it is read, so a reader in a pipe
     # sees each answer before the next line is sent and memory stays flat
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-        for line in sys.stdin:  # split at "\n" only, as `wc -l` counts lines
+        for line in _stdin_lines():
             try:
                 text = line.strip()
                 if not text:
                     raise PathError("empty line")
-                text = show(_load(text))
+                try:
+                    steps = tuple(map(read.__getitem__, text.split(",")))
+                except KeyError:  # a token outside the table, or a JSON object
+                    text = show(_load(text))
+                else:  # nonempty tokens of nonzero steps: parse_steps' answer
+                    text = show(_unchecked(StepSequence, steps), view=view)
             except (ValueError, RecursionError) as exc:  # each error above is a ValueError
                 text = f"error: {exc}"
                 failed = True
@@ -367,7 +392,7 @@ def _cmd_render(args) -> int:
     steps, family = _path(source)
     if args.ranks:
         raise PathError("--ranks overlays apply to tableaux, not paths")
-    if family := _family_of(args)(steps) or family:
+    if family := _family_of(args)[1](steps) or family:
         _member(steps, family)
     _write(path_ascii(steps) if args.format == "ascii" else path_svg(steps), args)
     return 0

@@ -509,8 +509,8 @@ def _step_ints(text: str) -> tuple[int, ...] | None:
     """The ints of comma-separated step tokens, or None if one is malformed or
     past int's digit limit.
 
-    A family member repeats a few values, so each distinct token is checked
-    and converted once and the rest are looked up.
+    A path repeats a few values, so each distinct token is checked and converted
+    once; a batch line of one family's spellings is read by _spellings instead.
     """
     tokens = text.split(",")
     distinct = set(tokens)
@@ -543,11 +543,20 @@ def emit_steps(steps: StepSequence) -> str:
     """Comma-separated rises, the text parse_steps reads back.
 
     As in _step_ints, each distinct step is spelled once; _ints reads only
-    ints, so equal steps spell alike.
+    ints, so equal steps spell alike.  A batch answer of one family's steps
+    is spelled by _spellings' table instead.
     """
     s = _ints(steps)
     text = {a: str(a) for a in set(s)}
     return ",".join(map(text.__getitem__, s))
+
+
+def _spellings(family: FamilySpec) -> tuple[dict[str, int], dict[int, str]]:
+    """Each step a member of the family can hold (at most n + 1, none 0) by the
+    text emit_steps spells it as, and back: text of these tokens alone reads as
+    parse_steps reads it, and a member's steps spell as emit_steps spells them."""
+    read = {str(a): a for a in {*family.up_rises, -family.down_drop}}
+    return read, {a: text for text, a in read.items()}
 
 
 def path_to_json(steps: StepSequence, family: FamilySpec | None = None) -> dict:

@@ -37,6 +37,10 @@ PATHS = ("src/sweepmap/paths.py", ("tests/test_paths.py",))
 SWEEP = ("src/sweepmap/sweep.py", ("tests/test_sweep.py",))
 ORACLE = ("src/sweepmap/oracle.py", ("tests/test_oracle.py",))
 CLI = ("src/sweepmap/cli.py", ("tests/test_cli.py",))
+# a fixed family's batch table, against its fallback and its call count
+TABLE = ("tests/test_cli.py::test_batch_table_answers_as_its_fallback",
+         "tests/test_cli.py::test_batch_table_line_calls_no_parse_or_emit")
+TABLE_PATHS, TABLE_CLI = ("src/sweepmap/paths.py", TABLE), ("src/sweepmap/cli.py", TABLE)
 # refusals pinned with their texts in test_public's tables
 REFUSALS = ("src/sweepmap/paths.py", ("tests/test_public.py::test_refusal_texts",
                                       "tests/test_public.py::test_bad_steps_raise_path_error"))
@@ -112,6 +116,20 @@ ROWS = {WALKING: [
      "killed"),
     ("verify early tilt", "    _walk_tilt(family)  # a family no walk", "    # a family no walk",
      "killed"),
+], TABLE_PATHS: [
+    # every member line misses the table and takes parse_steps: same output, more calls
+    ("table drop", "{*family.up_rises, -family.down_drop}", "{*family.up_rises}", "killed"),
+    ("write spelling", "{a: text for text, a in read.items()}",
+     '{a: text.lstrip("-") for text, a in read.items()}', "killed"),
+], TABLE_CLI: [
+    ("read fallback", "except KeyError:  # a token outside the table",
+     "except OverflowError:  # a token outside the table", "killed"),
+    ("write json", 'c.view is _view_path and args.format == "text"', "c.view is _view_path",
+     "killed"),
+    # sweep's and invert's answers are members of the family their input was checked
+    # against, so every step is in the table and the answer's fallback never runs
+    ("write fallback", "            return emit_steps(steps)\n", "            raise\n",
+     "equivalent"),
 ]}
 MUTANTS = [(name, target, tests, old, new, status)
            for (target, tests), rows in ROWS.items() for name, old, new, status in rows]

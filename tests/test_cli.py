@@ -530,6 +530,87 @@ class TestBatch:
         if command == "walk":
             assert staged == {}
 
+    @pytest.mark.parametrize("flags", [(), ("--family", "k", "--k", "2")], ids=["none", "k"])
+    def test_byte_order_mark_leaves_the_first_line_only(self, capsys, monkeypatch, flags):
+        # stdin of a file saved with a BOM: the mark goes from the first line alone
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff2,-1,-1\n\ufeff2,-1,-1\n"))
+        assert run(capsys, "sweep", *flags) == (
+            1, "2,-1,-1\nerror: malformed step token '\\ufeff2' at index 1\n", "")
+        monkeypatch.setattr(sys, "stdin", io.StringIO('\ufeff{"steps": [2, -1, -1]}\n'))
+        assert run(capsys, "sweep", *flags) == (0, "2,-1,-1\n", "")
+
+
+# one family of each kind, by the flags that fix it for a whole batch
+TABLE_FAMILIES = {
+    "k": (FamilySpec.vector((2, 1, 3)), ("--family", "k", "--k", "2,1,3")),
+    "kplus": (FamilySpec.plus((1, 2)), ("--family", "kplus", "--k", "1,2")),
+    "kminus": (FamilySpec.minus((2, 1, 3)), ("--family", "kminus", "--k", "2,1,3")),
+    "rational": (FamilySpec.rational(7, 3), ("--family", "rational", "--m", "7", "--n", "3")),
+}
+ARABIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _respellings(tokens):
+    """A member's tokens respelled so that each line misses its family's table:
+    parse_steps reads it as the member or refuses it, or it is a JSON object."""
+    first, second, rest = tokens[0], tokens[1], tokens[2:]
+    return [
+        ",".join(["+" + first, second, *rest]), ", ".join(tokens),
+        ",".join(["0" + first, second, *rest]), ",".join([first, "\x1c" + second, *rest]),
+        ",".join(tokens).translate(ARABIC_DIGITS), ",".join([first, "0", *rest]),
+        ",".join([first, "", second, *rest]), ",".join(["99", second, *rest]),
+        ",".join([first, "-99", *rest]), json.dumps({"steps": list(map(int, tokens))}),
+    ]
+
+
+def _single(capsys, tmp_path, argv, text):
+    """What the one-input command prints for a batch line: its answer or its error."""
+    if text.startswith("{"):
+        (tmp_path / "line.json").write_text(text, encoding="utf-8")
+        source = ["--file", str(tmp_path / "line.json")]
+    else:
+        source = [f"--steps={text}"]
+    code, out, err = run(capsys, *argv, *source)
+    return out.rstrip("\n") if code == 0 else err.rstrip("\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("kind", sorted(TABLE_FAMILIES))
+@pytest.mark.parametrize("command", ["sweep", "invert", "fill", "rank", "walk"])
+def test_batch_table_answers_as_its_fallback(capsys, monkeypatch, tmp_path, command, kind, fmt):
+    # members and images hit the family's table; every other spelling misses it and
+    # takes parse_steps: each answer, error lines too, is the one-input command's
+    family, flags = TABLE_FAMILIES[kind]
+    paths = enumerate_family(family, permute_k=True).paths
+    lines = [emit_steps(paths[0]), emit_steps(sweep(paths[-1]))]
+    for p in (paths[0], paths[-1]):
+        lines += [emit_steps(p), *_respellings(emit_steps(p).split(","))]
+    argv = [command, *flags, "--format", fmt]
+    want = [_single(capsys, tmp_path, argv, line) for line in lines]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+    code, out, err = run(capsys, *argv)
+    got = out.split("\n")
+    assert got.pop() == "" and err == "" and len(got) == len(want)
+    for line, g, w in zip(lines, got, want):
+        if fmt == "json" and not w.startswith("error:"):
+            g, w = json.loads(g), json.loads(w)
+        assert g == w, line
+    assert code == any(w.startswith("error:") for w in want)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_FAMILIES))
+@pytest.mark.parametrize("command", ["sweep", "invert"])
+def test_batch_table_line_calls_no_parse_or_emit(capsys, monkeypatch, command, kind):
+    family, flags = TABLE_FAMILIES[kind]
+    text = emit_steps(enumerate_family(family, permute_k=True).paths[-1])
+    calls = Counter()
+    counting(monkeypatch, calls, (cli, "parse_steps"), (cli, "emit_steps"))
+    for line, want in [(text, {}), (text.replace(",", ", "), {"parse_steps": 1, "emit_steps": 1})]:
+        calls.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+        code, out, _ = run(capsys, command, *flags)
+        assert code == 0 and out.count("\n") == 1 and calls == want, line
+
 
 class TestRender:
     def test_path_ascii(self, capsys):
@@ -597,6 +678,18 @@ class TestFilesAndUsage:
         f.write_text("1,-1\n")
         code, out, _ = run(capsys, "sweep", "--file", str(f))
         assert code == 0 and out.strip() == "1,-1"
+
+    @pytest.mark.parametrize("command, content, out", [
+        ("sweep", "2,-1,-1", "2,-1,-1\n"), ("sweep", '{"steps": [2, -1, -1]}', "2,-1,-1\n"),
+        ("render", '{"steps": [2, -1, -1]}', "/\\\n/ \\\n"),
+    ], ids=["text", "json", "render"])
+    def test_file_with_a_byte_order_mark(self, capsys, tmp_path, command, content, out):
+        # an editor's UTF-8 byte-order mark is not part of the path
+        marked, plain = tmp_path / "marked", tmp_path / "plain"
+        marked.write_bytes(b"\xef\xbb\xbf" + content.encode())
+        plain.write_text(content, encoding="utf-8")
+        assert run(capsys, command, "--file", str(marked)) == (0, out, "")
+        assert run(capsys, command, "--file", str(plain)) == (0, out, "")
 
     def test_out_flag_writes_the_file(self, capsys, tmp_path):
         target = tmp_path / "result.txt"
