@@ -23,6 +23,7 @@ from .paths import (
     PathError,
     StepSequence,
     SWWord,
+    _gather,
     _member,
     _spellings,
     _step_ints,
@@ -299,7 +300,7 @@ def _cmd_path(args) -> int:
 
     def spelled(steps, _family, _fmt) -> str:
         try:
-            return ",".join(map(spell.__getitem__, steps.steps))
+            return ",".join(_gather(spell, steps.steps))
         except KeyError:  # a step the family does not hold
             return emit_steps(steps)
 
@@ -314,7 +315,7 @@ def _cmd_path(args) -> int:
                 if not text:
                     raise PathError("empty line")
                 try:
-                    steps = tuple(map(read.__getitem__, text.split(",")))
+                    steps = _gather(read, text.split(","))
                 except KeyError:  # a token outside the table, or a JSON object
                     text = show(_load(text))
                 else:  # nonempty tokens of nonzero steps: parse_steps' answer

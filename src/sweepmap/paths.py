@@ -505,6 +505,14 @@ def infer_family(steps: StepSequence, kind: str) -> FamilySpec:
     raise PathError(f"unknown family kind {kind!r}")
 
 
+def _gather(table, keys) -> tuple:
+    """The tuple of table[k] for k in keys; itemgetter alone would give one
+    key's bare value, not a 1-tuple, and raise TypeError on no keys."""
+    if len(keys) > 1:  # not map(table.__getitem__): a slot-wrapper call per key
+        return operator.itemgetter(*keys)(table)
+    return tuple(map(table.__getitem__, keys))
+
+
 def _step_ints(text: str) -> tuple[int, ...] | None:
     """The ints of comma-separated step tokens, or None if one is malformed or
     past int's digit limit.
@@ -518,7 +526,7 @@ def _step_ints(text: str) -> tuple[int, ...] | None:
         with suppress(ValueError):  # a token past int's digit limit
             # int() would not take off the separators \x1c-\x1f that strip() does
             value = {tok: int(tok.strip()) for tok in distinct}
-            return tuple(map(value.__getitem__, tokens))
+            return _gather(value, tokens)
     return None
 
 
@@ -548,7 +556,7 @@ def emit_steps(steps: StepSequence) -> str:
     """
     s = _ints(steps)
     text = {a: str(a) for a in set(s)}
-    return ",".join(map(text.__getitem__, s))
+    return ",".join(_gather(text, s))
 
 
 def _spellings(family: FamilySpec) -> tuple[dict[str, int], dict[int, str]]:

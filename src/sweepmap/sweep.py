@@ -13,7 +13,7 @@ whose levels are scaled by n, cost the same per step.
 
 from __future__ import annotations
 
-from .paths import PathError, StepSequence, _ints, _levels, _unchecked
+from .paths import PathError, StepSequence, _gather, _ints, _levels, _unchecked
 
 
 def _order(s: tuple[int, ...]) -> list[int]:
@@ -35,4 +35,4 @@ def sweep(steps: StepSequence) -> StepSequence:
         steps = StepSequence(steps)
     s = steps.steps
     # a permutation of a StepSequence's entries needs no re-check
-    return _unchecked(StepSequence, tuple(map(s.__getitem__, _order(s))))
+    return _unchecked(StepSequence, _gather(s, _order(s)))

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .paths import (FamilySpec, StepSequence, SWWord, _lift_ints, _member, _tilt, _unchecked,
-                    _walk_tilt, validate)
+from .paths import (FamilySpec, StepSequence, SWWord, _gather, _lift_ints, _member, _tilt,
+                    _unchecked, _walk_tilt, validate)
 from .tableau import Tableau, TableauError, fill, is_minus_admissible
 
 
@@ -296,7 +296,7 @@ def invert(steps: StepSequence, family: FamilySpec) -> StepSequence:
     """
     s = _member(steps, family).steps
     read, order = _route(s, family.down_drop, _walk_tilt(family))
-    out = tuple(map(read.__getitem__, order))
+    out = _gather(read, order)
     if len(out) == len(s) and min(accumulate(out)) >= 0:
         return _unchecked(StepSequence, out)
     return _preimage(out, family)  # a non-member: refused with validate's diagnostic

@@ -20,6 +20,13 @@ from sweepmap import (
 )
 from sweepmap.tableau import _top_bounds
 
+# the shortest member of each kind, with its family; each is its own sweep image
+SHORTEST_MEMBERS = [
+    (FamilySpec.vector((1,)), (1, -1)),
+    (FamilySpec.plus((1,)), (2, -1, -1)),
+    (FamilySpec.minus((2,)), (1, -1)),
+]
+
 
 @pytest.fixture
 def cold_oracle():

@@ -41,6 +41,10 @@ CLI = ("src/sweepmap/cli.py", ("tests/test_cli.py",))
 TABLE = ("tests/test_cli.py::test_batch_table_answers_as_its_fallback",
          "tests/test_cli.py::test_batch_table_line_calls_no_parse_or_emit")
 TABLE_PATHS, TABLE_CLI = ("src/sweepmap/paths.py", TABLE), ("src/sweepmap/cli.py", TABLE)
+# _gather's answer for one key, directly and as a one-token batch line
+GATHER = ("src/sweepmap/paths.py",
+          ("tests/test_paths.py::test_gather_is_a_tuple_for_any_key_count",))
+ONE_TOKEN = ("src/sweepmap/paths.py", ("tests/test_cli.py::test_batch_table_one_token_line",))
 # refusals pinned with their texts in test_public's tables
 REFUSALS = ("src/sweepmap/paths.py", ("tests/test_public.py::test_refusal_texts",
                                       "tests/test_public.py::test_bad_steps_raise_path_error"))
@@ -83,6 +87,7 @@ ROWS = {WALKING: [
     ("minus drop written", "    out.pop()  # entry 1\n", "", "killed"),
     ("guard length", "if len(out) == len(s) and min(accumulate(out)) >= 0:",
      "if min(accumulate(out)) >= 0:", "killed"),
+    ("invert spelling", "_gather(read, order)", "_gather(read, order[::-1])", "killed"),
     ("preimage refusal", "    if not d:\n", "    if False:\n", "killed"),
 ], PATHS: [
     ("n_down", "sum(rises) // drop", "sum(rises)", "killed"),
@@ -96,6 +101,11 @@ ROWS = {WALKING: [
     ("up count", "if len(ups) != len(expected):", "if False:", "killed"),
     ("permuted rises", "if tuple(sorted(ups)) != family.sorted_rises:", "if False:", "killed"),
     ("family tilt", "tilt = _TILT.get(kind, 0)", "tilt = _TILT.get(kind)", "killed"),
+], GATHER: [
+    # itemgetter's answer for one key is the bare value, not a 1-tuple
+    ("gather one key", "if len(keys) > 1:", "if len(keys) > 0:", "killed"),
+], ONE_TOKEN: [
+    ("gather one key", "if len(keys) > 1:", "if len(keys) > 0:", "killed"),
 ], REFUSALS: [
     ("stray m n", "if (m, n) != (0, 0):", "if False:", "killed"),
     ("ints type", "s = tuple(map(operator.index, steps))", "s = tuple(map(int, steps))",

@@ -612,6 +612,17 @@ def test_batch_table_line_calls_no_parse_or_emit(capsys, monkeypatch, command, k
         assert code == 0 and out.count("\n") == 1 and calls == want, line
 
 
+@pytest.mark.parametrize("command", ["sweep", "invert"])
+def test_batch_table_one_token_line(capsys, monkeypatch, tmp_path, command):
+    # a line of one table token reads as a 1-tuple, not the bare step: it is
+    # refused with the one-input command's text
+    argv = [command, "--family", "k", "--k", "3"]
+    want = [_single(capsys, tmp_path, argv, line) for line in ("3", "-1")]
+    assert all(w.startswith("error: not a member") for w in want)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3\n-1\n"))
+    assert run(capsys, *argv) == (1, "".join(f"{w}\n" for w in want), "")
+
+
 class TestRender:
     def test_path_ascii(self, capsys):
         code, out, _ = run(capsys, "render", "--steps", "1,-1")

@@ -28,7 +28,7 @@ from sweepmap import (
     to_plus,
     validate,
 )
-from sweepmap.paths import skeleton
+from sweepmap.paths import _gather, skeleton
 
 from conftest import random_path, uniform_member
 
@@ -567,3 +567,17 @@ def test_step_text_round_trip(steps):
 def test_word_round_trip(steps):
     s = StepSequence(tuple(steps))
     assert SWWord.from_steps(s).steps() == s
+
+
+@pytest.mark.parametrize("keys, want", [((), ()), ((1,), (-1,)), ((2, 0), (-2, 3))])
+@pytest.mark.parametrize("table", [(3, -1, -2), {0: 3, 1: -1, 2: -2}], ids=["tuple", "dict"])
+def test_gather_is_a_tuple_for_any_key_count(table, keys, want):
+    # itemgetter's answer for one key is the bare value: _gather's is always a tuple
+    assert _gather(table, keys) == want and type(_gather(table, keys)) is tuple
+    assert _gather(table, list(keys)) == want
+
+
+@pytest.mark.parametrize("keys", [("x",), ("a", "x")])
+def test_gather_misses_a_key_as_lookup_does(keys):
+    with pytest.raises(KeyError, match="x"):
+        _gather({"a": 1}, keys)

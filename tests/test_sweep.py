@@ -15,13 +15,14 @@ from sweepmap import (
     PathError,
     StepSequence,
     enumerate_family,
+    invert,
     ranks,
     sweep,
     sweep_order,
     validate,
 )
 from sweepmap.oracle import DEFAULT_MAX_K, DEFAULT_MAX_N
-from conftest import area, dinv, family_grid, random_path, uniform_member
+from conftest import SHORTEST_MEMBERS, area, dinv, family_grid, random_path, uniform_member
 
 PREIMAGE = (2, -1, -1, 4, -1, 5, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, -1, -1)
 IMAGE = (4, 2, -1, -1, -1, -1, -1, 5, -1, 3, -1, -1, -1, -1, -1, -1, -1, -1)
@@ -44,6 +45,12 @@ class TestGoldens:
     def test_peak_is_fixed_with_reversed_tail(self):
         assert sweep(StepSequence((2, -1, -1))).steps == (2, -1, -1)
         assert sweep_order(StepSequence((2, -1, -1))) == (1, 3, 2)
+
+    @pytest.mark.parametrize("family, steps", SHORTEST_MEMBERS, ids=str)
+    def test_shortest_member_of_each_kind(self, family, steps):
+        img = sweep(StepSequence(steps))
+        assert type(img) is StepSequence and type(img.steps) is tuple and img.steps == steps
+        assert invert(img, family) == img
 
     def test_two_unit_columns_swap(self):
         assert sweep(StepSequence((1, 1, -1, -1))).steps == (1, -1, 1, -1)

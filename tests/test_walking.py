@@ -36,6 +36,7 @@ from sweepmap import (
 from sweepmap import paths, tableau, walking
 from sweepmap.paths import skeleton
 from conftest import (
+    SHORTEST_MEMBERS,
     counting,
     digraph_walk,
     family_grid,
@@ -392,6 +393,12 @@ class TestInvert:
     def test_non_member_refused(self):
         with pytest.raises(PathError, match="not a member"):
             invert(StepSequence((1, -1)), FamilySpec.vector((2,)))
+
+    @pytest.mark.parametrize("family, steps", SHORTEST_MEMBERS, ids=str)
+    def test_shortest_member_of_each_kind(self, family, steps):
+        got = invert(StepSequence(steps), family)
+        assert type(got) is StepSequence and type(got.steps) is tuple and got.steps == steps
+        assert sweep(got) == got
 
     @pytest.mark.parametrize("family", family_grid(3, 3), ids=str)
     def test_round_trip_everywhere(self, family):
