@@ -294,15 +294,12 @@ def _cmd_path(args) -> int:
         return 0
     if args.format in ("ascii", "svg"):
         raise PathError(f"batch mode does not support --format {args.format}")
-    # a fixed family's table reads a line of its spellings and spells sweep's and
-    # invert's text answers; any other line takes parse_steps and the view's emit_steps
+    # a fixed family's table reads a line of its spellings, and spells sweep's and invert's
+    # text answers, which permute a member; other lines take parse_steps and emit_steps
     read, spell = _spellings(fixed) if fixed else ({}, {})
 
     def spelled(steps, _family, _fmt) -> str:
-        try:
-            return ",".join(_gather(spell, steps.steps))
-        except KeyError:  # a step the family does not hold
-            return emit_steps(steps)
+        return ",".join(_gather(spell, steps.steps))
 
     view = spelled if c.view is _view_path and args.format == "text" else c.view
     failed = False

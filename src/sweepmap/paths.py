@@ -163,10 +163,7 @@ class SWWord(_Record):
 
     @classmethod
     def from_steps(cls, steps: StepSequence) -> "SWWord":
-        # a StepSequence holds only nonzero ints, so no letter needs a re-check
-        if not isinstance(steps, StepSequence):
-            steps = StepSequence(steps)
-        return _unchecked(cls, tuple(("S", a) if a > 0 else ("W", -a) for a in steps.steps))
+        return cls(tuple(("S", a) if a > 0 else ("W", -a) for a in StepSequence(steps).steps))
 
     def steps(self) -> StepSequence:
         return StepSequence(
@@ -515,18 +512,13 @@ def _gather(table, keys) -> tuple:
 
 def _step_ints(text: str) -> tuple[int, ...] | None:
     """The ints of comma-separated step tokens, or None if one is malformed or
-    past int's digit limit.
-
-    A path repeats a few values, so each distinct token is checked and converted
-    once; a batch line of one family's spellings is read by _spellings instead.
-    """
+    past int's digit limit; a batch line of one family's spellings is read by
+    _spellings' table instead."""
     tokens = text.split(",")
-    distinct = set(tokens)
-    if all(map(_SPACED_TOKEN.fullmatch, distinct)):
+    if all(map(_SPACED_TOKEN.fullmatch, tokens)):
         with suppress(ValueError):  # a token past int's digit limit
             # int() would not take off the separators \x1c-\x1f that strip() does
-            value = {tok: int(tok.strip()) for tok in distinct}
-            return _gather(value, tokens)
+            return tuple(int(tok.strip()) for tok in tokens)
     return None
 
 
@@ -548,15 +540,9 @@ def parse_steps(text: str) -> StepSequence:
 
 
 def emit_steps(steps: StepSequence) -> str:
-    """Comma-separated rises, the text parse_steps reads back.
-
-    As in _step_ints, each distinct step is spelled once; _ints reads only
-    ints, so equal steps spell alike.  A batch answer of one family's steps
-    is spelled by _spellings' table instead.
-    """
-    s = _ints(steps)
-    text = {a: str(a) for a in set(s)}
-    return ",".join(_gather(text, s))
+    """Comma-separated rises, the text parse_steps reads back.  A batch answer
+    of one family's steps is spelled by _spellings' table instead."""
+    return ",".join(map(str, _ints(steps)))
 
 
 def _spellings(family: FamilySpec) -> tuple[dict[str, int], dict[int, str]]:

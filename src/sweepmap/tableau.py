@@ -18,7 +18,7 @@ import operator
 from collections import deque
 from itertools import accumulate
 
-from .paths import SWWord, _is_ints, _json_ints, _Record, _unchecked
+from .paths import SWWord, _is_ints, _json_ints, _Record
 
 
 class TableauError(ValueError):
@@ -84,7 +84,8 @@ def fill(word: SWWord) -> Tableau:
 
     Entries arrive in increasing order, so the set of active bottoms stays
     sorted by construction and the smallest active entry is always the one
-    waiting longest; a deque gives the whole fill a single linear pass.
+    waiting longest; a deque gives the whole fill a single linear pass.  The
+    empty word opens no column, and Tableau refuses it.
     """
     # each column is a list headed by the length it must reach, that head included
     columns: list[list[int]] = []
@@ -108,10 +109,7 @@ def fill(word: SWWord) -> Tableau:
     if active:
         unfilled = next(i for i, col in enumerate(columns, start=1) if col is active[0])
         raise TableauError(f"word ended while column {unfilled} is unfilled")
-    if not columns:
-        return Tableau(())  # raises: a tableau needs a column
-    # SWWord sizes are positive, so every column holds two or more ints
-    return _unchecked(Tableau, tuple([tuple(col[1:]) for col in columns]))
+    return Tableau(tuple([tuple(col[1:]) for col in columns]))
 
 
 def extend_plus(t: Tableau) -> Tableau:
@@ -126,8 +124,7 @@ def extend_plus(t: Tableau) -> Tableau:
     for i, col in enumerate(cols):
         if col[-1] == size:
             cols[i] = col + (size + 1,)
-            # only the extended column is new, and t's columns are int tuples already
-            return _unchecked(Tableau, tuple(cols))
+            return Tableau(tuple(cols))
     raise TableauError(f"no column ends with the largest entry {size}")
 
 

@@ -176,8 +176,8 @@ def _flat_order(s, drop: int, tilt: int) -> list[int]:
     placed before j; each became a bottom unless it is the last entry of
     its column, and none has been taken.  With ends[e] the number of
     columns whose last entry has rank e, j - floor[-1] - 1 - ends[hi]
-    bottoms of rank hi are left.  A count below 0 at the end is a drop that
-    found no bottom.
+    bottoms of rank hi are left.  A drop that finds none is refused by _walk's
+    count: rank lo is read once too often, so some rank is read too rarely.
 
     Each rank is one run of entries, and _walk writes its largest
     unwritten entry with a counter per rank, floored at the last entry of
@@ -203,8 +203,6 @@ def _flat_order(s, drop: int, tilt: int) -> list[int]:
             left -= 1
     except IndexError:  # ends[e] for e past size + 1
         raise WalkError(f"the column topped by entry {j + 1} is longer than the path") from None
-    if left < 0:
-        raise WalkError("a drop finds no column with room")
     # the largest unwritten entry of each rank, counting down to the entry below its run
     return _walk(after, [*floor[1:], size - 1], floor, -1, hi)
 
@@ -224,11 +222,10 @@ def _upward_order(s, drop: int) -> list[int]:
     ending at rank r and 1 at r = 0, as drops, and rank 0 holds one.  A
     level's last step is a drop, so each run ends with its last drop: the
     fill counts the drops left in the latest rank.  Rank -1, and the rank
-    past the last, read an empty sentinel counter.
+    past the last, read an empty sentinel counter.  Entries past the last
+    closed run are in no counter, so _walk's count refuses them.
     """
     size = len(s)
-    if size < 2:  # a member has a rise and the extra drop at least
-        raise WalkError("path has no column to extend")
     after: list[int] = []  # the rank the walk reads after writing each entry
     add = after.append
     ends = [0] * (size + 2)  # the number of columns whose last entry has each rank
@@ -249,8 +246,6 @@ def _upward_order(s, drop: int) -> list[int]:
                 start.append(j + 1)
     except IndexError:  # ends[e] for e past size + 1
         raise WalkError(f"the column topped by entry {j + 1} is longer than the path") from None
-    if start[-1] != size:
-        raise WalkError(f"path ends inside rank {hi}")
     # each rank's smallest unwritten entry, counting up to the entry past its run; then rank -1's
     return _walk(after, [*start[:-1], size], [*start[1:], size], 1, lo)
 

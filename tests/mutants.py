@@ -45,6 +45,9 @@ TABLE_PATHS, TABLE_CLI = ("src/sweepmap/paths.py", TABLE), ("src/sweepmap/cli.py
 GATHER = ("src/sweepmap/paths.py",
           ("tests/test_paths.py::test_gather_is_a_tuple_for_any_key_count",))
 ONE_TOKEN = ("src/sweepmap/paths.py", ("tests/test_cli.py::test_batch_table_one_token_line",))
+# the passes' refusals of non-members, pinned with their texts
+WALK_COUNT = ("src/sweepmap/walking.py", (
+    "tests/test_walking.py::TestOnePassInvert::test_pass_refuses_what_validate_refuses",))
 # refusals pinned with their texts in test_public's tables
 REFUSALS = ("src/sweepmap/paths.py", ("tests/test_public.py::test_refusal_texts",
                                       "tests/test_public.py::test_bad_steps_raise_path_error"))
@@ -58,7 +61,6 @@ ROWS = {WALKING: [
     ("flat run length", "hi + 1, j - floor[-1] - 1 - ends[hi]", "hi + 1, j - floor[-1] - ends[hi]",
      "killed"),
     ("flat run ends", "hi + 1, j - floor[-1] - 1 - ends[hi]", "hi + 1, j - floor[-1] - 1", "killed"),
-    ("flat no bottom", "if left < 0:", "if False:", "killed"),
     ("up room", "e = hi + (a - 1) // drop", "e = hi + a // drop", "killed"),
     ("up rank-0 drops", "lo, hi, left = -1, 0, 1", "lo, hi, left = -1, 0, 2", "killed"),
     ("up first step", "ends[0] = 1", "ends[0] = 0", "killed"),
@@ -70,9 +72,6 @@ ROWS = {WALKING: [
     # the upward fill has each rank r >= 0 read as often as it has entries, so
     # only the stop of rank -1, read after the extra drop, ends a member's walk
     ("up stop", "[*start[1:], size], 1", "[*start[1:], size + 1], 1", "killed"),
-    ("walk stopped short", "if len(out) < len(after):", "if False:", "killed"),
-    ("up inside rank", "if start[-1] != size:", "if False:", "killed"),
-    ("up no column", "if size < 2:", "if False:", "killed"),
     ("skeleton heights", "ints[col[0] - 1] = len(col) - 1", "ints[col[0] - 1] = len(col)",
      "killed"),
     ("fill comparison", "if fill(SWWord.from_steps(ints)) == t:",
@@ -136,10 +135,9 @@ ROWS = {WALKING: [
      "except OverflowError:  # a token outside the table", "killed"),
     ("write json", 'c.view is _view_path and args.format == "text"', "c.view is _view_path",
      "killed"),
-    # sweep's and invert's answers are members of the family their input was checked
-    # against, so every step is in the table and the answer's fallback never runs
-    ("write fallback", "            return emit_steps(steps)\n", "            raise\n",
-     "equivalent"),
+], WALK_COUNT: [
+    # the one refusal of the lists whose drops find no bottom or whose last run stays open
+    ("walk stopped short", "if len(out) < len(after):", "if False:", "killed"),
 ]}
 MUTANTS = [(name, target, tests, old, new, status)
            for (target, tests), rows in ROWS.items() for name, old, new, status in rows]

@@ -398,6 +398,12 @@ class TestWords:
         assert w == SWWord(letters) and w.letters == letters
         assert hash(w) == hash(SWWord(letters))
 
+    @pytest.mark.parametrize("steps", [[], ()], ids=["list", "tuple"])
+    def test_from_steps_refuses_an_empty_path(self, steps):
+        # StepSequence's refusal: SWWord's own checks would take no letters
+        with pytest.raises(PathError, match="^empty path$"):
+            SWWord.from_steps(steps)
+
     @pytest.mark.parametrize("bad", [2.5, 1.9, "2", None])
     def test_letter_sizes_must_be_integers(self, bad):
         # int() would truncate 2.5 to 2 and read "2"; None raised TypeError

@@ -625,24 +625,26 @@ class TestOnePassInvert:
     @pytest.mark.parametrize("tilt, steps, drop, error", [
         # not a path (its total is 2): the walk ends after three writes
         (0, (1, 1, 1, -1), 1, "walk stopped after 3 of 4 writes"),
-        # the second drop finds no bottom: rank 0's one entry ends its column
-        (0, (1, -1, -1, 1), 1, "a drop finds no column with room"),
+        # the second drop finds no bottom: rank 0's one entry ends its column,
+        # and _walk's count refuses the list
+        (0, (1, -1, -1, 1), 1, "walk stopped after 2 of 4 writes"),
         # a column of 5 entries below its top in a path of 2 entries
         (0, (5, -1), 1, "the column topped by entry 1 is longer than the path"),
         # a top whose column would end at rank 2, in a path of ranks 0 and 1
         (0, (2, -1), 1, "walk reads rank 2, past the last rank 1"),
         # tilt -1 runs the flat pass on s with a drop restored after its first step:
         # the skeleton 1,-1,1,-1 returns to level 0 twice, which validate
-        # refuses; read as 1,-2,-2,1 its second drop finds no bottom
-        (-1, (1, -2, 1), 2, "a drop finds no column with room"),
+        # refuses; read as 1,-2,-2,1 its second drop finds no bottom; the
+        # count is of the restored list's writes
+        (-1, (1, -2, 1), 2, "walk stopped after 2 of 4 writes"),
         # not Dyck: a first drop, and a drop past the columns' room
-        (-1, (-2, 3, -2), 2, "a drop finds no column with room"),
-        (-1, (1, -2, -2, 3, -2), 2, "a drop finds no column with room"),
+        (-1, (-2, 3, -2), 2, "walk stopped after 0 of 4 writes"),
+        (-1, (1, -2, -2, 3, -2), 2, "walk stopped after 2 of 6 writes"),
         # tilt +1 runs the upward pass: a first drop closes rank 0, which
         # leaves rank 1 no drop to close it; and rank 1's one drop closes it,
-        # leaving rank 2 none
-        (1, (-2, 3, -2, -2, 3), 2, "path ends inside rank 1"),
-        (1, (3, -2, -2, 3, -2, -2), 2, "path ends inside rank 2"),
+        # leaving rank 2 none: the open run's entries are in no counter
+        (1, (-2, 3, -2, -2, 3), 2, "walk stopped after 1 of 5 writes"),
+        (1, (3, -2, -2, 3, -2, -2), 2, "walk stopped after 3 of 6 writes"),
         # a rise of k = 3 that two drops leave unfilled: its column ends at rank 3
         (-1, (5, -2), 2, "walk reads rank 3, past the last rank 2"),
         # a rise of k = 2 that one drop leaves unfilled: its column ends at rank 2,
@@ -653,8 +655,6 @@ class TestOnePassInvert:
         (1, (3, -1), 1, "walk reads rank 2, past the last rank 0"),
         # a column of 8 entries below its top in a path of 3 entries
         (1, (9, -1, -1), 1, "the column topped by entry 1 is longer than the path"),
-        # no column for extend_plus's entry to go under
-        (1, (-2,), 2, "path has no column to extend"),
     ])
     def test_pass_refuses_what_validate_refuses(self, tilt, steps, drop, error):
         family = FamilySpec(KINDS[tilt], (1,) * drop)
@@ -662,6 +662,13 @@ class TestOnePassInvert:
         with pytest.raises(WalkError) as exc:
             walking._order(steps, drop, tilt)
         assert str(exc.value) == error
+
+    def test_upward_pass_permutes_lists_shorter_than_a_member(self):
+        # a member has a rise and the extra drop at least; a lone drop reads
+        # rank -1's empty counter, and nothing is left to write
+        assert not validate(StepSequence((-2,)), FamilySpec.plus((1, 1)), permute_k=True)
+        assert walking._order((-2,), 2, 1) == [0]
+        assert walking._order((), 2, 1) == []
 
     @pytest.mark.parametrize("tilt", TILTS, ids=KINDS.get)
     def test_guard_refuses_what_the_pass_misspells(self, monkeypatch, tilt):
