@@ -124,11 +124,19 @@ _Command = namedtuple(
 )
 
 
+def _flag_int(text: str) -> int:
+    """An integer flag's value, read as one step token as --k reads its entries."""
+    values = _step_ints(text) or ()
+    if len(values) != 1:  # the text argparse gives a bad int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return values[0]
+
+
 _TEXT = ("text", "json")
 _PICTURES = ("text", "json", "ascii", "svg")
 _BOUNDS = (
-    ("--max-n", {"type": int, "default": DEFAULT_MAX_N}),
-    ("--max-k", {"type": int, "default": DEFAULT_MAX_K}),
+    ("--max-n", {"type": _flag_int, "default": DEFAULT_MAX_N}),
+    ("--max-k", {"type": _flag_int, "default": DEFAULT_MAX_K}),
 )
 _RANKS = (("--ranks", {"action": "store_true", "help": "overlay ranks on a tableau"}),)
 _PERMUTE = (("--permute", {"action": "store_true",
@@ -162,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=["k", "kplus", "kminus", "rational"],
                        required=c.family_required, help="family the path belongs to")
         p.add_argument("--k", help='rise vector, e.g. "2,1,3"', dest="kvec")
-        p.add_argument("--m", type=int, help="rational families: rise of every up step")
-        p.add_argument("--n", type=int, help="rational families: drop of every down step")
+        p.add_argument("--m", type=_flag_int, help="rational families: rise of every up step")
+        p.add_argument("--n", type=_flag_int, help="rational families: drop of every down step")
         for flag, keywords in c.options:
             p.add_argument(flag, **keywords)
         p.add_argument(
@@ -171,13 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
-
-
-def _parse_kvec(text: str) -> tuple[int, ...]:
-    k = _step_ints(text)  # each entry a step token; FamilySpec refuses one that is not positive
-    if k is None:
-        raise PathError(f"malformed rise vector {text!r}")
-    return k
 
 
 def _check_family_flags(args) -> None:
@@ -197,8 +198,10 @@ def _family_from_args(args, steps: StepSequence | None = None) -> FamilySpec | N
         return None
     if args.m is not None:
         return FamilySpec.rational(args.m, args.n)
-    if args.kvec is not None:
-        return FamilySpec(kind, k=_parse_kvec(args.kvec))
+    if args.kvec is not None:  # each entry a step token; FamilySpec refuses one not positive
+        if (k := _step_ints(args.kvec)) is None:
+            raise PathError(f"malformed rise vector {args.kvec!r}")
+        return FamilySpec(kind, k=k)
     if steps is not None:
         return infer_family(steps, kind)
     if kind == KIND_RATIONAL:

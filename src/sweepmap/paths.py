@@ -7,9 +7,11 @@ plus/minus families are kept exact by scaling everything by the number of
 up steps, so all arithmetic stays integral; skeleton inverts _lift_ints.
 Indices in public data are 1-based throughout.
 
-Two private helpers decide every input: _ints reads raw steps once, as ints
-with no 0 step, and _member refuses a path outside a family's permutation
-closure with one text, for invert, skeleton and the command line alike.
+Each input source has one reader: _index reads Python values as ints,
+parse_steps and _step_ints read step text, and _json_ints reads JSON.  _ints
+reads raw steps through _index once, refusing a 0 step, and _member refuses a
+path outside a family's permutation closure with one text, for invert,
+skeleton and the command line alike.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ _ALL_KINDS = _K_KINDS + (KIND_RATIONAL,)
 # the plus/minus kinds are the k kind with every up step tilted by +/-1/n
 _TILT = {KIND_KPLUS: 1, KIND_KMINUS: -1}
 
-_STEP_TOKEN = re.compile(r"[+-]?\d+")
-# a step token with the whitespace str.strip() would take off
-_SPACED_TOKEN = re.compile(r"\s*[+-]?\d+\s*")
+_STEP_TOKEN = re.compile(r"[+-]?\d+")  # matched after str.strip()
 _S_TOKEN = re.compile(r"S(\d+)")
 
 
@@ -123,13 +123,19 @@ def _ints(steps) -> tuple[int, ...]:
     step, which text could not read back."""
     if isinstance(steps, StepSequence):
         return steps.steps
-    try:
-        s = tuple(map(operator.index, steps))
-    except TypeError:
-        raise PathError("path steps must be integers") from None
+    s = _index(steps, "path steps must be integers")
     if 0 in s:
         raise PathError(f"zero rise at index {s.index(0) + 1}")
     return s
+
+
+def _index(values, why: str, error: type = PathError, read=operator.index) -> tuple:
+    """The values, each read by read (as an int by default), or error(why) on a
+    TypeError, a non-iterable included: 1.5 would be truncated, and True becomes 1."""
+    try:
+        return tuple(map(read, values))
+    except TypeError:
+        raise error(why) from None
 
 
 def _unchecked(cls, value):
@@ -186,17 +192,17 @@ class SWWord(_Record):
             m = _S_TOKEN.fullmatch(tok)
             if m is None:
                 raise PathError(f"malformed token {tok!r} at index {j}")
-            letters.append(("S", _int_token(m.group(1), f"token at index {j}")))
+            letters.append(("S", _int_token(m.group(1), "token", j)))
         return cls(tuple(letters))  # raises on a zero exponent
 
 
-def _int_token(digits: str, where: str) -> int:
-    """int(digits), or PathError naming where the token is when it is past
-    int's digit limit."""
+def _int_token(digits: str, what: str, j: int) -> int:
+    """int(digits), or PathError naming the token and its index j when it is
+    past int's digit limit."""
     try:
         return int(digits)
     except ValueError:
-        raise PathError(f"{where} has too many digits") from None
+        raise PathError(f"{what} at index {j} has too many digits") from None
 
 
 def _tilt(steps, n: int, t: int) -> list[int]:
@@ -251,10 +257,7 @@ class FamilySpec(_Record):
         if kind == KIND_RATIONAL:
             if k:
                 raise PathError("rational families take (m, n), not a rise vector")
-            try:  # ints only: 7.5 would make float rises, and True becomes 1
-                m, n = operator.index(m), operator.index(n)
-            except TypeError:
-                raise PathError("rational family needs integer m and n") from None
+            m, n = _index((m, n), "rational family needs integer m and n")
             if m <= 0 or n <= 0:
                 raise PathError("rational family needs positive m and n")
             # at n = 2 the residues +1 and -1 agree: plus, unless its k would be 0
@@ -264,10 +267,7 @@ class FamilySpec(_Record):
         else:
             if (m, n) != (0, 0):  # a stray m or n would be a compared field
                 raise PathError(f"{kind} families take a rise vector, not (m, n)")
-            try:  # ints only: 2.5 would be truncated, and True becomes 1
-                k = tuple(map(operator.index, k))
-            except TypeError:
-                raise PathError("rise vector entries must be integers") from None
+            k = _index(k, "rise vector entries must be integers")
             if not k:
                 raise PathError("family needs a nonempty rise vector")
             if any(v <= 0 for v in k):
@@ -291,15 +291,15 @@ class FamilySpec(_Record):
 
     @classmethod
     def vector(cls, k) -> "FamilySpec":
-        return cls(KIND_K, k=tuple(k))
+        return cls(KIND_K, k=k)
 
     @classmethod
     def plus(cls, k) -> "FamilySpec":
-        return cls(KIND_KPLUS, k=tuple(k))
+        return cls(KIND_KPLUS, k=k)
 
     @classmethod
     def minus(cls, k) -> "FamilySpec":
-        return cls(KIND_KMINUS, k=tuple(k))
+        return cls(KIND_KMINUS, k=k)
 
     @classmethod
     def rational(cls, m: int, n: int) -> "FamilySpec":
@@ -512,31 +512,26 @@ def _gather(table, keys) -> tuple:
 
 def _step_ints(text: str) -> tuple[int, ...] | None:
     """The ints of comma-separated step tokens, or None if one is malformed or
-    past int's digit limit; a batch line of one family's spellings is read by
-    _spellings' table instead."""
-    tokens = text.split(",")
-    if all(map(_SPACED_TOKEN.fullmatch, tokens)):
+    past int's digit limit: the command line's --k and integer flags."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if all(map(_STEP_TOKEN.fullmatch, tokens)):
         with suppress(ValueError):  # a token past int's digit limit
-            # int() would not take off the separators \x1c-\x1f that strip() does
-            return tuple(int(tok.strip()) for tok in tokens)
+            return tuple(map(int, tokens))
     return None
 
 
 def parse_steps(text: str) -> StepSequence:
-    """Parse comma-separated rises, e.g. "2,-1,-1".
-
-    Well-formed text is converted by _step_ints; the tokens are scanned one
-    at a time only to name the first bad one.
-    """
-    values = _step_ints(text)
-    if values is not None and 0 not in values:
-        return _unchecked(StepSequence, values)
+    """Parse comma-separated rises, e.g. "2,-1,-1", each token read once and
+    the first bad one named; a batch line of one family's spellings is read by
+    _spellings' table instead."""
+    steps = []
     for j, tok in enumerate(map(str.strip, text.split(",")), start=1):
         if not _STEP_TOKEN.fullmatch(tok):
             raise PathError(f"malformed step token {tok!r} at index {j}")
-        if _int_token(tok, f"step token at index {j}") == 0:
+        if not (a := _int_token(tok, "step token", j)):
             raise PathError(f"zero rise at index {j}")
-    raise PathError("no bad token found")  # pragma: no cover - the scan names every refusal
+        steps.append(a)
+    return _unchecked(StepSequence, tuple(steps))
 
 
 def emit_steps(steps: StepSequence) -> str:

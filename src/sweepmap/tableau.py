@@ -14,11 +14,10 @@ extend_plus's tableau, which the tests' paper-worded plus walk reads.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from itertools import accumulate
 
-from .paths import SWWord, _is_ints, _json_ints, _Record
+from .paths import SWWord, _index, _is_ints, _json_ints, _Record
 
 
 class TableauError(ValueError):
@@ -31,10 +30,8 @@ class Tableau(_Record):
     __match_args__ = ("columns",)
 
     def __init__(self, columns: tuple[tuple[int, ...], ...]) -> None:
-        try:  # ints only: 2.7 would be truncated, and True becomes 1
-            cols = tuple(tuple(map(operator.index, col)) for col in columns)
-        except TypeError:
-            raise TableauError("tableau columns must hold integers") from None
+        why = "tableau columns must hold integers"  # for the columns and their entries
+        cols = _index(columns, why, TableauError, lambda col: _index(col, why, TableauError))
         if not cols:
             raise TableauError("tableau needs at least one column")
         for i, col in enumerate(cols, start=1):

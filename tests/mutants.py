@@ -31,8 +31,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300  # a mutant that hangs the walk is killed by CI's time limit too
 
-# (source file, test files that should kill its mutants)
-WALKING = ("src/sweepmap/walking.py", ("tests/test_walking.py",))
+
+
+def _walking(*tests: str) -> tuple[str, tuple[str, ...]]:
+    """walking.py with the test_walking.py ids that should kill its mutants."""
+    return "src/sweepmap/walking.py", tuple(f"tests/test_walking.py::{t}" for t in tests)
+
+
+# (source file, test files or test ids that should kill its mutants)
+FLAT = _walking("TestWalk::test_running_example", "TestWalkMinus::test_two_columns")
+UPWARD = _walking("TestWalkPlus::test_tiny")
+WALKS = _walking("TestWalk::test_refuses_what_no_word_fills",
+                 "TestWalkMinus::test_rejects_inadmissible")
+GUARD = _walking("TestOnePassInvert::test_guard_refuses_a_short_answer",
+                 "TestOnePassInvert::test_guard_refuses_what_the_pass_misspells",
+                 "TestSigmaToPreimage::test_rational_spells_the_scaled_rises")
 PATHS = ("src/sweepmap/paths.py", ("tests/test_paths.py",))
 SWEEP = ("src/sweepmap/sweep.py", ("tests/test_sweep.py",))
 ORACLE = ("src/sweepmap/oracle.py", ("tests/test_oracle.py",))
@@ -46,14 +59,22 @@ GATHER = ("src/sweepmap/paths.py",
           ("tests/test_paths.py::test_gather_is_a_tuple_for_any_key_count",))
 ONE_TOKEN = ("src/sweepmap/paths.py", ("tests/test_cli.py::test_batch_table_one_token_line",))
 # the passes' refusals of non-members, pinned with their texts
-WALK_COUNT = ("src/sweepmap/walking.py", (
-    "tests/test_walking.py::TestOnePassInvert::test_pass_refuses_what_validate_refuses",))
+WALK_COUNT = _walking("TestOnePassInvert::test_pass_refuses_what_validate_refuses")
 # refusals pinned with their texts in test_public's tables
 REFUSALS = ("src/sweepmap/paths.py", ("tests/test_public.py::test_refusal_texts",
                                       "tests/test_public.py::test_bad_steps_raise_path_error"))
+# every reader of Python ints, on values that are not ints
+READERS = ("tests/test_public.py::test_readers_refuse_what_is_not_ints",)
+READERS_PATHS, READERS_TABLEAU = ("src/sweepmap/paths.py", READERS), ("src/sweepmap/tableau.py",
+                                                                      READERS)
+# step text: each token stripped, and the first bad one named
+PARSE = ("src/sweepmap/paths.py", (
+    "tests/test_paths.py::TestTextForms::test_parse_reads_each_token_and_names_the_first_bad_one",))
+FLAGS = ("src/sweepmap/cli.py", (
+    "tests/test_cli.py::TestFilesAndUsage::test_integer_flags_follow_the_step_token_rule",))
 
 # (name, old text, new text, status), under the file and tests they mutate
-ROWS = {WALKING: [
+ROWS = {FLAT: [
     ("flat rank end", "e = hi + (a - tilt) // drop", "e = hi + (a - tilt) // drop + 1", "killed"),
     ("flat room tilt", "e = hi + (a - tilt) // drop", "e = hi + a // drop", "killed"),
     ("flat end count", "(a - tilt) // drop\n                add(e)\n                ends[e] += 1",
@@ -61,22 +82,10 @@ ROWS = {WALKING: [
     ("flat run length", "hi + 1, j - floor[-1] - 1 - ends[hi]", "hi + 1, j - floor[-1] - ends[hi]",
      "killed"),
     ("flat run ends", "hi + 1, j - floor[-1] - 1 - ends[hi]", "hi + 1, j - floor[-1] - 1", "killed"),
-    ("up room", "e = hi + (a - 1) // drop", "e = hi + a // drop", "killed"),
-    ("up rank-0 drops", "lo, hi, left = -1, 0, 1", "lo, hi, left = -1, 0, 2", "killed"),
-    ("up first step", "ends[0] = 1", "ends[0] = 0", "killed"),
-    ("up run length", "j + 1 - start[-1] - ends[hi]", "j - start[-1] - ends[hi]", "killed"),
     # each pass's counter step and stop list, as it hands them to the shared walk
     ("flat counter", "floor, -1, hi)", "floor, 1, hi)", "killed"),
-    ("flat stop", "size - 1], floor, -1", "size - 1], [-1] * len(floor), -1", "killed"),
-    ("up counter", "size], 1, lo)", "size], -1, lo)", "killed"),
-    # the upward fill has each rank r >= 0 read as often as it has entries, so
-    # only the stop of rank -1, read after the extra drop, ends a member's walk
-    ("up stop", "[*start[1:], size], 1", "[*start[1:], size + 1], 1", "killed"),
     ("skeleton heights", "ints[col[0] - 1] = len(col) - 1", "ints[col[0] - 1] = len(col)",
      "killed"),
-    ("fill comparison", "if fill(SWWord.from_steps(ints)) == t:",
-     "if fill(SWWord.from_steps(ints)) is not None:", "killed"),
-    ("minus admissibility", "if not is_minus_admissible(t):", "if False:", "killed"),
     ("minus drop 1", "_lift_ints(ints, 2, -1), 2, -1)", "_lift_ints(ints, 1, -1), 1, -1)",
      "killed"),
     ("order branches", "_upward_order(s, drop) if tilt else _flat_order(s, drop, 0)",
@@ -84,6 +93,20 @@ ROWS = {WALKING: [
     # the restored drop appended at the end, and the route's order keeping its write
     ("minus drop at end", "s = (*s[:1], -drop, *s[1:])", "s = (*s, -drop)", "killed"),
     ("minus drop written", "    out.pop()  # entry 1\n", "", "killed"),
+], UPWARD: [
+    ("up room", "e = hi + (a - 1) // drop", "e = hi + a // drop", "killed"),
+    ("up rank-0 drops", "lo, hi, left = -1, 0, 1", "lo, hi, left = -1, 0, 2", "killed"),
+    ("up first step", "ends[0] = 1", "ends[0] = 0", "killed"),
+    ("up run length", "j + 1 - start[-1] - ends[hi]", "j - start[-1] - ends[hi]", "killed"),
+    ("up counter", "size], 1, lo)", "size], -1, lo)", "killed"),
+    # the upward fill has each rank r >= 0 read as often as it has entries, so
+    # only the stop of rank -1, read after the extra drop, ends a member's walk
+    ("up stop", "[*start[1:], size], 1", "[*start[1:], size + 1], 1", "killed"),
+], WALKS: [
+    ("fill comparison", "if fill(SWWord.from_steps(ints)) == t:",
+     "if fill(SWWord.from_steps(ints)) is not None:", "killed"),
+    ("minus admissibility", "if not is_minus_admissible(t):", "if False:", "killed"),
+], GUARD: [
     ("guard length", "if len(out) == len(s) and min(accumulate(out)) >= 0:",
      "if min(accumulate(out)) >= 0:", "killed"),
     ("invert spelling", "_gather(read, order)", "_gather(read, order[::-1])", "killed"),
@@ -107,14 +130,29 @@ ROWS = {WALKING: [
     ("gather one key", "if len(keys) > 1:", "if len(keys) > 0:", "killed"),
 ], REFUSALS: [
     ("stray m n", "if (m, n) != (0, 0):", "if False:", "killed"),
-    ("ints type", "s = tuple(map(operator.index, steps))", "s = tuple(map(int, steps))",
-     "killed"),
+], READERS_PATHS: [
+    ("reader index", "read=operator.index) -> tuple:", "read=int) -> tuple:", "killed"),
+    # the classmethods hand k to __init__'s reader, a non-iterable too
+    ("vector k", "cls(KIND_K, k=k)", "cls(KIND_K, k=tuple(k))", "killed"),
+    ("plus k", "cls(KIND_KPLUS, k=k)", "cls(KIND_KPLUS, k=tuple(k))", "killed"),
+    ("minus k", "cls(KIND_KMINUS, k=k)", "cls(KIND_KMINUS, k=tuple(k))", "killed"),
+], READERS_TABLEAU: [
+    # a reader call per column would raise TypeError on Tableau(5), outside the reader
+    ("tableau columns", "_index(columns, why, TableauError, lambda col: _index(col, why, "
+     "TableauError))", "tuple(_index(col, why, TableauError) for col in columns)", "killed"),
+], PARSE: [
+    ("parse strip", 'enumerate(map(str.strip, text.split(",")), start=1)',
+     'enumerate(text.split(","), start=1)', "killed"),
+    ("parse zero", 'if not (a := _int_token(tok, "step token", j)):',
+     'if (a := _int_token(tok, "step token", j)) is None:', "killed"),
 ], SWEEP: [
     ("tie order", "range(len(s) - 1, -1, -1)", "range(len(s))", "killed"),
 ], ORACLE: [
     ("first preimage", "index[q][0]", "index[q][-1]", "killed"),
     ("count", "count=len(paths)", "count=len(counts)", "killed"),
     ("down branch", "if left and h >= drop:", "if left and h > drop:", "killed"),
+], FLAGS: [
+    ("flag one token", "if len(values) != 1:", "if not values:", "killed"),
 ], CLI: [
     ("digit limit", "except ValueError:  # int's digit limit",
      "except OverflowError:  # int's digit limit", "killed"),
@@ -136,6 +174,7 @@ ROWS = {WALKING: [
     ("write json", 'c.view is _view_path and args.format == "text"', "c.view is _view_path",
      "killed"),
 ], WALK_COUNT: [
+    ("flat stop", "size - 1], floor, -1", "size - 1], [-1] * len(floor), -1", "killed"),
     # the one refusal of the lists whose drops find no bottom or whose last run stays open
     ("walk stopped short", "if len(out) < len(after):", "if False:", "killed"),
 ]}

@@ -44,6 +44,13 @@ NO_FAMILY_NON_MEMBERS = [("2,-2,-1", "prefix sum -1 is negative (index 3)"),
 # a batch for the family k = (1, 1): members, malformed, JSON, zero, blank and
 # too short lines
 BATCH_LINES = '1,1,-1,-1\nx\n\n{"steps": [null]}\n1,-1,1,-1\n0,1\n   \n2,-1,-1\n'
+# each integer flag after a command line that reads it, and exits 0 with it at 3
+INT_FLAGS = {
+    "--m": ["enumerate", "--family", "rational", "--n", "2", "--m"],
+    "--n": ["enumerate", "--family", "rational", "--m", "3", "--n"],
+    "--max-n": ["enumerate", "--family", "k", "--k", "1,1", "--max-n"],
+    "--max-k": ["verify", "--family", "k", "--k", "1,1", "--max-k"],
+}
 
 
 def run(capsys, *argv):
@@ -782,6 +789,20 @@ class TestFilesAndUsage:
         code, out, err = run(capsys, "invert", "--family", "k", "--k", k,
                              "--steps", "10" + ",-1" * 10)
         assert (code, out, err) == (1, "", f"error: malformed rise vector {k!r}\n")
+
+    @pytest.mark.parametrize("value", ["1_0", "1,2", "2.0", "", "9" * 5000])
+    @pytest.mark.parametrize("flag", INT_FLAGS)
+    def test_integer_flags_follow_the_step_token_rule(self, capsys, flag, value):
+        # argparse's type=int read "1_0" as 10: --m 1_0 listed the (10, 3) paths
+        code, out, err = run(capsys, *INT_FLAGS[flag], value)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("value", [" 3", "+3", "3\t", "\x1c3"])
+    @pytest.mark.parametrize("flag", INT_FLAGS)
+    def test_integer_flags_take_the_whitespace_and_sign_steps_do(self, capsys, flag, value):
+        want = run(capsys, *INT_FLAGS[flag], "3")
+        assert want[0] == 0 and run(capsys, *INT_FLAGS[flag], value) == want
 
     def test_k_entries_take_the_whitespace_steps_do(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "k", "--k", " 2 ,\x1c1",

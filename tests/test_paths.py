@@ -489,6 +489,20 @@ class TestTextForms:
         with pytest.raises(PathError, match=f"^{error} has too many digits$"):
             read(text)
 
+    @pytest.mark.parametrize("text, got", [
+        ("0,x", "zero rise at index 1"),
+        ("x,0", "malformed step token 'x' at index 1"),
+        ("1,,2", "malformed step token '' at index 2"),
+        ("9" * 5000 + ",x", "step token at index 1 has too many digits"),
+        ("1,x," + "9" * 5000, "malformed step token 'x' at index 2"),
+        # members, their tokens wrapped in what str.strip() takes off
+        (" 2 , -1 ,\t-1\n", (2, -1, -1)),
+        ("\x1c2\x1c,\x1c-1,-1\x1f", (2, -1, -1)),
+        ("\u20281,\u3000-1", (1, -1)),
+    ])
+    def test_parse_reads_each_token_and_names_the_first_bad_one(self, text, got):
+        assert _outcome(lambda t: parse_steps(t).steps, text) == got
+
     @settings(max_examples=300)
     @given(st.text(alphabet="0123-+, x\x1c\u2028", max_size=12))
     def test_parse_names_the_first_bad_token(self, text):

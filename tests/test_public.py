@@ -134,6 +134,8 @@ REFUSALS = {
     "infer-kind": (lambda: sweepmap.infer_family((1, -1), "x"), PathError,
                    "unknown family kind 'x'"),
     "tableau-empty": (lambda: Tableau(()), TableauError, "tableau needs at least one column"),
+    "tableau-int-column": (lambda: Tableau(((1, 2), 5)), TableauError,
+                           "tableau columns must hold integers"),
     "tableau-json": (lambda: Tableau.from_json({}), TableauError,
                      "tableau object needs a 'columns' key"),
     "fill-empty": (lambda: sweepmap.fill(SWWord(())), TableauError,
@@ -148,6 +150,57 @@ def test_refusal_texts(case):
     call, error, text = REFUSALS[case]
     with pytest.raises(error, match=f"^{text}$"):
         call()
+
+
+NOT_K = "rise vector entries must be integers"
+# every reader of Python ints: a call on one value, put(x) a valid value with x
+# as an entry when x is 1, and the one refusal of a value it cannot read
+READERS = {
+    "StepSequence": (StepSequence, lambda x: (x, -1), PathError, "path steps must be integers"),
+    "FamilySpec-k": (lambda k: FamilySpec("k", k=k), lambda x: (x, 2), PathError, NOT_K),
+    "FamilySpec-kplus": (lambda k: FamilySpec("kplus", k=k), lambda x: (x, 2), PathError, NOT_K),
+    "FamilySpec-kminus": (lambda k: FamilySpec("kminus", k=k), lambda x: (x, 2), PathError,
+                          NOT_K),
+    "FamilySpec.vector": (FamilySpec.vector, lambda x: (x, 2), PathError, NOT_K),
+    "FamilySpec.plus": (FamilySpec.plus, lambda x: (x, 2), PathError, NOT_K),
+    "FamilySpec.minus": (FamilySpec.minus, lambda x: (x, 2), PathError, NOT_K),
+    "to_plus": (lambda k: sweepmap.to_plus(PLAIN, k), lambda x: (2, x), PathError, NOT_K),
+    "to_minus": (lambda k: sweepmap.to_minus((2, 1, -1, -1, -1), k), lambda x: (2, x),
+                 PathError, NOT_K),
+    "FamilySpec.rational": (lambda mn: FamilySpec.rational(*mn), lambda x: (x, 2), PathError,
+                            "rational family needs integer m and n"),
+    "Tableau": (Tableau, lambda x: ((x, 2), (3, 4)), TableauError,
+                "tableau columns must hold integers"),
+    "SWWord": (SWWord, lambda x: (("S", x), ("W", 1)), PathError,
+               "letter sizes must be integers"),
+}
+# bad values, each a function of a reader's put: not iterable, or a bad entry
+NOT_READ = {"int": lambda put: 5, "none": lambda put: None,
+            "float-entry": lambda put: put(1.5), "str-entry": lambda put: put("1"),
+            "none-entry": lambda put: put(None)}
+# m and n are read as a pair of scalars: a whole value that is not iterable is no case
+NOT_ITERABLE = {"int", "none"}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in READERS for bad in NOT_READ
+    if not (name == "FamilySpec.rational" and bad in NOT_ITERABLE)])
+def test_readers_refuse_what_is_not_ints(name, bad):
+    call, put, error, text = READERS[name]
+    with pytest.raises(error, match=f"^{text}$"):
+        call(NOT_READ[bad](put))
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_readers_read_true_as_one(name):
+    call, put, _, _ = READERS[name]
+    assert call(put(True)) == call(put(1))
+
+
+@pytest.mark.parametrize("form", RAW)
+@pytest.mark.parametrize("make", [FamilySpec.vector, FamilySpec.plus, FamilySpec.minus])
+def test_family_classmethods_read_any_iterable(make, form):
+    assert make(RAW[form]((2, 1))) == make((2, 1))
 
 
 def test_traced_names_resolve():
